@@ -60,17 +60,18 @@ class FilterConfig:
     resimulate_future: bool = False
 
     def __post_init__(self):
-        if self.n_particles < 1:
+        # written as not (x >= lo) so that NaN fails every check
+        if not self.n_particles >= 1:
             raise ValueError(f"n_particles must be >= 1, got {self.n_particles}")
-        if self.lag < 0:
+        if not self.lag >= 0:
             raise ValueError(f"lag must be >= 0, got {self.lag}")
-        if self.beta < 0:
+        if not self.beta >= 0:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if self.sensor_sigma <= 0:
+        if not self.sensor_sigma > 0:
             raise ValueError(f"sensor_sigma must be > 0, got {self.sensor_sigma}")
         if not 0.0 <= self.resample_threshold <= 1.0:
             raise ValueError(f"resample_threshold must be in [0, 1], got {self.resample_threshold}")
-        if self.collision_step <= 0:
+        if not self.collision_step > 0:
             raise ValueError(f"collision_step must be > 0, got {self.collision_step}")
 
 
@@ -273,6 +274,8 @@ def _normalize_log_weights(log_weights: np.ndarray) -> np.ndarray:
     m = log_weights.max()
     if m == -np.inf:
         raise FilterDegeneracyError("all particle weights vanished")
+    if not math.isfinite(m):
+        raise FilterDegeneracyError(f"non-finite particle log-weight ({m})")
     return log_weights - (m + math.log(np.exp(log_weights - m).sum()))
 
 

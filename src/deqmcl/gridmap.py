@@ -13,6 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Points tested per `occupied_xy` call in `OccupancyGrid.raycast_batch`.
+_MARCH_POINTS = 1 << 16
+
 
 class MapFormatError(ValueError):
     """Map text does not conform to the map file format."""
@@ -49,7 +52,7 @@ class OccupancyGrid:
             raise ValueError(f"grid dimensions must be positive, got {self.width}x{self.height}")
         if not (self.resolution > 0 and math.isfinite(self.resolution)):
             raise ValueError(f"resolution must be a positive real, got {self.resolution}")
-        cells = np.asarray(self.cells, dtype=bool)
+        cells = np.ascontiguousarray(self.cells, dtype=bool)
         if cells.shape != (self.height, self.width):
             raise ValueError(f"cells shape {cells.shape} does not match {self.height}x{self.width}")
         object.__setattr__(self, "cells", cells)
@@ -63,25 +66,20 @@ class OccupancyGrid:
         return self.height * self.resolution
 
     def occupied_xy(self, x, y) -> np.ndarray:
-        """Vectorized occupancy test; out-of-bounds and non-finite points are occupied."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        with np.errstate(invalid="ignore"):
-            ix = np.floor(x / self.resolution)
-            iy = np.floor(y / self.resolution)
-        inside = (
-            np.isfinite(x)
-            & np.isfinite(y)
-            & (ix >= 0)
-            & (ix < self.width)
-            & (iy >= 0)
-            & (iy < self.height)
-        )
-        ix = np.nan_to_num(ix, nan=0.0, posinf=0.0, neginf=0.0)
-        iy = np.nan_to_num(iy, nan=0.0, posinf=0.0, neginf=0.0)
-        ixc = np.clip(ix, 0, self.width - 1).astype(np.int64)
-        iyc = np.clip(iy, 0, self.height - 1).astype(np.int64)
-        return np.where(inside, self.cells[iyc, ixc], True)
+        """Vectorized occupancy test; out-of-bounds and non-finite points are occupied.
+
+        NaN and infinite coordinates fail the bounds comparisons, so they need
+        no separate finiteness pass; only points inside the grid are looked up.
+        """
+        ix = np.floor(np.asarray(x, dtype=float) / self.resolution)
+        iy = np.floor(np.asarray(y, dtype=float) / self.resolution)
+        if ix.shape != iy.shape:
+            ix, iy = np.broadcast_arrays(ix, iy)
+        inside = (ix >= 0) & (ix < self.width) & (iy >= 0) & (iy < self.height)
+        occupied = np.ones(inside.shape, dtype=bool)
+        flat = iy[inside].astype(np.intp) * self.width + ix[inside].astype(np.intp)
+        occupied[inside] = self.cells.ravel()[flat]
+        return occupied
 
     def is_occupied(self, p: Point2) -> bool:
         """True iff ``p`` maps to an occupied cell or lies outside the grid."""
@@ -137,25 +135,45 @@ class OccupancyGrid:
         return float(d[0])
 
     def raycast_batch(self, x, y, theta, max_range: float, step: float) -> np.ndarray:
-        """Vectorized raycast for free origins; returns hit distances in [0, max_range]."""
+        """Vectorized raycast for free origins; returns hit distances in [0, max_range].
+
+        Ray ``i`` is sampled at distances ``d_k = min(k*step, max_range)`` for
+        ``k = 1 .. floor(max_range/step)``, at the points ``x + d_k*cos(theta)``,
+        ``y + d_k*sin(theta)``; its result is the first ``d_k`` whose point is
+        occupied, or ``max_range`` when none is (also when ``max_range < step``,
+        which leaves no samples).
+
+        The march goes in blocks: each block takes the next
+        ``max(1, _MARCH_POINTS // active)`` sample distances for the ``active``
+        rays that have not hit yet, tests all of those points with one
+        `occupied_xy` call, takes each ray's first hit in the block and drops
+        the rays that hit.  A few rays therefore finish in one call, while very
+        large batches step nearly one sample at a time; either way each block
+        temporary holds about ``_MARCH_POINTS`` values.
+        """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         theta = np.asarray(theta, dtype=float)
         m = x.shape[0]
         dist = np.full(m, float(max_range))
-        if m == 0:
-            return dist
         n_samples = int(math.floor(max_range / step + 1e-9))
-        xa, ya = x.copy(), y.copy()
+        if m == 0 or n_samples == 0:
+            return dist
         ca, sa = np.cos(theta), np.sin(theta)
         idx = np.arange(m)
-        for k in range(1, n_samples + 1):
-            d = min(k * step, max_range)
-            hit = self.occupied_xy(xa + d * ca, ya + d * sa)
-            if hit.any():
-                dist[idx[hit]] = d
-                keep = ~hit
-                xa, ya, ca, sa, idx = xa[keep], ya[keep], ca[keep], sa[keep], idx[keep]
+        k = 0  # samples 1..k are done
+        while k < n_samples:
+            ks = np.arange(k + 1, min(k + max(1, _MARCH_POINTS // idx.size), n_samples) + 1)
+            k += ks.size
+            block = np.minimum(ks * step, max_range)
+            hit = self.occupied_xy(
+                x[:, None] + block * ca[:, None], y[:, None] + block * sa[:, None]
+            )
+            done = hit.any(axis=1)
+            if done.any():
+                dist[idx[done]] = block[hit[done].argmax(axis=1)]
+                keep = ~done
+                x, y, ca, sa, idx = x[keep], y[keep], ca[keep], sa[keep], idx[keep]
                 if idx.size == 0:
                     break
         return dist

@@ -229,11 +229,18 @@ def load_config(path: str | Path) -> ExperimentConfig:
                 kw[key] = section[key]
         return FilterConfig(motion_noise=filter_noise, **kw)
 
-    filter_base = filter_from(raw.get("filter", {}))
+    try:
+        filter_base = filter_from(raw.get("filter", {}))
+    except ValueError as exc:
+        raise ConfigError(f"filter: {exc}") from None
     per_method = raw.get("per_method", {}) or {}
     for m in per_method:
         if m not in METHODS:
             raise ConfigError(f"per_method override for unknown method {m!r}")
+        try:
+            dataclasses.replace(filter_base, **per_method[m])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"per_method.{m}: {exc}") from None
 
     init_raw = raw.get("init", {})
     init_kind = init_raw.get("kind", "gaussian")
@@ -403,6 +410,22 @@ def simulate_truth(
     return poses, scans  # type: ignore[return-value]
 
 
+def trial_truth(
+    cfg: ExperimentConfig, trial: int, grid: OccupancyGrid, plan: ActionPlan
+) -> tuple[list[Pose], list[DepthScan | None]]:
+    """The trial's ground truth, shared by every method.
+
+    It uses the base filter section's collision step (the one `build_plan`
+    checks the plan with), so a per-method override cannot change the world.
+    """
+    return simulate_truth(
+        grid, plan, cfg.start, cfg.noise, cfg.beams,
+        derive_rng(cfg.master_seed, trial, _STREAM_TRUTH),
+        derive_rng(cfg.master_seed, trial, _STREAM_SENSOR),
+        collision_step=cfg.filter_base.collision_step,
+    )
+
+
 def _make_stepper(method: str, fcfg: FilterConfig, grid: OccupancyGrid, plan: ActionPlan):
     if method == "mcl":
         return lambda st, t, a, scan, rng: filters.mcl_step(st, a, scan, fcfg, grid, rng)
@@ -425,8 +448,12 @@ def run_trial(
     trial: int,
     grid: OccupancyGrid | None = None,
     plan: ActionPlan | None = None,
+    truth_scans: tuple[list[Pose], list[DepthScan | None]] | None = None,
 ) -> tuple[metrics.TrialMetrics, list[dict]]:
     """Run one (method, trial) pair; returns per-trial metrics and trace records.
+
+    ``truth_scans`` is the trial's `trial_truth`; it is simulated here when
+    not given.
 
     Emits exactly one record per time step t, containing the method's final
     estimate of the state at t, the matching error e_t, and (every
@@ -440,14 +467,10 @@ def run_trial(
     fcfg = filter_config_for(cfg, method)
     horizon = plan.horizon
 
-    rng_truth = derive_rng(cfg.master_seed, trial, _STREAM_TRUTH)
-    rng_sensor = derive_rng(cfg.master_seed, trial, _STREAM_SENSOR)
     rng_filter = derive_rng(cfg.master_seed, trial, _STREAM_FILTER, method)
-
-    truth, scans = simulate_truth(
-        grid, plan, cfg.start, cfg.noise, cfg.beams, rng_truth, rng_sensor,
-        collision_step=fcfg.collision_step,
-    )
+    if truth_scans is None:
+        truth_scans = trial_truth(cfg, trial, grid, plan)
+    truth, scans = truth_scans
 
     sampler = make_init_sampler(cfg, grid)
     if method == "deq_mcl":
@@ -542,6 +565,7 @@ def run_experiment(
 
     grid = load_experiment_grid(cfg)
     plan = build_plan(cfg, grid)
+    truths = [trial_truth(cfg, trial, grid, plan) for trial in range(cfg.n_trials)]
 
     summary_rows: list[dict] = []
     metric_rows: list[str] = []
@@ -550,7 +574,9 @@ def run_experiment(
         per_trial: list[metrics.TrialMetrics] = []
         for trial in range(cfg.n_trials):
             try:
-                tm, records = run_trial(cfg, method, trial, grid=grid, plan=plan)
+                tm, records = run_trial(
+                    cfg, method, trial, grid=grid, plan=plan, truth_scans=truths[trial]
+                )
             except FilterDegeneracyError as exc:
                 failures.append((method, trial, str(exc)))
                 continue
@@ -696,13 +722,8 @@ def run_oracle_validation(cfg: ExperimentConfig, out_dir: str | None = None) -> 
     sampler = make_init_sampler(cfg, grid)
     rows: list[dict] = []
     for seed_idx in range(op.seeds):
-        rng_truth = derive_rng(cfg.master_seed, seed_idx, _STREAM_TRUTH)
-        rng_sensor = derive_rng(cfg.master_seed, seed_idx, _STREAM_SENSOR)
         rng_filter = derive_rng(cfg.master_seed, seed_idx, _STREAM_FILTER, "deq_mcl")
-        truth, scans = simulate_truth(
-            grid, plan, cfg.start, cfg.noise, cfg.beams, rng_truth, rng_sensor,
-            collision_step=fcfg.collision_step,
-        )
+        _, scans = trial_truth(cfg, seed_idx, grid, plan)
         state = filters.deq_init(fcfg, sampler, plan, grid, rng_filter)
         for t in range(2, horizon + 1):
             state = filters.deq_step(

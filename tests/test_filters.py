@@ -180,6 +180,21 @@ class TestSystematicResample:
             systematic_resample(np.array([0.5, -0.1]), np.random.default_rng(0))
 
 
+class TestNonFiniteGuards:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_log_weight_raises(self, bad):
+        from deqmcl.filters import _normalize_log_weights
+
+        with pytest.raises(FilterDegeneracyError, match="non-finite"):
+            _normalize_log_weights(np.array([-1.0, bad, -2.0]))
+
+    @pytest.mark.parametrize("key", ["n_particles", "lag", "beta", "sensor_sigma",
+                                     "resample_threshold", "collision_step"])
+    def test_nan_setting_rejected(self, key):
+        with pytest.raises(ValueError, match=key):
+            FilterConfig(**{key: math.nan})
+
+
 class TestEffectiveSampleSize:
     def test_uniform(self):
         logw = np.full(100, -math.log(100))

@@ -88,6 +88,18 @@ class TestLoadConfig:
         assert harness.filter_config_for(cfg, "mcl").n_particles == 33
         assert harness.filter_config_for(cfg, "deq_mcl").n_particles == 80
 
+    def test_nan_beta_rejected(self, tmp_path):
+        path = write_mini_config(tmp_path)
+        path.write_text(path.read_text().replace("beta: 5.0", "beta: .nan"))
+        with pytest.raises(ConfigError, match="beta"):
+            load_config(path)
+
+    def test_bad_per_method_override_rejected(self, tmp_path):
+        path = write_mini_config(tmp_path)
+        path.write_text(path.read_text() + "per_method:\n  mcl: {sensor_sigma: .nan}\n")
+        with pytest.raises(ConfigError, match="per_method.mcl: sensor_sigma"):
+            load_config(path)
+
 
 class TestRunTrial:
     def test_deterministic_repeat(self, tmp_path):
@@ -105,6 +117,32 @@ class TestRunTrial:
             _, records = run_trial(cfg, method, 0)
             truths[method] = {r["t"]: r["truth"] for r in records}
         assert truths["mcl"] == truths["mcl_map_motion"] == truths["deq_mcl"]
+
+    def test_truth_ignores_per_method_collision_step(self, tmp_path, monkeypatch):
+        path = write_mini_config(tmp_path, methods="mcl, mcl_map_motion", count=8, n_trials=2)
+        path.write_text(path.read_text() + "per_method:\n  mcl: {collision_step: 0.5}\n")
+        cfg = load_config(path)
+        steps = []
+        simulate = harness.simulate_truth
+
+        def spy(*args, **kwargs):
+            steps.append(kwargs["collision_step"])
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "simulate_truth", spy)
+        run_experiment(cfg, out_dir=str(tmp_path / "run"))
+        # once per trial, at the base step, however many methods share it
+        assert steps == [cfg.filter_base.collision_step] * cfg.n_trials
+        for trial in range(cfg.n_trials):
+            truths = [
+                [json.loads(line)["truth"] for line in
+                 (tmp_path / "run" / "traces" / f"{m}_trial{trial:02d}.jsonl").open()]
+                for m in cfg.methods
+            ]
+            assert truths[0] == truths[1]
+            _, records = run_trial(cfg, "mcl", trial)
+            assert [r["truth"] for r in records] == truths[0]
+        assert steps[cfg.n_trials:] == [cfg.filter_base.collision_step] * cfg.n_trials
 
     def test_one_record_per_step(self, tmp_path):
         cfg = load_config(write_mini_config(tmp_path, methods="mcl_smoother", count=9, lag=3))
