@@ -197,11 +197,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
     )
 
     bm = raw.get("beams", {})
-    beams = BeamConfig(
-        headings=tuple(math.radians(float(h)) for h in bm.get("headings_deg", (-60, -30, 0, 30, 60))),
-        max_range=float(bm.get("max_range", 100.0)),
-        ray_step=float(bm.get("ray_step", 0.5)),
-    )
+    try:
+        beams = BeamConfig(
+            headings=tuple(math.radians(float(h)) for h in bm.get("headings_deg", (-60, -30, 0, 30, 60))),
+            max_range=float(bm.get("max_range", 100.0)),
+            ray_step=float(bm.get("ray_step", 0.5)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"beams: {exc}") from None
 
     fn = raw.get("filter_noise")
     if fn is None:

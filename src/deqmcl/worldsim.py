@@ -123,8 +123,11 @@ class BeamConfig:
     def __post_init__(self):
         if len(self.headings) < 1:
             raise ValueError("at least one beam is required")
-        if self.max_range <= 0 or self.ray_step <= 0:
-            raise ValueError("max_range and ray_step must be positive")
+        # written so that NaN fails the checks
+        if not (self.max_range > 0 and math.isfinite(self.max_range)):
+            raise ValueError(f"max_range must be positive and finite, got {self.max_range}")
+        if not (self.ray_step > 0 and math.isfinite(self.ray_step)):
+            raise ValueError(f"ray_step must be positive and finite, got {self.ray_step}")
 
 
 @dataclass(frozen=True)

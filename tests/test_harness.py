@@ -94,6 +94,18 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="beta"):
             load_config(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("ray_step", ".nan"), ("ray_step", "-1"), ("ray_step", ".inf"),
+        ("max_range", ".nan"), ("max_range", ".inf"), ("max_range", "0"),
+    ])
+    def test_bad_beam_setting_rejected(self, tmp_path, key, value):
+        path = write_mini_config(tmp_path)
+        text = path.read_text()
+        default = {"ray_step": "ray_step: 0.5", "max_range": "max_range: 40.0"}[key]
+        path.write_text(text.replace(default, f"{key}: {value}"))
+        with pytest.raises(ConfigError, match=f"beams: {key} must be positive and finite"):
+            load_config(path)
+
     def test_bad_per_method_override_rejected(self, tmp_path):
         path = write_mini_config(tmp_path)
         path.write_text(path.read_text() + "per_method:\n  mcl: {sensor_sigma: .nan}\n")
