@@ -60,6 +60,10 @@ class FilterConfig:
     resimulate_future: bool = False
 
     def __post_init__(self):
+        for name in ("n_particles", "lag"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         # written as not (x >= lo) so that NaN fails every check
         if not self.n_particles >= 1:
             raise ValueError(f"n_particles must be >= 1, got {self.n_particles}")

@@ -13,13 +13,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# A block of `OccupancyGrid.raycast_batch` tests at most `_MARCH_POINTS`
-# points in one lookup, and on a grid where rays can jump (a clearance of 3 or
-# more) at most `_MARCH_SAMPLES` samples per ray: a wider block mostly tests
-# samples past the ray's first hit, or samples that the jump after the block
-# would have proven free.
+# `OccupancyGrid.raycast_batch` tests a batch of at most `_MARCH_POINTS`
+# points as one dense block.  A larger batch marches in blocks of at most
+# `_MARCH_BLOCK` points, but at least one sample per ray, and each ray jumps
+# over its free box between blocks.  One pass of the march costs about as much
+# interpreter time as testing a few thousand points: narrower blocks pay in
+# passes, wider ones test samples past the first hit or inside a free box that
+# the jump would have skipped.
 _MARCH_POINTS = 1 << 16
-_MARCH_SAMPLES = 16
+_MARCH_BLOCK = 1 << 12
 
 
 class MapFormatError(ValueError):
@@ -51,10 +53,13 @@ class OccupancyGrid:
     height: int
     resolution: float
     cells: np.ndarray
-    # Chebyshev distance, in cells, to the nearest occupied or outside cell,
-    # and its maximum: below 3 no sample ever proves a later one free.
+    # Chebyshev distance, in cells, to the nearest occupied or outside cell:
+    # 0 exactly on the obstacles.  A view into `_clearance_table`.
     clearance: np.ndarray = field(init=False, repr=False, compare=False)
-    max_clearance: int = field(init=False, repr=False, compare=False)
+    # `clearance` with one more row and column of zeros, the outside: cell
+    # indices clamped to [-1, width] x [-1, height] all find their value in
+    # it, index -1 by wrapping round to the last row or column.
+    _clearance_table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
@@ -65,9 +70,10 @@ class OccupancyGrid:
         if cells.shape != (self.height, self.width):
             raise ValueError(f"cells shape {cells.shape} does not match {self.height}x{self.width}")
         object.__setattr__(self, "cells", cells)
-        clearance = _chebyshev_clearance(cells)
-        object.__setattr__(self, "clearance", clearance)
-        object.__setattr__(self, "max_clearance", int(clearance.max()))
+        table = np.zeros((self.height + 1, self.width + 1), dtype=np.uint8)
+        table[:-1, :-1] = _chebyshev_clearance(cells)
+        object.__setattr__(self, "_clearance_table", table)
+        object.__setattr__(self, "clearance", table[:-1, :-1])
 
     @property
     def world_width(self) -> float:
@@ -79,30 +85,41 @@ class OccupancyGrid:
 
     def occupied_xy(self, x, y) -> np.ndarray:
         """Vectorized occupancy test; out-of-bounds and non-finite points are occupied."""
-        return self._cell_values(self.cells, True, x, y)
-
-    def _clearance_xy(self, x, y) -> np.ndarray:
-        """`clearance` of the cells holding the points; 0 wherever `occupied_xy` is True."""
-        return self._cell_values(self.clearance, 0, x, y)
-
-    def _cell_values(self, table: np.ndarray, outside, x, y) -> np.ndarray:
-        """``table`` at the cells holding the points, ``outside`` for points off the grid.
-
-        NaN and infinite coordinates fail the bounds comparisons, so they need
-        no separate finiteness pass; only points inside the grid are looked up.
-        A finite coordinate near the float maximum may overflow to infinity in
-        the division, which puts it outside as it should.
-        """
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if x.shape != y.shape:
+            x, y = np.broadcast_arrays(x, y)
+        cell = np.stack([x, y])
+        # a finite coordinate near the float maximum may overflow to infinity
+        # in the division, which puts it outside the grid as it should
         with np.errstate(over="ignore"):
-            ix = np.floor(np.asarray(x, dtype=float) / self.resolution)
-            iy = np.floor(np.asarray(y, dtype=float) / self.resolution)
-        if ix.shape != iy.shape:
-            ix, iy = np.broadcast_arrays(ix, iy)
-        inside = (ix >= 0) & (ix < self.width) & (iy >= 0) & (iy < self.height)
-        values = np.full(inside.shape, outside, dtype=table.dtype)
-        flat = iy[inside].astype(np.intp) * self.width + ix[inside].astype(np.intp)
-        values[inside] = table.ravel()[flat]
-        return values
+            cell /= self.resolution
+        return np.asarray(self._clearance_at(np.floor(cell, out=cell)) == 0)
+
+    def _clearance_at(self, cell: np.ndarray) -> np.ndarray:
+        """`clearance` at stacked float cell indices, 0 off the grid.
+
+        Clamps ``cell`` in place to the outside row and column of
+        `_clearance_table` (``fmax`` sends NaN there too), which changes only
+        indices off the grid: those have clearance 0 and no free box.
+        """
+        bound = np.array([self.width, self.height], dtype=float).reshape((2,) + (1,) * (cell.ndim - 1))
+        np.fmax(cell, -1.0, out=cell)
+        np.fmin(cell, bound, out=cell)
+        flat = cell[1] * (self.width + 1)  # exact: small whole numbers
+        flat += cell[0]
+        return self._clearance_table.ravel()[flat.astype(np.intp)]
+
+    @staticmethod
+    def _in_free_box(cell: np.ndarray, clear: np.ndarray, other: np.ndarray) -> np.ndarray:
+        """Whether stacked cell index ``other`` lies in the free box of ``cell``.
+
+        A cell of clearance ``c >= 1`` is the centre of a free box: the cells
+        within Chebyshev distance ``c - 1`` of it, all of them inside the grid
+        and free.  A cell of clearance 0 has no box, and NaN indices lie in
+        none.
+        """
+        return (np.abs(other - cell) <= clear - 1.0).all(axis=0)
 
     def is_occupied(self, p: Point2) -> bool:
         """True iff ``p`` maps to an occupied cell or lies outside the grid."""
@@ -127,26 +144,30 @@ class OccupancyGrid:
         A segment with a NaN or infinite endpoint counts 2: it gets the two
         samples ``t = 0, 1``, and both are non-finite, hence occupied.
 
-        A segment whose start lies in a cell of clearance ``c`` and whose length
-        is at most ``(c - 2) * resolution`` counts 0 without being sampled:
-        every sample lies within that length of the start, so in exact
-        arithmetic in a cell at most ``c - 2`` cells (Chebyshev) from the
-        start's cell, every cell closer than ``c`` is free, and the spare cell
-        absorbs the float rounding of the sample points.
+        Sample ``j`` of a segment with ``k`` intervals lies at
+        ``a + t*(b - a)``, ``t = min(j, k)/max(k, 1)``.  Each step of that
+        arithmetic and the floor to a cell are monotone in ``j``, so along
+        each axis a sample's cell lies between the cells of the samples
+        ``t = 0`` (``a``) and ``t = 1`` (``a + (b - a)``, since ``1.0*(b - a)``
+        is exact).  When both of those lie in the free box of the start's
+        cell (`_in_free_box`), so does every sample, and the segment counts 0
+        without being sampled.
         """
         ax = np.asarray(ax, dtype=float)
         ay = np.asarray(ay, dtype=float)
         bx = np.asarray(bx, dtype=float)
         by = np.asarray(by, dtype=float)
-        with np.errstate(invalid="ignore"):  # inf - inf
-            dist = np.hypot(bx - ax, by - ay)
-        counts = np.zeros(dist.shape, dtype=np.intp)
-        sampled = slice(None)
-        if self.max_clearance >= 3:
-            sampled = ~(dist <= (self._clearance_xy(ax, ay) - 2.0) * self.resolution)
-            ax, ay, bx, by, dist = ax[sampled], ay[sampled], bx[sampled], by[sampled], dist[sampled]
-        if dist.size == 0:
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf; see `occupied_xy`
+            dx, dy = bx - ax, by - ay
+            ends = np.stack([ax, ay, ax + dx, ay + dy])
+            ends /= self.resolution
+            start, end = np.floor(ends, out=ends).reshape((2, 2) + ax.shape)
+            sampled = ~self._in_free_box(start, self._clearance_at(start), end)
+        counts = np.zeros(sampled.shape, dtype=np.intp)
+        if not sampled.any():
             return counts
+        ax, ay, dx, dy = ax[sampled], ay[sampled], dx[sampled], dy[sampled]
+        dist = np.hypot(dx, dy)
         # 1e-9 slack so that e.g. a length-10 segment at step 1 yields exactly
         # 10 intervals despite float noise; one interval at non-finite length.
         k = np.where(np.isfinite(dist), np.ceil(dist / step - 1e-9), 1.0).astype(np.int64)
@@ -154,8 +175,8 @@ class OccupancyGrid:
         denom = np.maximum(k, 1)[:, None]
         t = np.minimum(j[None, :], k[:, None]) / denom
         with np.errstate(invalid="ignore"):  # 0 * inf
-            px = ax[:, None] + t * (bx - ax)[:, None]
-            py = ay[:, None] + t * (by - ay)[:, None]
+            px = ax[:, None] + t * dx[:, None]
+            py = ay[:, None] + t * dy[:, None]
         occ = self.occupied_xy(px.ravel(), py.ravel()).reshape(px.shape)
         valid = j[None, :] <= k[:, None]
         counts[sampled] = (occ & valid).sum(axis=1)
@@ -186,21 +207,24 @@ class OccupancyGrid:
         occupied, or ``max_range`` when none is (also when ``max_range < step``,
         which leaves no samples).
 
-        The march goes in blocks.  A block takes each of the ``active`` rays
-        that have not hit yet ``max(1, _MARCH_POINTS // active)`` samples
-        further, at most `_MARCH_SAMPLES` (16) on a grid with a clearance of 3
-        or more and never past the last sample, tests all of those points with
+        The march goes in blocks.  A batch of at most `_MARCH_POINTS` points
+        is one dense block.  Otherwise a block takes each of the ``active``
+        rays that have not hit yet ``max(1, _MARCH_BLOCK // active)`` samples
+        further, never past the last sample, tests all of those points with
         one lookup, records each ray's first hit in the block and drops the
-        rays that hit.  A ray whose last sample of the block lies in a cell of
-        clearance ``c`` then jumps ``floor((c - 2) * resolution / step)``
-        samples, which all lie within ``(c - 2) * resolution`` of that sample:
-        in exact arithmetic their cells are at most ``c - 2`` cells
-        (Chebyshev) from its cell, every cell closer than ``c`` is free, and
-        the spare cell absorbs the float rounding of ``x + d*cos`` and of the
-        floor.  The first hit is therefore the one the per-sample march finds.
-        Rays share one sample offset until one of them jumps, and a
-        grid without clearance 3 marches every ray in step, in blocks as wide
-        as ``_MARCH_POINTS`` allows.
+        rays that hit.
+
+        After a block each ray that goes on may jump.  Every step of the
+        sample arithmetic (``k*step``, the ``min``, the product with the
+        cosine, the sum, the division and the floor) is monotone in ``k``, so
+        along each axis a sample's cell lies between the cells of any earlier
+        and any later sample; when two samples lie in one free box
+        (`_in_free_box`), so do all samples between them.  From the last
+        sample ``k`` of its block a ray takes the distance to the faces of
+        that sample's box, turns it into a candidate ``k + J``, computes that
+        sample exactly as a block would, and moves on to it only if its cell
+        lies in the box.  The first hit is therefore the one the per-sample
+        march finds.  Rays share one sample offset until one of them jumps.
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -210,39 +234,68 @@ class OccupancyGrid:
         n_samples = int(math.floor(max_range / step + 1e-9))
         if m == 0 or n_samples == 0:
             return dist
-        ca, sa = np.cos(theta), np.sin(theta)
+        direction = np.stack([np.cos(theta), np.sin(theta)])
+        with np.errstate(divide="ignore"):  # an axis-parallel ray
+            samples_per_cell = self.resolution / (step * np.abs(direction))
+        # rows: origin, direction and samples per cell along each axis; one
+        # column per ray still marching
+        rays = np.concatenate([np.stack([x, y]), direction, samples_per_cell])
         idx = np.arange(m)
-        cells_per_step = self.resolution / step
-        cap = _MARCH_SAMPLES if self.max_clearance >= 3 else n_samples  # no ray can jump
+        budget = _MARCH_POINTS if m * n_samples <= _MARCH_POINTS else _MARCH_BLOCK
         k = 0  # samples 1..k of each ray are done: an int, or one per ray once a ray jumps
-        while idx.size:
-            width = min(cap, max(1, _MARCH_POINTS // idx.size), n_samples - int(np.min(k)))
-            ks = np.minimum(np.add.outer(k, np.arange(1, width + 1)), n_samples)
-            block = np.minimum(ks * step, max_range)
-            clear = self._clearance_xy(
-                x[:, None] + block * ca[:, None], y[:, None] + block * sa[:, None]
-            )
-            hit = clear == 0
-            done = hit.any(axis=1)
-            if done.any():
-                first = hit[done].argmax(axis=1)
-                dist[idx[done]] = block[first] if block.ndim == 1 else block[done, first]
-            live = ~done
-            jump = np.floor((clear[:, -1][live] - 2.0) * cells_per_step)
-            if np.ndim(k) == 0 and not (jump > 0).any():
-                k = int(ks[-1])
-                if k == n_samples:
+        # over: far-off points, see `occupied_xy`; invalid: the jump of an
+        # axis-parallel or a non-finite ray
+        with np.errstate(over="ignore", invalid="ignore"):
+            while idx.size:
+                width = min(max(1, budget // idx.size), n_samples - int(np.min(k)))
+                ks = np.minimum(np.add.outer(k, np.arange(1, width + 1)), n_samples)
+                block = np.minimum(ks * step, max_range)
+                cell = block * rays[2:4, :, None]
+                cell += rays[0:2, :, None]
+                cell /= self.resolution
+                scaled = cell[:, :, -1].copy()  # each ray's last sample, in cell units
+                clear = self._clearance_at(np.floor(cell, out=cell))
+                hit = clear == 0
+                done = hit.any(axis=1)
+                if done.any():
+                    first = hit[done].argmax(axis=1)
+                    dist[idx[done]] = block[first] if block.ndim == 1 else block[done, first]
+                last = ks[..., -1]
+                if ks.ndim == 1 and last == n_samples:
                     break
-                keep = live
-            else:
-                k = ks[live, -1] if ks.ndim == 2 else np.full(jump.shape, ks[-1])
-                k = k + np.maximum(jump, 0).astype(np.intp)
-                keep = live.copy()
-                keep[live] = more = k < n_samples
-                k = k[more]
-            if not keep.all():
-                x, y, ca, sa, idx = x[keep], y[keep], ca[keep], sa[keep], idx[keep]
+                jumped = self._box_jump(
+                    rays, last, scaled, cell[:, :, -1], clear[:, -1], n_samples, max_range, step
+                )
+                if np.ndim(k) == 0 and not (jumped > last).any():
+                    k = int(last)
+                    keep = ~done
+                else:
+                    keep = ~done & (jumped < n_samples)
+                    k = jumped[keep]
+                if not keep.all():
+                    rays, idx = rays[:, keep], idx[keep]
         return dist
+
+    def _box_jump(self, rays, k, scaled, cell, clear, n_samples: int, max_range: float, step: float):
+        """Sample index each ray may move on to from its sample ``k``.
+
+        ``scaled`` is sample ``k`` of each ray in cell units (stacked x, y),
+        ``cell`` its floor and ``clear`` that cell's clearance.  The candidate
+        is the last sample before the ray crosses a face of the cell's free
+        box; the ray stays at ``k`` unless the candidate's exactly computed
+        cell lies in the box.
+        """
+        origin, direction, samples_per_cell = rays[0:2], rays[2:4], rays[4:6]
+        r = clear - 1.0
+        ahead = direction >= 0  # the far face is the upper one
+        to_face = r + np.abs(ahead - (scaled - cell))  # cells to the far face, per axis
+        n = np.ceil(np.fmin(*(to_face * samples_per_cell))) - 1.0  # fmin: NaN on an axis with no motion
+        to = np.minimum(k + np.fmax(n, 0.0), n_samples).astype(np.intp)
+        landing = direction * np.minimum(to * step, max_range)
+        landing += origin
+        landing /= self.resolution
+        np.floor(landing, out=landing)
+        return np.where(self._in_free_box(cell, clear, landing), to, k)
 
 
 def _chebyshev_clearance(cells: np.ndarray) -> np.ndarray:

@@ -129,6 +129,12 @@ def resolve_config_path(name: str | Path) -> Path:
     raise ConfigError(f"config {name!r} not found (also looked in {packaged_config_dir()})")
 
 
+_CONFIG_SECTIONS = (
+    "map", "start", "plan", "n_trials", "master_seed", "methods", "noise", "filter_noise",
+    "beams", "filter", "per_method", "init", "metrics", "trace", "outputs", "oracle",
+)
+
+
 def _require(section: dict, key: str, where: str):
     if key not in section:
         raise ConfigError(f"missing key {key!r} in {where}")
@@ -149,6 +155,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"{cfg_path}: not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{cfg_path}: top level must be a mapping")
+    for key in raw:
+        if key not in _CONFIG_SECTIONS:
+            raise ConfigError(f"unknown top-level key {key!r}; known: {', '.join(_CONFIG_SECTIONS)}")
 
     map_path = (cfg_path.parent / _require(raw, "map", "config")).resolve()
     if not map_path.exists():
@@ -282,6 +291,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
             compare_t=int(o.get("compare_t", 9)),
         )
 
+    cloud_stride = raw.get("trace", {}).get("cloud_stride", 0)
+    if isinstance(cloud_stride, bool) or not isinstance(cloud_stride, int) or cloud_stride < 0:
+        raise ConfigError(f"trace: cloud_stride must be an integer >= 0, got {cloud_stride!r}")
+
     return ExperimentConfig(
         map_path=map_path,
         start=start,
@@ -295,7 +308,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         per_method={m: dict(v) for m, v in per_method.items()},
         init=init,
         metric_params=metric_params,
-        cloud_stride=int(raw.get("trace", {}).get("cloud_stride", 0)),
+        cloud_stride=cloud_stride,
         outputs=str(raw.get("outputs", "out")),
         oracle_params=oracle_params,
     )

@@ -93,8 +93,12 @@ def belief_entropy(belief: BeliefSnapshot, cell: float = 5.0, n_heading_bins: in
     ib = np.minimum(
         ((belief.poses[:, 2] + math.pi) / width).astype(np.int64), n_heading_bins - 1
     )
-    keys = np.column_stack([ix, iy, ib])
-    _, inverse = np.unique(keys, axis=0, return_inverse=True)
+    # One int64 key per (ix, iy, ib) bin, in lexicographic bin order, so the
+    # bins come out of `np.unique` in the order a row sort gives them;
+    # `ravel_multi_index` raises where the key space would overflow.
+    bins = [b - b.min() for b in (ix, iy, ib)]
+    keys = np.ravel_multi_index(bins, [int(b.max()) + 1 for b in bins])
+    _, inverse = np.unique(keys, return_inverse=True)
     p = np.bincount(inverse, weights=belief.weights)
     p = p[p > 0]
     p = p / p.sum()

@@ -160,16 +160,6 @@ def apply_action(pose: Pose, action: Action) -> Pose:
     return Pose(pose.x + action.v * math.cos(theta), pose.y + action.v * math.sin(theta), theta)
 
 
-def apply_action_array(poses: np.ndarray, action: Action) -> np.ndarray:
-    """`apply_action` over an (n, 3) pose array."""
-    theta = normalize_angles(poses[:, 2] + action.omega)
-    out = np.empty_like(poses)
-    out[:, 0] = poses[:, 0] + action.v * np.cos(theta)
-    out[:, 1] = poses[:, 1] + action.v * np.sin(theta)
-    out[:, 2] = theta
-    return out
-
-
 def step_true(pose: Pose, action: Action, noise: NoiseParams, rng: np.random.Generator) -> Pose:
     """Ground-truth step: apply_action with Gaussian-perturbed v and omega.
 

@@ -97,9 +97,9 @@ def grids(draw, max_side=12):
 
 @st.composite
 def sparse_grids(draw, max_side=60):
-    """Mostly open grids, where clearances of 3 and more let the raycast jump
-    and short segments go unsampled: up to 8% occupancy plus optional thin
-    walls across the whole grid."""
+    """Mostly open grids, whose wide free boxes let the raycast jump far and
+    short segments go unsampled: up to 8% occupancy plus optional thin walls
+    across the whole grid."""
     width = draw(st.integers(1, max_side))
     height = draw(st.integers(1, max_side))
     resolution = draw(st.sampled_from([0.25, 0.5, 1.0, 1.5, 3.0]))
@@ -112,6 +112,40 @@ def sparse_grids(draw, max_side=60):
         else:
             cells[min(int(at * height), height - 1), :] = True
     return OccupancyGrid(width, height, resolution, cells)
+
+
+@st.composite
+def narrow_grids(draw, max_side=24):
+    """Corridors and mazes in which no cell has a clearance above 2, so every
+    free box is at most 3 cells wide: walls every 2-5 rows or columns with
+    random doors, or random blocks, both over a lattice of posts every 4 cells."""
+    width = draw(st.integers(1, max_side))
+    height = draw(st.integers(1, max_side))
+    resolution = draw(st.sampled_from([0.25, 0.5, 1.0, 1.5, 3.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):  # corridors
+        period = draw(st.integers(2, 5))
+        cells = np.zeros((height, width), dtype=bool)
+        cells[draw(st.integers(0, period - 1)) :: period, :] = True
+        cells &= rng.random(cells.shape) >= draw(st.floats(0.0, 0.3))  # doors
+        if draw(st.booleans()) and width == height:
+            cells = cells.T.copy()
+    else:  # maze
+        cells = rng.random((height, width)) < draw(st.floats(0.1, 0.5))
+    cells[draw(st.integers(0, 3)) :: 4, draw(st.integers(0, 3)) :: 4] = True
+    return OccupancyGrid(width, height, resolution, cells)
+
+
+def face_points(grid: OccupancyGrid, rng: np.random.Generator, n: int):
+    """``n`` points on cell faces, corners and in cell interiors, off the grid
+    by up to one cell: each coordinate is a whole or half number of cells."""
+    x = rng.integers(-2, 2 * grid.width + 3, n) / 2.0 * grid.resolution
+    y = rng.integers(-2, 2 * grid.height + 3, n) / 2.0 * grid.resolution
+    return x, y
+
+
+# exact axis headings, with -0.0 and -pi
+HEADINGS = [0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi]
 
 
 # (max_range, step): multiples, non-multiples and max_range < step
@@ -244,6 +278,122 @@ class TestRaycastMatchesReference:
         got = grid.raycast_batch(x, y, theta, 30.0, 0.5)
         np.testing.assert_array_equal(got, reference_raycast(grid, x, y, theta, 30.0, 0.5))
 
+    @pytest.mark.parametrize("resolution", [1.0, 0.5, 0.25])
+    @pytest.mark.parametrize("step_factor", [0.01, 0.02, 0.05, 0.1])
+    def test_axis_rays_from_half_cells_at_fine_steps(self, resolution, step_factor):
+        # samples fall exactly on the wall faces, where a jump estimated from
+        # the face distance lands one sample too far unless it is checked
+        cells = np.zeros((12, 20), dtype=bool)
+        cells[:, [4, 14]] = True
+        cells[7, :] = True
+        grid = OccupancyGrid(20, 12, resolution, cells)
+        ix, iy = np.meshgrid(np.arange(9, 29), np.arange(2, 15))
+        x = np.tile(ix.ravel() * 0.5 * resolution, 4)
+        y = np.tile(iy.ravel() * 0.5 * resolution, 4)
+        theta = np.repeat([0.0, math.pi, math.pi / 2, -math.pi / 2], ix.size)
+        step = step_factor * resolution
+        got = grid.raycast_batch(x, y, theta, 12.0 * resolution, step)
+        np.testing.assert_array_equal(got, reference_raycast(grid, x, y, theta, 12.0 * resolution, step))
+
+
+class TestNarrowGrids:
+    """Grids where rays cross free boxes one to three cells wide, at steps
+    from 0.01x to 3x the resolution, from origins on cell faces and corners."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        grid=narrow_grids(),
+        step_factor=st.one_of(st.floats(0.01, 3.0), st.sampled_from([0.01, 0.1, 0.5, 1.0, 2.0, 3.0])),
+        range_factor=st.floats(0.05, 1.2),
+        n_rays=st.integers(1, 40),
+        axis_share=st.sampled_from([0.0, 0.5, 1.0]),
+        on_faces=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_raycast(self, grid, step_factor, range_factor, n_rays, axis_share, on_faces, seed):
+        assert grid.clearance.max() <= 2
+        rng = np.random.default_rng(seed)
+        origins = face_points(grid, rng, n_rays) if on_faces else free_origins(grid, rng, n_rays)
+        if origins is None:
+            return
+        x, y = origins
+        theta = np.where(
+            rng.random(n_rays) < axis_share,
+            rng.choice(HEADINGS, n_rays),
+            rng.uniform(-math.pi, math.pi, n_rays),
+        )
+        step = step_factor * grid.resolution
+        max_range = max(range_factor * math.hypot(grid.world_width, grid.world_height), 0.01)
+        got = grid.raycast_batch(x, y, theta, max_range, step)
+        np.testing.assert_array_equal(got, reference_raycast(grid, x, y, theta, max_range, step))
+
+    @settings(max_examples=4, deadline=None)
+    @given(grid=narrow_grids(), n_rays=st.integers(20_000, 40_000), seed=st.integers(0, 2**32 - 1))
+    def test_raycast_many_rays_at_a_tenth_of_a_cell(self, grid, n_rays, seed):
+        # the oracle's regime: more rays than a block holds points, ten
+        # samples per cell, every ray jumping cell by cell
+        rng = np.random.default_rng(seed)
+        origins = free_origins(grid, rng, n_rays)
+        if origins is None:
+            return
+        x, y = origins
+        theta = np.where(rng.random(n_rays) < 0.5, rng.choice(HEADINGS, n_rays), rng.uniform(-4.0, 4.0, n_rays))
+        step = grid.resolution / 10.0
+        max_range = 1.2 * max(grid.world_width, grid.world_height)
+        got = grid.raycast_batch(x, y, theta, max_range, step)
+        np.testing.assert_array_equal(got, reference_raycast(grid, x, y, theta, max_range, step))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        grid=narrow_grids(),
+        step=st.sampled_from([0.1, 0.25, 0.5, 1.0, 1.7]),
+        n_segments=st.integers(1, 30),
+        reach=st.integers(0, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_segments_between_faces_and_corners(self, grid, step, n_segments, reach, seed):
+        rng = np.random.default_rng(seed)
+        ax, ay = face_points(grid, rng, n_segments)
+        bx = ax + rng.integers(-reach, reach + 1, n_segments) / 2.0 * grid.resolution
+        by = ay + rng.integers(-reach, reach + 1, n_segments) / 2.0 * grid.resolution
+        got = grid.segment_collision_counts(ax, ay, bx, by, step)
+        np.testing.assert_array_equal(got, reference_segment_counts(grid, ax, ay, bx, by, step))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        grid=st.one_of(narrow_grids(), sparse_grids(max_side=30)),
+        step=st.sampled_from([0.1, 0.25, 0.5, 1.0, 1.7]),
+        n_segments=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_segments_ending_on_a_box_face(self, grid, step, n_segments, seed):
+        # from a free cell of clearance c to a face of its free box (the
+        # cells within c - 1 of it) or just inside or outside of one: the
+        # far faces belong to the next cell out, the near ones to the box
+        rng = np.random.default_rng(seed)
+        free_iy, free_ix = np.nonzero(~grid.cells)
+        if free_ix.size == 0:
+            return
+        pick = rng.integers(0, free_ix.size, n_segments)
+        cx, cy = free_ix[pick], free_iy[pick]
+        r = grid.clearance[cy, cx].astype(float) - 1.0
+        res = grid.resolution
+        ax = (cx + rng.random(n_segments)) * res
+        ay = (cy + rng.random(n_segments)) * res
+        faces_x = np.stack([(cx - r) * res, (cx + r + 1.0) * res])
+        faces_y = np.stack([(cy - r) * res, (cy + r + 1.0) * res])
+        side = rng.integers(0, 2, (2, n_segments))
+        bx = faces_x[side[0], np.arange(n_segments)]
+        by = faces_y[side[1], np.arange(n_segments)]
+        nudge = rng.choice([-np.inf, 0.0, 0.0, np.inf], (2, n_segments))
+        bx = np.where(nudge[0] == 0.0, bx, np.nextafter(bx, nudge[0]))
+        by = np.where(nudge[1] == 0.0, by, np.nextafter(by, nudge[1]))
+        # one coordinate on a face, the other anywhere along it
+        along = rng.random(n_segments) < 0.5
+        bx = np.where(along, ax + rng.uniform(-1.0, 1.0, n_segments) * (r + 1.0) * res, bx)
+        got = grid.segment_collision_counts(ax, ay, bx, by, step)
+        np.testing.assert_array_equal(got, reference_segment_counts(grid, ax, ay, bx, by, step))
+
 
 class TestSegmentCountsMatchReference:
     @settings(max_examples=300, deadline=None)
@@ -286,7 +436,6 @@ class TestClearance:
     @given(grid=st.one_of(grids(max_side=20), sparse_grids(max_side=25)))
     def test_matches_brute_force(self, grid):
         np.testing.assert_array_equal(grid.clearance, brute_clearance(grid))
-        assert grid.max_clearance == grid.clearance.max()
 
     def test_saturates_at_255(self):
         grid = OccupancyGrid(600, 530, 1.0, np.zeros((530, 600), dtype=bool))

@@ -112,6 +112,32 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="per_method.mcl: sensor_sigma"):
             load_config(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("lag", "2.5"), ("lag", "true"), ("lag", "'2'"),
+        ("n_particles", "80.0"), ("n_particles", "'10'"), ("n_particles", "false"),
+    ])
+    def test_non_integer_filter_setting_rejected(self, tmp_path, key, value):
+        path = write_mini_config(tmp_path)
+        text = path.read_text()
+        default = {"lag": "lag: 0", "n_particles": "n_particles: 80"}[key]
+        path.write_text(text.replace(default, f"{key}: {value}"))
+        with pytest.raises(ConfigError, match=f"filter: {key} must be an integer"):
+            load_config(path)
+        path.write_text(text + f"per_method:\n  mcl: {{{key}: {value}}}\n")
+        with pytest.raises(ConfigError, match=f"per_method.mcl: {key} must be an integer"):
+            load_config(path)
+
+    def test_negative_cloud_stride_rejected(self, tmp_path):
+        path = write_mini_config(tmp_path, cloud_stride=-1)
+        with pytest.raises(ConfigError, match="trace: cloud_stride must be an integer >= 0, got -1"):
+            load_config(path)
+
+    def test_unknown_top_level_key_rejected(self, tmp_path):
+        path = write_mini_config(tmp_path)
+        path.write_text(path.read_text().replace("n_trials:", "n_trails:"))
+        with pytest.raises(ConfigError, match="unknown top-level key 'n_trails'"):
+            load_config(path)
+
 
 class TestRunTrial:
     def test_deterministic_repeat(self, tmp_path):

@@ -122,6 +122,12 @@ class TestBeliefEntropy:
             coarse = belief_entropy(snap(poses, w), cell=5.0, n_heading_bins=18)
             assert coarse <= fine + 1e-12
 
+    def test_bin_key_overflow_raises(self):
+        # 4e18 x-bins times 18 heading bins cannot be packed into one int64 key
+        poses = [[0.0, 0.0, 0.0], [2e19, 0.0, 3.0]]
+        with pytest.raises(ValueError):
+            belief_entropy(snap(poses), cell=5.0, n_heading_bins=36)
+
     def test_nonnegative(self):
         rng = np.random.default_rng(3)
         poses = np.column_stack([rng.uniform(0, 9, 30), rng.uniform(0, 9, 30), rng.uniform(-3, 3, 30)])
