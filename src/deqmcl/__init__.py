@@ -10,7 +10,6 @@ from .filters import (
     FilterConfig,
     FilterDegeneracyError,
     InitializationError,
-    QueueParticle,
     QueueState,
     deq_init,
     deq_step,
@@ -21,7 +20,6 @@ from .filters import (
     mcl_step,
     motion_sample,
     observation_log_likelihood,
-    queue_marginal,
     systematic_resample,
     traversability_log_prior,
 )

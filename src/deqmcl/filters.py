@@ -10,11 +10,12 @@ Four estimators share one vectorized machinery:
                              so the lagged marginal is the fixed-lag smoothed
                              belief,
 * ``deq_init``/``deq_step`` -- the queue filter: each particle is a joint
-                             trajectory over the window [t-lag, t+lag], with
-                             planned future actions rolled out ahead of time
-                             and every predicted transition weighted by the
-                             traversability prior, so infeasible futures feed
-                             back into the present and past belief.
+                             trajectory over the window [t-lag, t+lag] whose
+                             future side is rolled out along the planned
+                             actions afresh every step, with every predicted
+                             transition weighted by the traversability prior,
+                             so infeasible futures feed back into the present
+                             and past belief.
 
 All weights live in log domain.  Every step consumes its random stream in a
 fixed documented order (per-particle v noise block, then omega noise block,
@@ -56,8 +57,6 @@ class FilterConfig:
     sensor_sigma: float = 2.0
     resample_threshold: float = 0.5
     collision_step: float = 1.0
-    replan_on_divergence: bool = False
-    resimulate_future: bool = False
 
     def __post_init__(self):
         for name in ("n_particles", "lag"):
@@ -95,14 +94,6 @@ class BeliefSnapshot:
             raise ValueError("weights must match the particle count")
 
 
-@dataclass(frozen=True)
-class QueueParticle:
-    """One joint trajectory hypothesis with its log importance weight."""
-
-    trajectory: np.ndarray  # (span, 3)
-    log_weight: float
-
-
 @dataclass
 class QueueState:
     """Particle approximation of the joint belief over a sliding time window.
@@ -110,6 +101,9 @@ class QueueState:
     ``poses[:, n_past]`` is the current-time marginal; columns before it hold
     past states (oldest first) and columns after it hold predicted future
     states.  Plain MCL is the degenerate case n_past == n_future == 0.
+    ``future_log_priors[:, k - 1]`` is the log traversability prior of the
+    predicted transition into ``poses[:, n_past + k]``; it may be omitted
+    when there is no future side.
     """
 
     t: int
@@ -117,6 +111,7 @@ class QueueState:
     n_future: int
     poses: np.ndarray        # (n, n_past + 1 + n_future, 3)
     log_weights: np.ndarray  # (n,)
+    future_log_priors: np.ndarray | None = None  # (n, n_future)
 
     def __post_init__(self):
         span = self.n_past + 1 + self.n_future
@@ -124,6 +119,10 @@ class QueueState:
             raise ValueError(f"poses shape {self.poses.shape} does not match span {span}")
         if self.log_weights.shape != (self.poses.shape[0],):
             raise ValueError("log_weights must match the particle count")
+        if self.future_log_priors is None:
+            self.future_log_priors = np.empty((self.poses.shape[0], 0))
+        if self.future_log_priors.shape != (self.poses.shape[0], self.n_future):
+            raise ValueError("future_log_priors must have shape (n_particles, n_future)")
 
     @property
     def n_particles(self) -> int:
@@ -137,6 +136,7 @@ class QueueState:
         return w / w.sum()
 
     def marginal(self, offset: int) -> BeliefSnapshot:
+        """Weighted particle cloud of the pose at ``offset`` steps from now."""
         if not -self.n_past <= offset <= self.n_future:
             raise ValueError(
                 f"offset {offset} outside queue span [-{self.n_past}, +{self.n_future}]"
@@ -147,17 +147,6 @@ class QueueState:
             poses=self.poses[:, self.n_past + offset].copy(),
             weights=self.weights(),
         )
-
-    def particles(self) -> list[QueueParticle]:
-        return [
-            QueueParticle(trajectory=self.poses[i].copy(), log_weight=float(self.log_weights[i]))
-            for i in range(self.n_particles)
-        ]
-
-
-def queue_marginal(state: QueueState, offset: int) -> BeliefSnapshot:
-    """Weighted particle cloud of the pose at ``offset`` steps from now."""
-    return state.marginal(offset)
 
 
 # ---------------------------------------------------------------------------
@@ -284,17 +273,21 @@ def _normalize_log_weights(log_weights: np.ndarray) -> np.ndarray:
 
 
 def _finish_step(
-    poses: np.ndarray, log_weights: np.ndarray, cfg: FilterConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize, then resample whole trajectories when ESS drops below threshold."""
+    log_weights: np.ndarray, cfg: FilterConfig, rng: np.random.Generator, *per_particle: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Normalize, then resample whole particles when ESS drops below threshold.
+
+    Returns the log weights followed by the ``per_particle`` arrays, each
+    indexed along its first axis by the same resampled particle indices.
+    """
     log_weights = _normalize_log_weights(log_weights)
     w = np.exp(log_weights)
     ess = 1.0 / np.sum(w * w)
     if ess < cfg.resample_threshold * w.size:
         idx = systematic_resample(w, rng)
-        poses = poses[idx]
+        per_particle = tuple(a[idx] for a in per_particle)
         log_weights = np.full(w.size, -math.log(w.size))
-    return poses, log_weights
+    return (log_weights, *per_particle)
 
 
 def init_belief(
@@ -326,8 +319,7 @@ def mcl_step(
     """Plain MCL: propagate, weight by the scan likelihood, resample on low ESS."""
     moved = motion_sample_batch(state.current(), action, cfg.motion_noise, rng)
     obs = observation_log_likelihood_batch(scan, moved, grid, cfg.sensor_sigma)
-    logw = state.log_weights + obs
-    poses, logw = _finish_step(moved[:, None, :], logw, cfg, rng)
+    logw, poses = _finish_step(state.log_weights + obs, cfg, rng, moved[:, None, :])
     return QueueState(t=state.t + 1, n_past=0, n_future=0, poses=poses, log_weights=logw)
 
 
@@ -339,13 +331,15 @@ def mcl_map_motion_step(
     grid: OccupancyGrid,
     rng: np.random.Generator,
 ) -> QueueState:
-    """MCL with the motion kernel multiplied by the traversability prior."""
+    """MCL with the motion kernel multiplied by the traversability prior.
+
+    The prior is added first, as in `deq_step`, so that lag 0 matches it bit for bit.
+    """
     cur = state.current()
     moved = motion_sample_batch(cur, action, cfg.motion_noise, rng)
-    obs = observation_log_likelihood_batch(scan, moved, grid, cfg.sensor_sigma)
     prior = traversability_log_prior_batch(grid, cur, moved, cfg.beta, cfg.collision_step)
-    logw = state.log_weights + obs + prior
-    poses, logw = _finish_step(moved[:, None, :], logw, cfg, rng)
+    obs = observation_log_likelihood_batch(scan, moved, grid, cfg.sensor_sigma)
+    logw, poses = _finish_step((state.log_weights + prior) + obs, cfg, rng, moved[:, None, :])
     return QueueState(t=state.t + 1, n_past=0, n_future=0, poses=poses, log_weights=logw)
 
 
@@ -367,8 +361,7 @@ def mcl_smoother_step(
     if traj.shape[1] > cfg.lag + 1:
         traj = traj[:, 1:]
     obs = observation_log_likelihood_batch(scan, moved, grid, cfg.sensor_sigma)
-    logw = state.log_weights + obs
-    poses, logw = _finish_step(traj, logw, cfg, rng)
+    logw, poses = _finish_step(state.log_weights + obs, cfg, rng, traj)
     return QueueState(
         t=state.t + 1, n_past=poses.shape[1] - 1, n_future=0, poses=poses, log_weights=logw
     )
@@ -377,6 +370,35 @@ def mcl_smoother_step(
 # ---------------------------------------------------------------------------
 # queue filter
 # ---------------------------------------------------------------------------
+
+def _roll_out(
+    start: np.ndarray,
+    actions: list[Action],
+    log_weights: np.ndarray,
+    cfg: FilterConfig,
+    grid: OccupancyGrid,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sample one pose per action from ``start`` on, weighting each transition.
+
+    Returns the sampled poses ``(n, len(actions), 3)``, the log traversability
+    prior of each transition ``(n, len(actions))``, and ``log_weights`` with
+    those priors added one transition at a time.
+    """
+    n = start.shape[0]
+    poses = np.empty((n, len(actions), 3))
+    log_priors = np.empty((n, len(actions)))
+    prev = start
+    for k, action in enumerate(actions):
+        nxt = motion_sample_batch(prev, action, cfg.motion_noise, rng)
+        log_priors[:, k] = traversability_log_prior_batch(
+            grid, prev, nxt, cfg.beta, cfg.collision_step
+        )
+        log_weights = log_weights + log_priors[:, k]
+        poses[:, k] = nxt
+        prev = nxt
+    return poses, log_priors, log_weights
+
 
 def deq_init(
     cfg: FilterConfig,
@@ -389,23 +411,21 @@ def deq_init(
 
     The future side is sampled from the motion kernel under the planned
     actions (plan steps 2 .. 1+F) and each rolled transition multiplies the
-    weight by the traversability prior.
+    weight by the traversability prior, which the state keeps per transition.
     """
     base = init_belief(cfg, init_sampler, grid, rng)
     f_target = min(cfg.lag, plan.horizon - 1)
-    if f_target == 0:
-        return base
-    cols = [base.poses[:, 0]]
-    logw = base.log_weights
-    for k in range(1, f_target + 1):
-        nxt = motion_sample_batch(cols[-1], plan.action(1 + k), cfg.motion_noise, rng)
-        logw = logw + traversability_log_prior_batch(
-            grid, cols[-1], nxt, cfg.beta, cfg.collision_step
-        )
-        cols.append(nxt)
-    logw = _normalize_log_weights(logw)
+    actions = [plan.action(k) for k in range(2, f_target + 2)]
+    future, future_log_priors, logw = _roll_out(
+        base.current(), actions, base.log_weights, cfg, grid, rng
+    )
     return QueueState(
-        t=1, n_past=0, n_future=f_target, poses=np.stack(cols, axis=1), log_weights=logw
+        t=1,
+        n_past=0,
+        n_future=f_target,
+        poses=np.concatenate([base.poses, future], axis=1),
+        log_weights=_normalize_log_weights(logw),
+        future_log_priors=future_log_priors,
     )
 
 
@@ -421,90 +441,34 @@ def deq_step(
 ) -> QueueState:
     """Advance the queue filter from time t-1 to t.
 
-    Per particle: drop the oldest pose once the past side holds ``lag``
-    states (marginalization), promote the stored prediction for time t to the
-    new current pose, extend the future side by one sampled pose while the
-    plan lasts, then weight by the scan likelihood at the new current pose
-    and by the traversability prior of the newly appended transition; finally
-    normalize and resample whole queues when the ESS falls below threshold.
-
-    The executed action is assumed to equal the planned one; when
-    ``cfg.replan_on_divergence`` is set and it differs, the stored future
-    side is discarded (its pending traversability factors are backed out) and
-    re-simulated from the newly sampled current pose.  With
-    ``cfg.resimulate_future`` the future side is re-proposed that way on
-    every step, which keeps resampled duplicates from marching through
-    identical stale predictions; both variants target the same posterior.
+    Per particle: back out the stored future factors ``f``, sample the new
+    current pose under the executed action (prior ``p_0``), re-propose the
+    future side along the plan, ``min(lag, T-t)`` steps (priors ``n``), drop
+    the oldest pose once the past side holds ``lag`` states, and weight by the
+    scan likelihood at the new current pose, in the order
+    ``((logw - f_1 ... - f_F) + p_0 + n_1 ... + n_F) + obs``; then normalize
+    and resample whole queues when the ESS falls below threshold.  With lag 0
+    this is `mcl_map_motion_step` bit for bit.
     """
     if t != state.t + 1:
         raise ValueError(f"deq_step expects t == {state.t + 1}, got {t}")
-    planned = plan.action(t)
-    n_past, n_future = state.n_past, state.n_future
     logw = state.log_weights
+    for k in range(state.n_future):
+        logw = logw - state.future_log_priors[:, k]
     f_target = min(cfg.lag, plan.horizon - t)
-
-    if n_future == 0:
-        # lag 0: no stored prediction, sample the new current pose directly
-        prev = state.poses[:, n_past]
-        cur = motion_sample_batch(prev, action, cfg.motion_noise, rng)
-        cols = cur[:, None, :]
-        seg = (prev, cur)
-        n_past_new, n_future_new = 0, 0
-    elif cfg.resimulate_future or (cfg.replan_on_divergence and action != planned):
-        # back out the pending future factors, then rebuild the future side
-        for k in range(1, n_future + 1):
-            logw = logw - traversability_log_prior_batch(
-                grid, state.poses[:, n_past + k - 1], state.poses[:, n_past + k],
-                cfg.beta, cfg.collision_step,
-            )
-        cur = motion_sample_batch(state.poses[:, n_past], action, cfg.motion_noise, rng)
-        logw = logw + traversability_log_prior_batch(
-            grid, state.poses[:, n_past], cur, cfg.beta, cfg.collision_step
-        )
-        parts = [state.poses[:, : n_past + 1], cur[:, None, :]]
-        prev = cur
-        for k in range(1, f_target + 1):
-            nxt = motion_sample_batch(prev, plan.action(t + k), cfg.motion_noise, rng)
-            logw = logw + traversability_log_prior_batch(
-                grid, prev, nxt, cfg.beta, cfg.collision_step
-            )
-            parts.append(nxt[:, None, :])
-            prev = nxt
-        cols = np.concatenate(parts, axis=1)
-        n_past_new, n_future_new = n_past + 1, f_target
-        if n_past_new > cfg.lag:
-            cols = cols[:, 1:]
-            n_past_new = cfg.lag
-        seg = None
-    else:
-        cols = state.poses
-        # (a) marginalize out the oldest state once the past side is full
-        if n_past == cfg.lag:
-            cols = cols[:, 1:]
-            n_past_new = cfg.lag
-        else:
-            n_past_new = n_past + 1
-        # (b) the pose predicted for time t becomes the new current pose
-        n_future_new = n_future - 1
-        seg = None
-        # (c) extend the future side while planned actions remain
-        if n_future_new < f_target:
-            last = cols[:, -1]
-            nxt = motion_sample_batch(last, plan.action(t + f_target), cfg.motion_noise, rng)
-            cols = np.concatenate([cols, nxt[:, None, :]], axis=1)
-            seg = (last, nxt)
-            n_future_new = f_target
-        cur = cols[:, n_past_new]
-
-    # (d) weight by the current observation and the newly appended transition
-    obs = observation_log_likelihood_batch(scan, cur, grid, cfg.sensor_sigma)
-    if seg is not None:
-        prior = traversability_log_prior_batch(grid, seg[0], seg[1], cfg.beta, cfg.collision_step)
-        logw = logw + obs + prior
-    else:
-        logw = logw + obs
-    # (e) normalize and resample whole queues
-    poses, logw = _finish_step(cols, logw, cfg, rng)
+    actions = [action] + [plan.action(t + k) for k in range(1, f_target + 1)]
+    rolled, log_priors, logw = _roll_out(state.current(), actions, logw, cfg, grid, rng)
+    n_past = min(state.n_past + 1, cfg.lag)
+    past = state.poses[:, state.n_past + 1 - n_past : state.n_past + 1]
+    obs = observation_log_likelihood_batch(scan, rolled[:, 0], grid, cfg.sensor_sigma)
+    logw, poses, future_log_priors = _finish_step(
+        logw + obs, cfg, rng, np.concatenate([past, rolled], axis=1), log_priors[:, 1:]
+    )
     return QueueState(
-        t=t, n_past=n_past_new, n_future=n_future_new, poses=poses, log_weights=logw
+        t=t,
+        n_past=n_past,
+        n_future=f_target,
+        poses=poses,
+        log_weights=logw,
+        future_log_priors=future_log_priors,
     )

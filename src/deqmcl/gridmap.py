@@ -60,6 +60,9 @@ class OccupancyGrid:
     # indices clamped to [-1, width] x [-1, height] all find their value in
     # it, index -1 by wrapping round to the last row or column.
     _clearance_table: np.ndarray = field(init=False, repr=False, compare=False)
+    # entry [iy + 2, ix + 2] counts the occupied cells in [-1, ix] x [-1, iy],
+    # the outside counted as occupied; see `_occupied_sums`
+    _occupied_sums: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
@@ -74,6 +77,7 @@ class OccupancyGrid:
         table[:-1, :-1] = _chebyshev_clearance(cells)
         object.__setattr__(self, "_clearance_table", table)
         object.__setattr__(self, "clearance", table[:-1, :-1])
+        object.__setattr__(self, "_occupied_sums", _occupied_sums(cells))
 
     @property
     def world_width(self) -> float:
@@ -96,30 +100,37 @@ class OccupancyGrid:
             cell /= self.resolution
         return np.asarray(self._clearance_at(np.floor(cell, out=cell)) == 0)
 
-    def _clearance_at(self, cell: np.ndarray) -> np.ndarray:
-        """`clearance` at stacked float cell indices, 0 off the grid.
+    def _clamp_cells(self, cell: np.ndarray) -> np.ndarray:
+        """Clamp stacked float cell indices in place to [-1, width] x [-1, height].
 
-        Clamps ``cell`` in place to the outside row and column of
-        `_clearance_table` (``fmax`` sends NaN there too), which changes only
-        indices off the grid: those have clearance 0 and no free box.
+        Only indices off the grid change, and they stay off it: ``fmax`` sends
+        NaN to -1 too.
         """
         bound = np.array([self.width, self.height], dtype=float).reshape((2,) + (1,) * (cell.ndim - 1))
         np.fmax(cell, -1.0, out=cell)
         np.fmin(cell, bound, out=cell)
+        return cell
+
+    def _clearance_at(self, cell: np.ndarray) -> np.ndarray:
+        """`clearance` at stacked float cell indices, clamped in place (`_clamp_cells`); 0 off the grid."""
+        self._clamp_cells(cell)
         flat = cell[1] * (self.width + 1)  # exact: small whole numbers
         flat += cell[0]
         return self._clearance_table.ravel()[flat.astype(np.intp)]
 
-    @staticmethod
-    def _in_free_box(cell: np.ndarray, clear: np.ndarray, other: np.ndarray) -> np.ndarray:
-        """Whether stacked cell index ``other`` lies in the free box of ``cell``.
+    def _rectangle_free(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Whether every cell of the rectangle spanned by cells ``a`` and ``b`` is free.
 
-        A cell of clearance ``c >= 1`` is the centre of a free box: the cells
-        within Chebyshev distance ``c - 1`` of it, all of them inside the grid
-        and free.  A cell of clearance 0 has no box, and NaN indices lie in
-        none.
+        ``a`` and ``b`` are stacked float cell indices, clamped in place
+        (`_clamp_cells`); a rectangle reaching off the grid, or with a NaN
+        corner, holds an outside cell and is not free.  Four lookups in
+        `_occupied_sums` count its occupied cells.
         """
-        return (np.abs(other - cell) <= clear - 1.0).all(axis=0)
+        # along each axis entry c + 2 counts the cells through c, c + 1 those before it
+        lo = np.fmin(self._clamp_cells(a), self._clamp_cells(b)).astype(np.intp) + 1
+        hi = np.fmax(a, b).astype(np.intp) + 2
+        s = self._occupied_sums
+        return s[hi[1], hi[0]] - s[lo[1], hi[0]] - s[hi[1], lo[0]] + s[lo[1], lo[0]] == 0
 
     def is_occupied(self, p: Point2) -> bool:
         """True iff ``p`` maps to an occupied cell or lies outside the grid."""
@@ -149,8 +160,8 @@ class OccupancyGrid:
         arithmetic and the floor to a cell are monotone in ``j``, so along
         each axis a sample's cell lies between the cells of the samples
         ``t = 0`` (``a``) and ``t = 1`` (``a + (b - a)``, since ``1.0*(b - a)``
-        is exact).  When both of those lie in the free box of the start's
-        cell (`_in_free_box`), so does every sample, and the segment counts 0
+        is exact): every sample lies in the cell rectangle those two span.
+        When that rectangle is free (`_rectangle_free`), the segment counts 0
         without being sampled.
         """
         ax = np.asarray(ax, dtype=float)
@@ -162,7 +173,7 @@ class OccupancyGrid:
             ends = np.stack([ax, ay, ax + dx, ay + dy])
             ends /= self.resolution
             start, end = np.floor(ends, out=ends).reshape((2, 2) + ax.shape)
-            sampled = ~self._in_free_box(start, self._clearance_at(start), end)
+            sampled = ~self._rectangle_free(start, end)
         counts = np.zeros(sampled.shape, dtype=np.intp)
         if not sampled.any():
             return counts
@@ -218,8 +229,8 @@ class OccupancyGrid:
         sample arithmetic (``k*step``, the ``min``, the product with the
         cosine, the sum, the division and the floor) is monotone in ``k``, so
         along each axis a sample's cell lies between the cells of any earlier
-        and any later sample; when two samples lie in one free box
-        (`_in_free_box`), so do all samples between them.  From the last
+        and any later sample; when two samples lie in one free box (see
+        `_box_jump`), so do all samples between them.  From the last
         sample ``k`` of its block a ray takes the distance to the faces of
         that sample's box, turns it into a candidate ``k + J``, computes that
         sample exactly as a block would, and moves on to it only if its cell
@@ -280,10 +291,13 @@ class OccupancyGrid:
         """Sample index each ray may move on to from its sample ``k``.
 
         ``scaled`` is sample ``k`` of each ray in cell units (stacked x, y),
-        ``cell`` its floor and ``clear`` that cell's clearance.  The candidate
-        is the last sample before the ray crosses a face of the cell's free
-        box; the ray stays at ``k`` unless the candidate's exactly computed
-        cell lies in the box.
+        ``cell`` its floor and ``clear`` that cell's clearance.  A cell of
+        clearance ``c >= 1`` is the centre of a free box: the cells within
+        Chebyshev distance ``c - 1`` of it, all of them inside the grid and
+        free (a cell of clearance 0 has none).  The candidate is the last
+        sample before the ray crosses a face of the cell's free box; the ray
+        stays at ``k`` unless the candidate's exactly computed cell lies in
+        the box.
         """
         origin, direction, samples_per_cell = rays[0:2], rays[2:4], rays[4:6]
         r = clear - 1.0
@@ -295,7 +309,7 @@ class OccupancyGrid:
         landing += origin
         landing /= self.resolution
         np.floor(landing, out=landing)
-        return np.where(self._in_free_box(cell, clear, landing), to, k)
+        return np.where((np.abs(landing - cell) <= r).all(axis=0), to, k)
 
 
 def _chebyshev_clearance(cells: np.ndarray) -> np.ndarray:
@@ -318,6 +332,22 @@ def _chebyshev_clearance(cells: np.ndarray) -> np.ndarray:
         rows = free[:-2] & free[1:-1] & free[2:]
         inner[...] = rows[:, :-2] & rows[:, 1:-1] & rows[:, 2:]
     return clearance
+
+
+def _occupied_sums(cells: np.ndarray) -> np.ndarray:
+    """Summed-area table of ``cells`` ringed by one occupied cell on each side.
+
+    Entry ``[i, j]`` counts the occupied cells among the first ``i`` rows and
+    ``j`` columns of the ringed grid; row and column 0 are zeros.  The sums
+    accumulate in place, with no temporary as large as the table.
+    """
+    sums = np.zeros((cells.shape[0] + 3, cells.shape[1] + 3), dtype=np.int32)
+    ringed = sums[1:, 1:]
+    ringed[...] = 1
+    ringed[1:-1, 1:-1] = cells
+    np.cumsum(ringed, axis=0, out=ringed)
+    np.cumsum(ringed, axis=1, out=ringed)
+    return sums
 
 
 def load_grid(text: str) -> OccupancyGrid:

@@ -134,11 +134,33 @@ _CONFIG_SECTIONS = (
     "beams", "filter", "per_method", "init", "metrics", "trace", "outputs", "oracle",
 )
 
+# the `filter` section sets every FilterConfig field but the motion noise
+_FILTER_KEYS = tuple(f.name for f in dataclasses.fields(FilterConfig) if f.name != "motion_noise")
+
 
 def _require(section: dict, key: str, where: str):
     if key not in section:
         raise ConfigError(f"missing key {key!r} in {where}")
     return section[key]
+
+
+def _section(section, where: str, keys: tuple[str, ...]) -> dict:
+    """``section`` as a mapping ({} for None); a key outside ``keys`` raises a `ConfigError` naming it."""
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a mapping, got {section!r}")
+    for key in section:
+        if key not in keys:
+            raise ConfigError(f"unknown key '{where}.{key}'; known: {', '.join(keys)}")
+    return section
+
+
+def _integer(value, where: str, minimum: int) -> int:
+    """``value`` if it is an integer >= ``minimum``; floats and bools are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{where} must be an integer >= {minimum}, got {value!r}")
+    return value
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -163,10 +185,18 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if not map_path.exists():
         raise ConfigError(f"map file {map_path} does not exist")
 
-    s = _require(raw, "start", "config")
-    start = Pose(float(s["x"]), float(s["y"]), math.radians(float(s.get("theta_deg", 0.0))))
+    s = _section(_require(raw, "start", "config"), "start", ("x", "y", "theta_deg"))
+    start = Pose(
+        float(_require(s, "x", "start")),
+        float(_require(s, "y", "start")),
+        math.radians(float(s.get("theta_deg", 0.0))),
+    )
 
-    p = _require(raw, "plan", "config")
+    p = _section(
+        _require(raw, "plan", "config"),
+        "plan",
+        ("kind", "v_step", "omega_step_deg", "waypoints", "v", "omega_deg", "count"),
+    )
     kind = p.get("kind", "waypoints")
     if kind == "waypoints":
         wps = tuple(Point2(float(w[0]), float(w[1])) for w in _require(p, "waypoints", "plan"))
@@ -181,31 +211,27 @@ def load_config(path: str | Path) -> ExperimentConfig:
             kind="constant",
             v=float(p.get("v", 1.0)),
             omega=math.radians(float(p.get("omega_deg", 0.0))),
-            count=int(_require(p, "count", "plan")),
+            count=_integer(_require(p, "count", "plan"), "plan: count", 1),
         )
     else:
         raise ConfigError(f"unknown plan kind {kind!r}")
 
-    n_trials = int(raw.get("n_trials", 1))
-    if n_trials < 1:
-        raise ConfigError(f"n_trials must be >= 1, got {n_trials}")
-    master_seed = int(raw.get("master_seed", 0))
-    if master_seed < 0:
-        raise ConfigError(f"master_seed must be >= 0, got {master_seed}")
+    n_trials = _integer(raw.get("n_trials", 1), "n_trials", 1)
+    master_seed = _integer(raw.get("master_seed", 0), "master_seed", 0)
 
     methods = tuple(raw.get("methods", list(METHODS)))
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}; known: {METHODS}")
 
-    nz = raw.get("noise", {})
+    nz = _section(raw.get("noise"), "noise", ("sigma_v", "sigma_omega_deg", "sigma_range"))
     noise = NoiseParams(
         sigma_v=float(nz.get("sigma_v", 0.5)),
         sigma_omega=math.radians(float(nz.get("sigma_omega_deg", 2.9))),
         sigma_range=float(nz.get("sigma_range", 2.0)),
     )
 
-    bm = raw.get("beams", {})
+    bm = _section(raw.get("beams"), "beams", ("headings_deg", "max_range", "ray_step"))
     try:
         beams = BeamConfig(
             headings=tuple(math.radians(float(h)) for h in bm.get("headings_deg", (-60, -30, 0, 30, 60))),
@@ -215,8 +241,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"beams: {exc}") from None
 
-    fn = raw.get("filter_noise")
-    if fn is None:
+    fn = _section(raw.get("filter_noise"), "filter_noise", ("sigma_v", "sigma_omega_deg"))
+    if raw.get("filter_noise") is None:
         filter_noise = noise  # filters model the world noise exactly
     else:
         filter_noise = NoiseParams(
@@ -225,36 +251,22 @@ def load_config(path: str | Path) -> ExperimentConfig:
             sigma_range=noise.sigma_range,
         )
 
-    def filter_from(section: dict) -> FilterConfig:
-        kw = {}
-        for key in (
-            "n_particles",
-            "lag",
-            "beta",
-            "sensor_sigma",
-            "resample_threshold",
-            "collision_step",
-            "replan_on_divergence",
-            "resimulate_future",
-        ):
-            if key in section:
-                kw[key] = section[key]
-        return FilterConfig(motion_noise=filter_noise, **kw)
-
+    filter_raw = _section(raw.get("filter"), "filter", _FILTER_KEYS)
     try:
-        filter_base = filter_from(raw.get("filter", {}))
-    except ValueError as exc:
+        filter_base = FilterConfig(motion_noise=filter_noise, **filter_raw)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"filter: {exc}") from None
-    per_method = raw.get("per_method", {}) or {}
-    for m in per_method:
-        if m not in METHODS:
-            raise ConfigError(f"per_method override for unknown method {m!r}")
+    per_method = {
+        m: _section(override, f"per_method.{m}", _FILTER_KEYS)
+        for m, override in _section(raw.get("per_method"), "per_method", METHODS).items()
+    }
+    for m, override in per_method.items():
         try:
-            dataclasses.replace(filter_base, **per_method[m])
+            dataclasses.replace(filter_base, **override)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"per_method.{m}: {exc}") from None
 
-    init_raw = raw.get("init", {})
+    init_raw = _section(raw.get("init"), "init", ("kind", "sigma_xy", "sigma_theta_deg", "box"))
     init_kind = init_raw.get("kind", "gaussian")
     if init_kind not in ("gaussian", "uniform_box", "uniform_free"):
         raise ConfigError(f"unknown init kind {init_kind!r}")
@@ -272,10 +284,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
         box=box,
     )
 
-    mt = raw.get("metrics", {})
+    mt = _section(raw.get("metrics"), "metrics", ("entropy_cell", "entropy_heading_bins", "rmse_mode"))
     metric_params = MetricParams(
         entropy_cell=float(mt.get("entropy_cell", 5.0)),
-        entropy_heading_bins=int(mt.get("entropy_heading_bins", 36)),
+        entropy_heading_bins=_integer(
+            mt.get("entropy_heading_bins", 36), "metrics: entropy_heading_bins", 1
+        ),
         rmse_mode=str(mt.get("rmse_mode", "mean")),
     )
     if metric_params.rmse_mode not in ("mean", "rms"):
@@ -283,17 +297,17 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
     oracle_params = None
     if "oracle" in raw:
-        o = raw["oracle"]
+        o = _section(raw["oracle"], "oracle", ("cell", "heading_bins", "seeds", "compare_t"))
         oracle_params = OracleParams(
             cell=float(o.get("cell", 1.0)),
-            heading_bins=int(o.get("heading_bins", 1)),
-            seeds=int(o.get("seeds", 20)),
-            compare_t=int(o.get("compare_t", 9)),
+            heading_bins=_integer(o.get("heading_bins", 1), "oracle: heading_bins", 1),
+            seeds=_integer(o.get("seeds", 20), "oracle: seeds", 1),
+            # rows start at t = 2, the first filter step
+            compare_t=_integer(o.get("compare_t", 9), "oracle: compare_t", 2),
         )
 
-    cloud_stride = raw.get("trace", {}).get("cloud_stride", 0)
-    if isinstance(cloud_stride, bool) or not isinstance(cloud_stride, int) or cloud_stride < 0:
-        raise ConfigError(f"trace: cloud_stride must be an integer >= 0, got {cloud_stride!r}")
+    tr = _section(raw.get("trace"), "trace", ("cloud_stride",))
+    cloud_stride = _integer(tr.get("cloud_stride", 0), "trace: cloud_stride", 0)
 
     return ExperimentConfig(
         map_path=map_path,

@@ -57,19 +57,6 @@ class DiscreteHmm:
     def n_states(self) -> int:
         return self.centers.shape[0]
 
-    def state_index(self, ix: int, iy: int, ib: int) -> int:
-        return (iy * self.nx + ix) * self.n_heading_bins + ib
-
-    def pose_to_state(self, x: float, y: float, theta: float) -> int:
-        """Lattice state containing the pose, or -1 when off-lattice."""
-        ix = math.floor(x / self.cell)
-        iy = math.floor(y / self.cell)
-        if not (0 <= ix < self.nx and 0 <= iy < self.ny):
-            return -1
-        width = TWO_PI / self.n_heading_bins
-        ib = min(int((normalize_angle(theta) + math.pi) / width), self.n_heading_bins - 1)
-        return self.state_index(ix, iy, ib)
-
     def log_emission(self, scan: DepthScan) -> np.ndarray:
         return observation_log_likelihood_batch(scan, self.centers, self.grid, self.sensor_sigma)
 

@@ -19,7 +19,6 @@ from deqmcl.filters import (
     motion_sample_batch,
     observation_log_likelihood,
     observation_log_likelihood_batch,
-    queue_marginal,
     systematic_resample,
     traversability_log_prior,
 )
@@ -434,19 +433,17 @@ class TestSmoother:
 
 
 class TestDeqQueue:
-    def _mini(self, lag=2, steps=8, resimulate=False):
+    def _mini(self, lag=2, steps=8):
         grid = make_corridor(40, 8)
         beams = BeamConfig(headings=(0.0,), max_range=50.0, ray_step=0.5)
         plan = constant_plan(1.0, 0.0, steps)
         truth, scans = _world(grid, plan, Pose(5, 4, 0), NoiseParams(0.1, 0.0, 0.5), beams, 2)
         cfg = FilterConfig(n_particles=50, lag=lag, beta=2.0,
-                           motion_noise=NoiseParams(0.3, 0.0, 0), sensor_sigma=2.0,
-                           resimulate_future=resimulate)
+                           motion_noise=NoiseParams(0.3, 0.0, 0), sensor_sigma=2.0)
         return grid, plan, scans, cfg
 
-    @pytest.mark.parametrize("resimulate", [False, True])
-    def test_queue_span_matches_lag_window(self, resimulate):
-        grid, plan, scans, cfg = self._mini(lag=2, steps=8, resimulate=resimulate)
+    def test_queue_span_matches_lag_window(self):
+        grid, plan, scans, cfg = self._mini(lag=2, steps=8)
         horizon = plan.horizon
         rng = np.random.default_rng(0)
         state = deq_init(cfg, gaussian_sampler(Pose(5, 4, 0), 2.0, 0.05), plan, grid, rng)
@@ -493,12 +490,12 @@ class TestDeqQueue:
         for t in range(2, 5):
             state = deq_step(state, t, plan.action(t), scans[t], plan, cfg, grid, rng)
         for off in range(-state.n_past, state.n_future + 1):
-            snap = queue_marginal(state, off)
+            snap = state.marginal(off)
             assert snap.offset == off and snap.poses.shape == (50, 3)
         with pytest.raises(ValueError):
-            queue_marginal(state, state.n_future + 1)
+            state.marginal(state.n_future + 1)
         with pytest.raises(ValueError):
-            queue_marginal(state, -(state.n_past + 1))
+            state.marginal(-(state.n_past + 1))
 
     def test_marginal_weights_uniform_after_resample(self):
         import dataclasses
@@ -511,6 +508,10 @@ class TestDeqQueue:
         assert np.allclose(state.marginal(0).weights, 1.0 / cfg.n_particles)
 
     def test_resampling_copies_trajectories_atomically(self):
+        # the future side is re-proposed every step, so what survives of an
+        # old trajectory is its past and current poses: each new trajectory's
+        # past columns are those of one old trajectory, minus the oldest once
+        # the window is full
         import dataclasses
 
         grid, plan, scans, cfg = self._mini(lag=2)
@@ -518,19 +519,24 @@ class TestDeqQueue:
         rng = np.random.default_rng(1)
         state = deq_init(cfg, gaussian_sampler(Pose(5, 4, 0), 2.0, 0.05), plan, grid, rng)
         for t in range(2, 6):
-            before = {tuple(row.ravel()) for row in state.poses}
             new_state = deq_step(state, t, plan.action(t), scans[t], plan, cfg, grid, rng)
-            # drop the marginalized oldest column and strip the new tip; what
-            # remains of each surviving trajectory must have existed jointly
-            drop = 1 if state.n_past == cfg.lag else 0
-            for row in new_state.poses:
-                core = row[: new_state.poses.shape[1] - (1 if new_state.n_future == 2 else 0)]
-                matches = [
-                    b for b in before
-                    if np.allclose(np.asarray(b).reshape(-1, 3)[drop : drop + core.shape[0]], core)
-                ]
-                assert matches
+            n = new_state.n_past
+            old = state.poses[:, state.n_past + 1 - n : state.n_past + 1]
+            new = new_state.poses[:, :n]
+            assert len({row.tobytes() for row in new}) < cfg.n_particles  # some were copied
+            for row in new:
+                assert (old == row).all(axis=(1, 2)).any()
             state = new_state
+
+    def test_state_requires_one_factor_per_future_transition(self):
+        poses, logw = np.zeros((4, 3, 3)), np.zeros(4)
+        with pytest.raises(ValueError, match="future_log_priors"):
+            QueueState(t=1, n_past=0, n_future=2, poses=poses, log_weights=logw)
+        with pytest.raises(ValueError, match="future_log_priors"):
+            QueueState(t=1, n_past=0, n_future=2, poses=poses, log_weights=logw,
+                       future_log_priors=np.zeros((4, 1)))
+        state = QueueState(t=1, n_past=2, n_future=0, poses=poses, log_weights=logw)
+        assert state.future_log_priors.shape == (4, 0)
 
     def test_all_occupied_init_rejected(self):
         grid, plan, scans, cfg = self._mini()
@@ -554,42 +560,6 @@ class TestDeqQueue:
         state = deq_init(cfg, gaussian_sampler(Pose(5, 4, 0), 2.0, 0.05), plan, grid, rng)
         with pytest.raises(ValueError):
             deq_step(state, 3, plan.action(3), scans[3], plan, cfg, grid, rng)
-
-
-class TestReplanOnDivergence:
-    def _setup(self, replan):
-        grid = make_corridor(40, 8)
-        beams = BeamConfig(headings=(0.0,), max_range=50.0, ray_step=0.5)
-        plan = constant_plan(1.0, 0.0, 8)
-        truth, scans = _world(grid, plan, Pose(5, 4, 0), NoiseParams(0.1, 0.0, 0.5), beams, 2)
-        cfg = FilterConfig(n_particles=50, lag=2, beta=2.0,
-                           motion_noise=NoiseParams(0.3, 0.0, 0), sensor_sigma=2.0,
-                           replan_on_divergence=replan)
-        rng = np.random.default_rng(3)
-        state = deq_init(cfg, gaussian_sampler(Pose(5, 4, 0), 2.0, 0.05), plan, grid, rng)
-        return grid, plan, scans, cfg, rng, state
-
-    def test_flag_off_matches_flag_on_when_plan_followed(self):
-        out = []
-        for replan in (False, True):
-            grid, plan, scans, cfg, rng, state = self._setup(replan)
-            for t in range(2, 6):
-                state = deq_step(state, t, plan.action(t), scans[t], plan, cfg, grid, rng)
-            out.append(state)
-        assert np.array_equal(out[0].poses, out[1].poses)
-        assert np.array_equal(out[0].log_weights, out[1].log_weights)
-
-    def test_divergent_action_triggers_resimulation(self):
-        out = []
-        for replan in (False, True):
-            grid, plan, scans, cfg, rng, state = self._setup(replan)
-            diverged = Action(0.5, 0.1)  # executed differs from the plan
-            state = deq_step(state, 2, diverged, scans[2], plan, cfg, grid, rng)
-            out.append(state)
-        assert not np.array_equal(out[0].poses, out[1].poses)
-        # both variants keep a well-formed queue
-        for st in out:
-            assert (st.n_past, st.n_future) == (1, 2)
 
 
 class TestStepInvariantsAllFilters:
@@ -620,16 +590,3 @@ class TestStepInvariantsAllFilters:
                 w = state.marginal(off).weights
                 assert np.all(w >= 0)
                 assert abs(w.sum() - 1.0) < 1e-9
-
-
-class TestQueueParticleViews:
-    def test_particles_expose_trajectories(self):
-        grid = make_corridor(40, 8)
-        plan = constant_plan(1.0, 0.0, 6)
-        cfg = FilterConfig(n_particles=10, lag=2, motion_noise=NoiseParams(0.2, 0.0, 0))
-        state = deq_init(cfg, gaussian_sampler(Pose(5, 4, 0), 2.0, 0.05), plan, grid,
-                         np.random.default_rng(0))
-        parts = state.particles()
-        assert len(parts) == 10
-        assert parts[0].trajectory.shape == (state.n_past + 1 + state.n_future, 3)
-        assert all(math.isfinite(p.log_weight) for p in parts)

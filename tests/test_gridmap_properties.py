@@ -1,6 +1,7 @@
 """Property tests: the block-marched raycast, the segment collision counts and
 the occupancy lookup agree exactly with per-sample references over the
-original lookup formula, and the clearance map with a brute-force distance."""
+original lookup formula, and the clearance map and the free-rectangle test
+with brute force."""
 
 import math
 import warnings
@@ -421,6 +422,33 @@ class TestSegmentCountsMatchReference:
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        grid=st.one_of(narrow_grids(), sparse_grids(max_side=30)),
+        step=st.sampled_from([0.1, 0.25, 0.5, 1.0, 1.7]),
+        n_segments=st.integers(1, 30),
+        axis_share=st.sampled_from([0.0, 0.5, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_long_segments_along_corridors(self, grid, step, n_segments, axis_share, seed):
+        # segments up to the grid's extent, many along a row or a column, so
+        # that whole free runs of a corridor go unsampled while one cell
+        # further reaches a wall or the outside
+        origins = free_origins(grid, np.random.default_rng(seed), n_segments)
+        if origins is None:
+            return
+        rng = np.random.default_rng(seed + 1)
+        ax, ay = origins
+        reach = max(grid.world_width, grid.world_height)
+        dx = rng.uniform(-reach, reach, n_segments)
+        dy = rng.uniform(-reach, reach, n_segments)
+        axis = rng.random(n_segments) < axis_share
+        vertical = rng.random(n_segments) < 0.5
+        bx = ax + np.where(axis & vertical, 0.0, dx)
+        by = ay + np.where(axis & ~vertical, 0.0, dy)
+        got = grid.segment_collision_counts(ax, ay, bx, by, step)
+        np.testing.assert_array_equal(got, reference_segment_counts(grid, ax, ay, bx, by, step))
+
     def test_non_finite_endpoint_counts_two(self):
         grid = OccupancyGrid(20, 20, 1.0, np.zeros((20, 20), dtype=bool))
         ax = np.array([10.0, 10.0, np.nan, 10.0, np.inf, 10.0])
@@ -445,6 +473,33 @@ class TestClearance:
         theta = np.array([0.0, 2.0, math.pi])
         got = grid.raycast_batch(x, y, theta, 700.0, 0.5)
         np.testing.assert_array_equal(got, reference_raycast(grid, x, y, theta, 700.0, 0.5))
+
+
+class TestRectangleFree:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        grid=st.one_of(grids(max_side=15), narrow_grids(max_side=15)),
+        n=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_brute_force(self, grid, n, seed):
+        # corners anywhere from three cells off the grid to three past it,
+        # some NaN; only rectangles of free cells on the grid are free
+        rng = np.random.default_rng(seed)
+        a = np.stack([rng.integers(-3, grid.width + 3, n), rng.integers(-3, grid.height + 3, n)])
+        b = np.stack([rng.integers(-3, grid.width + 3, n), rng.integers(-3, grid.height + 3, n)])
+        a, b = a.astype(float), b.astype(float)
+        a[rng.random(a.shape) < 0.05] = np.nan
+        want = []
+        for (x0, y0), (x1, y1) in zip(a.T.tolist(), b.T.tolist()):
+            if any(math.isnan(v) for v in (x0, y0, x1, y1)):
+                want.append(False)
+                continue
+            lx, hx = sorted((int(x0), int(x1)))
+            ly, hy = sorted((int(y0), int(y1)))
+            inside = lx >= 0 and ly >= 0 and hx < grid.width and hy < grid.height
+            want.append(inside and not grid.cells[ly : hy + 1, lx : hx + 1].any())
+        np.testing.assert_array_equal(grid._rectangle_free(a, b), want)
 
 
 class TestOccupiedMatchesReference:

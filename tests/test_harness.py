@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import math
 
@@ -131,6 +133,56 @@ class TestLoadConfig:
         path = write_mini_config(tmp_path, cloud_stride=-1)
         with pytest.raises(ConfigError, match="trace: cloud_stride must be an integer >= 0, got -1"):
             load_config(path)
+
+    # (text in the mini config, its replacement, the key path the error names);
+    # an empty first entry appends the replacement
+    @pytest.mark.parametrize("old, new, path", [
+        ("sigma_v: 0.1", "sigma_vv: 0.1", "noise.sigma_vv"),
+        ("max_range: 40.0", "max_rnage: 40.0", "beams.max_rnage"),
+        ("theta_deg: 0.0}", "theta: 0.0}", "start.theta"),
+        ("count: 5", "cont: 5", "plan.cont"),
+        ("  beta: 5.0", "  resimulate_future: true", "filter.resimulate_future"),
+        ("  beta: 5.0", "  replan_on_divergence: true", "filter.replan_on_divergence"),
+        ("sigma_xy: 2.0", "sigma: 2.0", "init.sigma"),
+        ("entropy_cell: 2.0", "entropy_cel: 2.0", "metrics.entropy_cel"),
+        ("cloud_stride: 0", "stride: 0", "trace.stride"),
+        ("", "filter_noise: {sigma_range: 1.0}", "filter_noise.sigma_range"),
+        ("", "per_method:\n  mcl: {resimulate_future: true}", "per_method.mcl.resimulate_future"),
+        ("", "per_method:\n  warp_drive: {lag: 1}", "per_method.warp_drive"),
+        ("", "oracle: {seed: 3}", "oracle.seed"),
+    ])
+    def test_unknown_section_key_rejected(self, tmp_path, old, new, path):
+        cfg_path = write_mini_config(tmp_path)
+        text = cfg_path.read_text()
+        assert old in text
+        cfg_path.write_text(text.replace(old, new) if old else text + new + "\n")
+        with pytest.raises(ConfigError, match=f"unknown key '{path}'"):
+            load_config(cfg_path)
+
+    @pytest.mark.parametrize("old, new, where", [
+        ("n_trials: 1", "n_trials: 2.5", "n_trials"),
+        ("n_trials: 1", "n_trials: true", "n_trials"),
+        ("n_trials: 1", "n_trials: 0", "n_trials"),
+        ("master_seed: 5", "master_seed: 5.0", "master_seed"),
+        ("master_seed: 5", "master_seed: -1", "master_seed"),
+        ("count: 5", "count: 5.5", "plan: count"),
+        ("count: 5", "count: false", "plan: count"),
+        ("entropy_heading_bins: 18", "entropy_heading_bins: 18.0", "metrics: entropy_heading_bins"),
+        ("entropy_heading_bins: 18", "entropy_heading_bins: true", "metrics: entropy_heading_bins"),
+        ("", "oracle: {seeds: 2.5}", "oracle: seeds"),
+        ("", "oracle: {seeds: true}", "oracle: seeds"),
+        ("", "oracle: {heading_bins: 1.0}", "oracle: heading_bins"),
+        ("", "oracle: {heading_bins: 0}", "oracle: heading_bins"),
+        ("", "oracle: {compare_t: 4.5}", "oracle: compare_t"),
+        ("", "oracle: {compare_t: '4'}", "oracle: compare_t"),
+    ])
+    def test_non_integer_count_rejected(self, tmp_path, old, new, where):
+        cfg_path = write_mini_config(tmp_path)
+        text = cfg_path.read_text()
+        assert old in text
+        cfg_path.write_text(text.replace(old, new) if old else text + new + "\n")
+        with pytest.raises(ConfigError, match=f"^{where} must be an integer >= "):
+            load_config(cfg_path)
 
     def test_unknown_top_level_key_rejected(self, tmp_path):
         path = write_mini_config(tmp_path)
@@ -278,6 +330,22 @@ class TestRunExperiment:
         cfg = load_config(write_mini_config(tmp_path, methods="mcl", count=4))
         out = run_experiment(cfg)["out_dir"]
         assert "only the relative ordering" in (out / "report.txt").read_text()
+
+
+class TestPaperPathDigest:
+    # sha256 of summary.csv + metrics.csv from paper.cfg, deq_mcl and
+    # mcl_map_motion, one trial at seed 1, recorded while the queue filter
+    # still had its lag-0 and incremental branches (Python 3.11.7, numpy
+    # 2.4.6, x86-64).  Refactors of the filters must keep it.
+    PAPER_SEED_1 = "715d12adaa781f6c5de34eef99ea79c837993bacbf0ea7ed027826a17419e077"
+
+    def test_paper_outputs_are_byte_identical(self, tmp_path):
+        cfg = dataclasses.replace(load_config("paper.cfg"), n_trials=1)
+        run_experiment(cfg, out_dir=str(tmp_path), methods=("deq_mcl", "mcl_map_motion"), seed=1)
+        digest = hashlib.sha256()
+        for name in ("summary.csv", "metrics.csv"):
+            digest.update((tmp_path / name).read_bytes())
+        assert digest.hexdigest() == self.PAPER_SEED_1
 
 
 class TestInitSamplers:
