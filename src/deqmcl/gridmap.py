@@ -14,12 +14,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # `OccupancyGrid.raycast_batch` tests a batch of at most `_MARCH_POINTS`
-# points as one dense block.  A larger batch marches in blocks of at most
-# `_MARCH_BLOCK` points, but at least one sample per ray, and each ray jumps
-# over its free box between blocks.  One pass of the march costs about as much
-# interpreter time as testing a few thousand points: narrower blocks pay in
-# passes, wider ones test samples past the first hit or inside a free box that
-# the jump would have skipped.
+# points as one dense block, without the free-prefix search: on the oracle's
+# 88-ray emission batches the search's probes cost more than they save.  A
+# larger batch first bisects each ray over the summed-area table, then marches
+# from there in blocks of at most `_MARCH_BLOCK` points, but at least one
+# sample per ray, and each ray jumps over its free box between blocks.  One
+# pass of the march costs about as much interpreter time as testing a few
+# thousand points: narrower blocks pay in passes, wider ones test samples past
+# the first hit or inside a free box that the jump would have skipped.
 _MARCH_POINTS = 1 << 16
 _MARCH_BLOCK = 1 << 12
 
@@ -193,22 +195,6 @@ class OccupancyGrid:
         counts[sampled] = (occ & valid).sum(axis=1)
         return counts
 
-    def raycast(self, origin: Point2, heading: float, max_range: float, step: float = 0.5) -> float:
-        """Distance along ``heading`` to the first occupied sample point.
-
-        Marches at fixed spacing ``step`` out to ``max_range`` and returns
-        ``max_range`` when nothing is hit.  Raises ValueError when the origin
-        itself is occupied (a sensor inside a wall is undefined).
-        """
-        if max_range <= 0 or step <= 0:
-            raise ValueError(f"max_range and step must be positive, got {max_range}, {step}")
-        if self.is_occupied(origin):
-            raise ValueError(f"raycast origin ({origin.x}, {origin.y}) is inside an obstacle")
-        d = self.raycast_batch(
-            np.array([origin.x]), np.array([origin.y]), np.array([heading]), max_range, step
-        )
-        return float(d[0])
-
     def raycast_batch(self, x, y, theta, max_range: float, step: float) -> np.ndarray:
         """Vectorized raycast for free origins; returns hit distances in [0, max_range].
 
@@ -218,24 +204,25 @@ class OccupancyGrid:
         occupied, or ``max_range`` when none is (also when ``max_range < step``,
         which leaves no samples).
 
-        The march goes in blocks.  A batch of at most `_MARCH_POINTS` points
-        is one dense block.  Otherwise a block takes each of the ``active``
+        Every step of the sample arithmetic (``k*step``, the ``min``, the
+        product with the cosine, the sum, the division and the floor) is
+        monotone in ``k``, so along each axis a sample's cell lies between the
+        cells of any earlier and any later sample: all samples between two
+        samples lie in the cell rectangle those two span.  The rest is built
+        on that fact and finds the first hit the per-sample march finds.
+
+        A batch of at most `_MARCH_POINTS` points is one dense block: all of
+        its samples are tested with one lookup.  In a larger batch each ray
+        first bisects for the last sample it can skip (`_free_prefix`): the
+        largest ``j`` whose cell spans a free rectangle with the origin's
+        cell (sample 0), so that samples ``1 .. j`` are all free.  A ray whose
+        ``j`` is the last sample ends at ``max_range``.  The others march in
+        blocks, each from its own ``j``: a block takes each of the ``active``
         rays that have not hit yet ``max(1, _MARCH_BLOCK // active)`` samples
         further, never past the last sample, tests all of those points with
         one lookup, records each ray's first hit in the block and drops the
-        rays that hit.
-
-        After a block each ray that goes on may jump.  Every step of the
-        sample arithmetic (``k*step``, the ``min``, the product with the
-        cosine, the sum, the division and the floor) is monotone in ``k``, so
-        along each axis a sample's cell lies between the cells of any earlier
-        and any later sample; when two samples lie in one free box (see
-        `_box_jump`), so do all samples between them.  From the last
-        sample ``k`` of its block a ray takes the distance to the faces of
-        that sample's box, turns it into a candidate ``k + J``, computes that
-        sample exactly as a block would, and moves on to it only if its cell
-        lies in the box.  The first hit is therefore the one the per-sample
-        march finds.  Rays share one sample offset until one of them jumps.
+        rays that hit.  After a block each ray that goes on may jump over the
+        free box around its last sample (`_box_jump`).
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -252,13 +239,18 @@ class OccupancyGrid:
         # column per ray still marching
         rays = np.concatenate([np.stack([x, y]), direction, samples_per_cell])
         idx = np.arange(m)
-        budget = _MARCH_POINTS if m * n_samples <= _MARCH_POINTS else _MARCH_BLOCK
-        k = 0  # samples 1..k of each ray are done: an int, or one per ray once a ray jumps
+        dense = m * n_samples <= _MARCH_POINTS
         # over: far-off points, see `occupied_xy`; invalid: the jump of an
         # axis-parallel or a non-finite ray
         with np.errstate(over="ignore", invalid="ignore"):
+            # samples 1..k of each ray are done: 0 for the dense block, else one per ray
+            k = 0
+            if not dense:
+                k = self._free_prefix(rays, n_samples, max_range, step)
+                keep = k < n_samples
+                k, rays, idx = k[keep], rays[:, keep], idx[keep]
             while idx.size:
-                width = min(max(1, budget // idx.size), n_samples - int(np.min(k)))
+                width = n_samples if dense else min(max(1, _MARCH_BLOCK // idx.size), n_samples - int(k.min()))
                 ks = np.minimum(np.add.outer(k, np.arange(1, width + 1)), n_samples)
                 block = np.minimum(ks * step, max_range)
                 cell = block * rays[2:4, :, None]
@@ -270,22 +262,45 @@ class OccupancyGrid:
                 done = hit.any(axis=1)
                 if done.any():
                     first = hit[done].argmax(axis=1)
-                    dist[idx[done]] = block[first] if block.ndim == 1 else block[done, first]
-                last = ks[..., -1]
-                if ks.ndim == 1 and last == n_samples:
+                    dist[idx[done]] = block[first] if dense else block[done, first]
+                if dense:
                     break
+                last = ks[:, -1]
                 jumped = self._box_jump(
                     rays, last, scaled, cell[:, :, -1], clear[:, -1], n_samples, max_range, step
                 )
-                if np.ndim(k) == 0 and not (jumped > last).any():
-                    k = int(last)
-                    keep = ~done
-                else:
-                    keep = ~done & (jumped < n_samples)
-                    k = jumped[keep]
+                keep = ~done & (jumped < n_samples)
+                k = jumped[keep]
                 if not keep.all():
                     rays, idx = rays[:, keep], idx[keep]
         return dist
+
+    def _sample_cells(self, rays, k, max_range: float, step: float) -> np.ndarray:
+        """Cell of sample ``k`` of each ray, by the arithmetic of a block."""
+        cell = rays[2:4] * np.minimum(k * step, max_range)
+        cell += rays[0:2]
+        cell /= self.resolution
+        return np.floor(cell, out=cell)
+
+    def _free_prefix(self, rays, n_samples: int, max_range: float, step: float) -> np.ndarray:
+        """Largest ``j`` in [0, n_samples] per ray whose sample's cell and the
+        origin's span a free rectangle (`_rectangle_free`); 0 when none does.
+
+        Sample 0 is the origin, computed as a block computes sample ``k``.
+        The rectangles nest as ``j`` grows, since sample cells are monotone in
+        the sample index along each axis, so the test is true for a prefix of
+        ``j`` and plain bisection finds its end in ``n_samples.bit_length()``
+        probes.  Every sample ``1 .. j`` lies in the rectangle: it is free.
+        """
+        origin = self._sample_cells(rays, np.zeros(rays.shape[1], dtype=np.intp), max_range, step)
+        lo = np.zeros(rays.shape[1], dtype=np.intp)  # proven free, or 0
+        hi = np.full(rays.shape[1], n_samples + 1, dtype=np.intp)  # not proven free
+        for _ in range(n_samples.bit_length()):
+            mid = (lo + hi) // 2
+            free = self._rectangle_free(origin, self._sample_cells(rays, mid, max_range, step))
+            lo = np.where(free, mid, lo)
+            hi = np.where(free, hi, mid)
+        return lo
 
     def _box_jump(self, rays, k, scaled, cell, clear, n_samples: int, max_range: float, step: float):
         """Sample index each ray may move on to from its sample ``k``.
@@ -299,16 +314,13 @@ class OccupancyGrid:
         stays at ``k`` unless the candidate's exactly computed cell lies in
         the box.
         """
-        origin, direction, samples_per_cell = rays[0:2], rays[2:4], rays[4:6]
         r = clear - 1.0
+        direction, samples_per_cell = rays[2:4], rays[4:6]
         ahead = direction >= 0  # the far face is the upper one
         to_face = r + np.abs(ahead - (scaled - cell))  # cells to the far face, per axis
         n = np.ceil(np.fmin(*(to_face * samples_per_cell))) - 1.0  # fmin: NaN on an axis with no motion
         to = np.minimum(k + np.fmax(n, 0.0), n_samples).astype(np.intp)
-        landing = direction * np.minimum(to * step, max_range)
-        landing += origin
-        landing /= self.resolution
-        np.floor(landing, out=landing)
+        landing = self._sample_cells(rays, to, max_range, step)
         return np.where((np.abs(landing - cell) <= r).all(axis=0), to, k)
 
 

@@ -163,6 +163,23 @@ def _integer(value, where: str, minimum: int) -> int:
     return value
 
 
+def _float(value, where: str) -> float:
+    """``value`` as a float; bools and values ``float`` cannot convert are rejected."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{where} must be a number, got {value!r}")
+
+
+def _numbers(value, where: str, count: int) -> tuple[float, ...]:
+    """``value`` as a list of ``count`` floats (`_float`)."""
+    if not isinstance(value, (list, tuple)) or len(value) != count:
+        raise ConfigError(f"{where} must be a list of {count} numbers, got {value!r}")
+    return tuple(_float(v, where) for v in value)
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     """Load and validate a YAML experiment config.
 
@@ -187,9 +204,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
     s = _section(_require(raw, "start", "config"), "start", ("x", "y", "theta_deg"))
     start = Pose(
-        float(_require(s, "x", "start")),
-        float(_require(s, "y", "start")),
-        math.radians(float(s.get("theta_deg", 0.0))),
+        _float(_require(s, "x", "start"), "start: x"),
+        _float(_require(s, "y", "start"), "start: y"),
+        math.radians(_float(s.get("theta_deg", 0.0), "start: theta_deg")),
     )
 
     p = _section(
@@ -199,18 +216,18 @@ def load_config(path: str | Path) -> ExperimentConfig:
     )
     kind = p.get("kind", "waypoints")
     if kind == "waypoints":
-        wps = tuple(Point2(float(w[0]), float(w[1])) for w in _require(p, "waypoints", "plan"))
+        wps = tuple(Point2(*_numbers(w, "plan: waypoints", 2)) for w in _require(p, "waypoints", "plan"))
         plan_spec = PlanSpec(
             kind="waypoints",
-            v_step=float(p.get("v_step", 5.0)),
-            omega_step=math.radians(float(p.get("omega_step_deg", 22.5))),
+            v_step=_float(p.get("v_step", 5.0), "plan: v_step"),
+            omega_step=math.radians(_float(p.get("omega_step_deg", 22.5), "plan: omega_step_deg")),
             waypoints=wps,
         )
     elif kind == "constant":
         plan_spec = PlanSpec(
             kind="constant",
-            v=float(p.get("v", 1.0)),
-            omega=math.radians(float(p.get("omega_deg", 0.0))),
+            v=_float(p.get("v", 1.0), "plan: v"),
+            omega=math.radians(_float(p.get("omega_deg", 0.0), "plan: omega_deg")),
             count=_integer(_require(p, "count", "plan"), "plan: count", 1),
         )
     else:
@@ -226,18 +243,20 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
     nz = _section(raw.get("noise"), "noise", ("sigma_v", "sigma_omega_deg", "sigma_range"))
     noise = NoiseParams(
-        sigma_v=float(nz.get("sigma_v", 0.5)),
-        sigma_omega=math.radians(float(nz.get("sigma_omega_deg", 2.9))),
-        sigma_range=float(nz.get("sigma_range", 2.0)),
+        sigma_v=_float(nz.get("sigma_v", 0.5), "noise: sigma_v"),
+        sigma_omega=math.radians(_float(nz.get("sigma_omega_deg", 2.9), "noise: sigma_omega_deg")),
+        sigma_range=_float(nz.get("sigma_range", 2.0), "noise: sigma_range"),
     )
 
     bm = _section(raw.get("beams"), "beams", ("headings_deg", "max_range", "ray_step"))
+    headings = bm.get("headings_deg", (-60, -30, 0, 30, 60))
+    if not isinstance(headings, (list, tuple)):
+        raise ConfigError(f"beams: headings_deg must be a list of numbers, got {headings!r}")
+    headings = tuple(math.radians(_float(h, "beams: headings_deg")) for h in headings)
+    max_range = _float(bm.get("max_range", 100.0), "beams: max_range")
+    ray_step = _float(bm.get("ray_step", 0.5), "beams: ray_step")
     try:
-        beams = BeamConfig(
-            headings=tuple(math.radians(float(h)) for h in bm.get("headings_deg", (-60, -30, 0, 30, 60))),
-            max_range=float(bm.get("max_range", 100.0)),
-            ray_step=float(bm.get("ray_step", 0.5)),
-        )
+        beams = BeamConfig(headings=headings, max_range=max_range, ray_step=ray_step)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"beams: {exc}") from None
 
@@ -246,8 +265,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
         filter_noise = noise  # filters model the world noise exactly
     else:
         filter_noise = NoiseParams(
-            sigma_v=float(fn.get("sigma_v", noise.sigma_v)),
-            sigma_omega=math.radians(float(fn.get("sigma_omega_deg", math.degrees(noise.sigma_omega)))),
+            sigma_v=_float(fn.get("sigma_v", noise.sigma_v), "filter_noise: sigma_v"),
+            sigma_omega=math.radians(
+                _float(fn.get("sigma_omega_deg", math.degrees(noise.sigma_omega)), "filter_noise: sigma_omega_deg")
+            ),
             sigma_range=noise.sigma_range,
         )
 
@@ -272,21 +293,18 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"unknown init kind {init_kind!r}")
     box = (0.0,) * 6
     if init_kind == "uniform_box":
-        b = _require(init_raw, "box", "init")
-        box = (
-            float(b[0]), float(b[1]), float(b[2]), float(b[3]),
-            math.radians(float(b[4])), math.radians(float(b[5])),
-        )
+        b = _numbers(_require(init_raw, "box", "init"), "init: box", 6)
+        box = b[:4] + (math.radians(b[4]), math.radians(b[5]))
     init = InitSpec(
         kind=init_kind,
-        sigma_xy=float(init_raw.get("sigma_xy", 10.0)),
-        sigma_theta=math.radians(float(init_raw.get("sigma_theta_deg", 11.5))),
+        sigma_xy=_float(init_raw.get("sigma_xy", 10.0), "init: sigma_xy"),
+        sigma_theta=math.radians(_float(init_raw.get("sigma_theta_deg", 11.5), "init: sigma_theta_deg")),
         box=box,
     )
 
     mt = _section(raw.get("metrics"), "metrics", ("entropy_cell", "entropy_heading_bins", "rmse_mode"))
     metric_params = MetricParams(
-        entropy_cell=float(mt.get("entropy_cell", 5.0)),
+        entropy_cell=_float(mt.get("entropy_cell", 5.0), "metrics: entropy_cell"),
         entropy_heading_bins=_integer(
             mt.get("entropy_heading_bins", 36), "metrics: entropy_heading_bins", 1
         ),
@@ -299,7 +317,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if "oracle" in raw:
         o = _section(raw["oracle"], "oracle", ("cell", "heading_bins", "seeds", "compare_t"))
         oracle_params = OracleParams(
-            cell=float(o.get("cell", 1.0)),
+            cell=_float(o.get("cell", 1.0), "oracle: cell"),
             heading_bins=_integer(o.get("heading_bins", 1), "oracle: heading_bins", 1),
             seeds=_integer(o.get("seeds", 20), "oracle: seeds", 1),
             # rows start at t = 2, the first filter step

@@ -1,7 +1,7 @@
 """Property tests: the block-marched raycast, the segment collision counts and
 the occupancy lookup agree exactly with per-sample references over the
-original lookup formula, and the clearance map and the free-rectangle test
-with brute force."""
+original lookup formula, and the clearance map, the free-rectangle test and
+the raycast's free-prefix search with brute force."""
 
 import math
 import warnings
@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deqmcl.gridmap import OccupancyGrid
+from deqmcl.gridmap import _MARCH_POINTS, OccupancyGrid, load_grid
+from deqmcl.harness import packaged_config_dir
 
 
 def reference_occupied_xy(grid: OccupancyGrid, x, y) -> np.ndarray:
@@ -295,6 +296,151 @@ class TestRaycastMatchesReference:
         step = step_factor * resolution
         got = grid.raycast_batch(x, y, theta, 12.0 * resolution, step)
         np.testing.assert_array_equal(got, reference_raycast(grid, x, y, theta, 12.0 * resolution, step))
+
+
+def ray_rows(x, y, theta) -> np.ndarray:
+    """The origin and direction rows of the rays `OccupancyGrid.raycast_batch` marches."""
+    theta = np.asarray(theta, dtype=float)
+    return np.stack([np.asarray(x, dtype=float), np.asarray(y, dtype=float), np.cos(theta), np.sin(theta)])
+
+
+def brute_free_samples(grid: OccupancyGrid, rays: np.ndarray, n_samples: int, max_range: float, step: float):
+    """Per ray, the samples ``j`` in [0, n_samples] whose cell and the origin's
+    (sample 0) span a rectangle of free cells on the grid, one slice each."""
+    cells = []
+    for k in range(n_samples + 1):
+        with np.errstate(invalid="ignore", over="ignore"):
+            c = rays[2:4] * min(k * step, max_range)
+            c += rays[0:2]
+            c /= grid.resolution
+            cells.append(np.floor(c))
+    free = []
+    for i in range(rays.shape[1]):
+        row = []
+        for c in cells:
+            (x0, y0), (x1, y1) = cells[0][:, i], c[:, i]
+            if not all(math.isfinite(v) for v in (x0, y0, x1, y1)):
+                row.append(False)
+                continue
+            lx, hx = sorted((int(x0), int(x1)))
+            ly, hy = sorted((int(y0), int(y1)))
+            inside = lx >= 0 and ly >= 0 and hx < grid.width and hy < grid.height
+            row.append(inside and not grid.cells[ly : hy + 1, lx : hx + 1].any())
+        free.append(row)
+    return np.array(free, dtype=bool).reshape(rays.shape[1], n_samples + 1)
+
+
+def mixed_headings(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Exact axis headings, headings a few degrees off an axis, NaN and uniform ones."""
+    near = rng.choice(HEADINGS, n) + np.radians(rng.choice([-5.0, -2.0, -0.5, 0.5, 2.0, 5.0], n))
+    kind = rng.integers(0, 4, n)
+    uniform = rng.uniform(-math.pi, math.pi, n)
+    theta = np.choose(kind, [rng.choice(HEADINGS, n), near, uniform, uniform])
+    theta[rng.random(n) < 0.03] = np.nan
+    return theta
+
+
+def corridor_grid() -> OccupancyGrid:
+    """Four east-west corridors one cell wide, joined by a few doors, at 0.5 units per cell."""
+    cells = np.ones((9, 40), dtype=bool)
+    cells[1::2, 1:-1] = False
+    cells[2:-2:2, [7, 20, 33]] = False
+    return OccupancyGrid(40, 9, 0.5, cells)
+
+
+def maze_grid() -> OccupancyGrid:
+    """A fixed random maze, a third of it blocked, with posts every four cells."""
+    cells = np.random.default_rng(11).random((25, 30)) < 0.33
+    cells[::4, ::4] = True
+    return OccupancyGrid(30, 25, 1.0, cells)
+
+
+class TestFreePrefix:
+    """The search each marched ray makes before its first block."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        grid=st.one_of(narrow_grids(), sparse_grids(max_side=30)),
+        step_factor=st.sampled_from([0.1, 0.3, 0.5, 1.0, 1.7]),
+        range_factor=st.floats(0.05, 1.2),
+        n_rays=st.integers(1, 20),
+        on_faces=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_linear_scan(self, grid, step_factor, range_factor, n_rays, on_faces, seed):
+        # the free samples form a prefix, and the search returns its last one
+        # (0 when even the origin's cell is not free)
+        rng = np.random.default_rng(seed)
+        origins = face_points(grid, rng, n_rays) if on_faces else free_origins(grid, rng, n_rays)
+        if origins is None:
+            return
+        rays = ray_rows(*origins, mixed_headings(rng, n_rays))
+        step = step_factor * grid.resolution
+        max_range = max(range_factor * math.hypot(grid.world_width, grid.world_height), step)
+        n_samples = int(math.floor(max_range / step + 1e-9))
+        free = brute_free_samples(grid, rays, n_samples, max_range, step)
+        prefix = np.cumprod(free, axis=1).astype(bool)
+        np.testing.assert_array_equal(free, prefix)
+        want = np.maximum(free.sum(axis=1) - 1, 0)
+        got = grid._free_prefix(rays, n_samples, max_range, step)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("max_range, step", [(7.3, 0.5), (7.0, 0.5), (3.05, 0.1), (0.5, 0.5)])
+    def test_rays_that_never_hit_skip_every_sample(self, max_range, step):
+        # an open room: every ray's whole path is proven free, also when
+        # max_range is not a multiple of step and is never sampled itself
+        grid = OccupancyGrid(40, 40, 1.0, np.pad(np.zeros((38, 38), dtype=bool), 1, constant_values=True))
+        rng = np.random.default_rng(3)
+        n = _MARCH_POINTS // int(max_range / step + 1e-9) + 1
+        x, y = rng.uniform(12.0, 28.0, (2, n))
+        theta = rng.uniform(-math.pi, math.pi, n)
+        n_samples = int(math.floor(max_range / step + 1e-9))
+        got = grid._free_prefix(ray_rows(x, y, theta), n_samples, max_range, step)
+        np.testing.assert_array_equal(got, np.full(n, n_samples))
+        dist = grid.raycast_batch(x, y, theta, max_range, step)
+        np.testing.assert_array_equal(dist, np.full(n, max_range))
+        np.testing.assert_array_equal(dist, reference_raycast(grid, x, y, theta, max_range, step))
+
+    def test_blocked_first_rectangle(self):
+        # origins in a wall, off the grid, or on a wall's face with the ray
+        # heading into it, and NaN rays: nothing is skipped
+        grid = corridor_grid()
+        x = np.array([0.1, -0.3, 3.0, 19.45, 2.25, 2.25, 5.0])
+        y = np.array([0.1, 0.75, 1.0, 0.75, 0.5, 0.5, 0.75])
+        theta = np.array([0.0, 0.0, -math.pi / 2, 0.0, -math.pi / 2, -math.radians(1.0), np.nan])
+        got = grid._free_prefix(ray_rows(x, y, theta), 100, 10.0, 0.1)
+        np.testing.assert_array_equal(got, [0, 0, 0, 0, 0, 0, 0])
+        # the first three have no free origin; the next three start in a
+        # free cell and reach the corridor's end or floor at their first sample
+        free = brute_free_samples(grid, ray_rows(x, y, theta), 100, 10.0, 0.1)
+        np.testing.assert_array_equal(free[:, 0], [False, False, False, True, True, True, False])
+
+
+class TestMarchedSearch:
+    """Batches over `_MARCH_POINTS` points, where each ray bisects before it marches."""
+
+    @pytest.mark.parametrize("make_grid", [corridor_grid, maze_grid])
+    @pytest.mark.parametrize("step_factor, max_range", [(0.1, 12.0), (0.3, 17.3), (1.0, 25.0), (1.7, 40.0)])
+    def test_corridors_and_mazes(self, make_grid, step_factor, max_range):
+        grid = make_grid()
+        step = step_factor * grid.resolution
+        n_samples = int(math.floor(max_range / step + 1e-9))
+        n = _MARCH_POINTS // n_samples + 500
+        rng = np.random.default_rng(n)
+        x, y = face_points(grid, rng, n) if step_factor < 1.0 else free_origins(grid, rng, n)
+        theta = mixed_headings(rng, n)
+        assert n * n_samples > _MARCH_POINTS
+        got = grid.raycast_batch(x, y, theta, max_range, step)
+        np.testing.assert_array_equal(got, reference_raycast(grid, x, y, theta, max_range, step))
+
+    @pytest.mark.parametrize("map_name, max_range, step", [("paper_map.txt", 100.0, 0.5), ("tiny_map.txt", 30.0, 0.1)])
+    def test_70000_rays_on_shipped_maps(self, map_name, max_range, step):
+        grid = load_grid((packaged_config_dir() / map_name).read_text())
+        rng = np.random.default_rng(70_000)
+        x, y = free_origins(grid, rng, 70_000)
+        theta = mixed_headings(rng, 70_000)
+        got = grid.raycast_batch(x, y, theta, max_range, step)
+        np.testing.assert_array_equal(got, reference_raycast(grid, x, y, theta, max_range, step))
 
 
 class TestNarrowGrids:

@@ -184,6 +184,44 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=f"^{where} must be an integer >= "):
             load_config(cfg_path)
 
+    @pytest.mark.parametrize("old, new, where", [
+        ("x: 6.0", "x: abc", "start: x"),
+        ("theta_deg: 0.0}", "theta_deg: true}", "start: theta_deg"),
+        ("v: 1.0", "v: [1]", "plan: v"),
+        ("omega_deg: 0.0", "omega_deg: '1x'", "plan: omega_deg"),
+        ("kind: constant, v: 1.0", "kind: waypoints, v_step: x, waypoints: [[1, 2]]", "plan: v_step"),
+        ("kind: constant, v: 1.0", "kind: waypoints, waypoints: [[1, 2], [3]]", "plan: waypoints"),
+        ("kind: constant, v: 1.0", "kind: waypoints, waypoints: [[1, y]]", "plan: waypoints"),
+        ("sigma_v: 0.1", "sigma_v: x", "noise: sigma_v"),
+        ("sigma_range: 0.5", "sigma_range: null", "noise: sigma_range"),
+        ("", "filter_noise: {sigma_v: 'x'}", "filter_noise: sigma_v"),
+        ("", "filter_noise: {sigma_omega_deg: [2]}", "filter_noise: sigma_omega_deg"),
+        ("headings_deg: [0.0]", "headings_deg: [zero]", "beams: headings_deg"),
+        ("headings_deg: [0.0]", "headings_deg: 0.0", "beams: headings_deg"),
+        ("max_range: 40.0", "max_range: forty", "beams: max_range"),
+        ("ray_step: 0.5", "ray_step: false", "beams: ray_step"),
+        ("sigma_xy: 2.0", "sigma_xy: null", "init: sigma_xy"),
+        ("sigma_theta_deg: 3.0", "sigma_theta_deg: '3 deg'", "init: sigma_theta_deg"),
+        ("kind: gaussian", "kind: uniform_box, box: [1, 2, 3]", "init: box"),
+        ("kind: gaussian", "kind: uniform_box, box: [1, 2, 3, 4, x, 0]", "init: box"),
+        ("entropy_cell: 2.0", "entropy_cell: {a: 1}", "metrics: entropy_cell"),
+        ("", "oracle: {cell: 'x'}", "oracle: cell"),
+    ])
+    def test_non_number_rejected(self, tmp_path, old, new, where):
+        cfg_path = write_mini_config(tmp_path)
+        text = cfg_path.read_text()
+        assert old in text
+        cfg_path.write_text(text.replace(old, new) if old else text + new + "\n")
+        with pytest.raises(ConfigError, match=f"^{where} must be a (number|list of)"):
+            load_config(cfg_path)
+
+    def test_non_number_error_names_key_and_value(self, tmp_path):
+        cfg_path = write_mini_config(tmp_path)
+        cfg_path.write_text(cfg_path.read_text().replace("sigma_v: 0.1", "sigma_v: 'x'"))
+        with pytest.raises(ConfigError) as info:
+            load_config(cfg_path)
+        assert str(info.value) == "noise: sigma_v must be a number, got 'x'"
+
     def test_unknown_top_level_key_rejected(self, tmp_path):
         path = write_mini_config(tmp_path)
         path.write_text(path.read_text().replace("n_trials:", "n_trails:"))
