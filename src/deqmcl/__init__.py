@@ -18,10 +18,7 @@ from .filters import (
     mcl_map_motion_step,
     mcl_smoother_step,
     mcl_step,
-    motion_sample,
-    observation_log_likelihood,
     systematic_resample,
-    traversability_log_prior,
 )
 from .gridmap import MapFormatError, OccupancyGrid, Point2, dump_grid, load_grid
 from .metrics import StepError, TrialMetrics, belief_entropy, belief_variance, step_error, trial_rmse

@@ -1,39 +1,42 @@
 """Particle-filter localizers over a known occupancy grid.
 
-Four estimators share one vectorized machinery:
+All four estimators run one window step, `_window_step`.  Each particle is a
+trajectory over the window [t - n_past, t + n_future]: the step samples the
+new current pose under the executed action, rolls the future side afresh
+along the planned actions, weights every sampled transition by the
+traversability prior exp(-beta * C) on the moved segment (C = collision
+sample count), keeps up to ``lag`` past poses, and weights by the scan
+likelihood at the new current pose.
 
-* ``mcl_step``            -- plain Monte-Carlo localization,
-* ``mcl_map_motion_step`` -- MCL whose motion update is multiplied by a
-                             traversability prior exp(-beta * C) on the moved
-                             segment (C = collision sample count),
-* ``mcl_smoother_step``   -- MCL carrying the last ``lag`` poses per particle
-                             so the lagged marginal is the fixed-lag smoothed
+* ``deq_init``/``deq_step`` -- the queue filter: ``lag`` past poses and up to
+                             ``lag`` planned future poses, so infeasible
+                             futures feed back into the present and past
                              belief,
-* ``deq_init``/``deq_step`` -- the queue filter: each particle is a joint
-                             trajectory over the window [t-lag, t+lag] whose
-                             future side is rolled out along the planned
-                             actions afresh every step, with every predicted
-                             transition weighted by the traversability prior,
-                             so infeasible futures feed back into the present
-                             and past belief.
+* ``mcl_smoother_step``   -- the queue filter with beta 0 and no future side:
+                             the marginal at offset -lag is the fixed-lag
+                             smoothed belief,
+* ``mcl_map_motion_step`` -- the queue filter with lag 0: MCL whose motion
+                             update is multiplied by the prior,
+* ``mcl_step``            -- the queue filter with lag 0 and beta 0: plain
+                             Monte-Carlo localization.
 
-All weights live in log domain.  Every step consumes its random stream in a
-fixed documented order (per-particle v noise block, then omega noise block,
-then at most one uniform for resampling), which makes the reduction
-identities (queue filter with lag 0 on an empty map == plain MCL, and so on)
-hold exactly, not just in distribution.
+With beta 0 the prior is skipped, which is exact: it would add -0.0 to every
+log weight.  All weights live in log domain.  Every step consumes its random
+stream in a fixed documented order (per transition a v noise block, then an
+omega noise block; then at most one uniform for resampling), so the
+baselines equal the queue filter's special cases bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from .gridmap import OccupancyGrid
-from .worldsim import Action, ActionPlan, DepthScan, NoiseParams, Pose, normalize_angles
+from .worldsim import Action, ActionPlan, DepthScan, NoiseParams, normalize_angles
 
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -172,12 +175,6 @@ def motion_sample_batch(
     return out
 
 
-def motion_sample(pose: Pose, action: Action, noise: NoiseParams, rng: np.random.Generator) -> Pose:
-    """Single-pose counterpart of `motion_sample_batch` (same draw order)."""
-    arr = motion_sample_batch(pose.as_array()[None, :], action, noise, rng)
-    return Pose(float(arr[0, 0]), float(arr[0, 1]), float(arr[0, 2]))
-
-
 def observation_log_likelihood_batch(
     scan: DepthScan, poses: np.ndarray, grid: OccupancyGrid, sensor_sigma: float
 ) -> np.ndarray:
@@ -207,28 +204,12 @@ def observation_log_likelihood_batch(
     return out
 
 
-def observation_log_likelihood(
-    scan: DepthScan, pose: Pose, grid: OccupancyGrid, sensor_sigma: float
-) -> float:
-    return float(
-        observation_log_likelihood_batch(scan, pose.as_array()[None, :], grid, sensor_sigma)[0]
-    )
-
-
 def traversability_log_prior_batch(
     grid: OccupancyGrid, prev: np.ndarray, nxt: np.ndarray, beta: float, step: float
 ) -> np.ndarray:
     """log exp(-beta * C) for each motion segment, C = collision sample count."""
     counts = grid.segment_collision_counts(prev[:, 0], prev[:, 1], nxt[:, 0], nxt[:, 1], step)
     return -(beta * counts)
-
-
-def traversability_log_prior(
-    grid: OccupancyGrid, prev: Pose, nxt: Pose, beta: float, step: float = 1.0
-) -> float:
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
-    return -(beta * grid.segment_collision_count(prev.position, nxt.position, step))
 
 
 def effective_sample_size(log_weights: np.ndarray) -> float:
@@ -305,7 +286,81 @@ def init_belief(
 
 
 # ---------------------------------------------------------------------------
-# baseline filters
+# the window step
+# ---------------------------------------------------------------------------
+
+def _roll_out(
+    start: np.ndarray,
+    actions: list[Action],
+    log_weights: np.ndarray,
+    cfg: FilterConfig,
+    grid: OccupancyGrid,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sample one pose per action from ``start`` on, weighting each transition.
+
+    Returns the sampled poses ``(n, len(actions), 3)``, the log traversability
+    prior of each transition ``(n, len(actions))``, and ``log_weights`` with
+    those priors added one transition at a time.  With beta 0 every prior is
+    -0.0, so it is stored but neither computed nor added.
+    """
+    n = start.shape[0]
+    poses = np.empty((n, len(actions), 3))
+    log_priors = np.full((n, len(actions)), -0.0)
+    prev = start
+    for k, action in enumerate(actions):
+        nxt = motion_sample_batch(prev, action, cfg.motion_noise, rng)
+        if cfg.beta:
+            log_priors[:, k] = traversability_log_prior_batch(
+                grid, prev, nxt, cfg.beta, cfg.collision_step
+            )
+            log_weights = log_weights + log_priors[:, k]
+        poses[:, k] = nxt
+        prev = nxt
+    return poses, log_priors, log_weights
+
+
+def _window_step(
+    state: QueueState,
+    actions: list[Action],
+    scan: DepthScan,
+    cfg: FilterConfig,
+    grid: OccupancyGrid,
+    rng: np.random.Generator,
+) -> QueueState:
+    """Advance a window belief by one time step.
+
+    ``actions`` holds the executed action followed by the planned actions of
+    the new future side.  Per particle: back out the stored future factors
+    ``f``, sample the new current pose (prior ``p_0``), re-propose the future
+    side (priors ``n``), drop the oldest pose once the past side holds
+    ``cfg.lag`` states, and weight by the scan likelihood at the new current
+    pose, in the order ``((logw - f_1 ... - f_F) + p_0 + n_1 ... + n_F) + obs``;
+    then normalize and resample whole windows when the ESS falls below
+    threshold.
+    """
+    logw = state.log_weights
+    for k in range(state.n_future):
+        logw = logw - state.future_log_priors[:, k]
+    rolled, log_priors, logw = _roll_out(state.current(), actions, logw, cfg, grid, rng)
+    n_past = min(state.n_past + 1, cfg.lag)
+    past = state.poses[:, state.n_past + 1 - n_past : state.n_past + 1]
+    obs = observation_log_likelihood_batch(scan, rolled[:, 0], grid, cfg.sensor_sigma)
+    logw, poses, future_log_priors = _finish_step(
+        logw + obs, cfg, rng, np.concatenate([past, rolled], axis=1), log_priors[:, 1:]
+    )
+    return QueueState(
+        t=state.t + 1,
+        n_past=n_past,
+        n_future=len(actions) - 1,
+        poses=poses,
+        log_weights=logw,
+        future_log_priors=future_log_priors,
+    )
+
+
+# ---------------------------------------------------------------------------
+# the four filters
 # ---------------------------------------------------------------------------
 
 def mcl_step(
@@ -317,10 +372,7 @@ def mcl_step(
     rng: np.random.Generator,
 ) -> QueueState:
     """Plain MCL: propagate, weight by the scan likelihood, resample on low ESS."""
-    moved = motion_sample_batch(state.current(), action, cfg.motion_noise, rng)
-    obs = observation_log_likelihood_batch(scan, moved, grid, cfg.sensor_sigma)
-    logw, poses = _finish_step(state.log_weights + obs, cfg, rng, moved[:, None, :])
-    return QueueState(t=state.t + 1, n_past=0, n_future=0, poses=poses, log_weights=logw)
+    return _window_step(state, [action], scan, replace(cfg, lag=0, beta=0.0), grid, rng)
 
 
 def mcl_map_motion_step(
@@ -331,16 +383,8 @@ def mcl_map_motion_step(
     grid: OccupancyGrid,
     rng: np.random.Generator,
 ) -> QueueState:
-    """MCL with the motion kernel multiplied by the traversability prior.
-
-    The prior is added first, as in `deq_step`, so that lag 0 matches it bit for bit.
-    """
-    cur = state.current()
-    moved = motion_sample_batch(cur, action, cfg.motion_noise, rng)
-    prior = traversability_log_prior_batch(grid, cur, moved, cfg.beta, cfg.collision_step)
-    obs = observation_log_likelihood_batch(scan, moved, grid, cfg.sensor_sigma)
-    logw, poses = _finish_step((state.log_weights + prior) + obs, cfg, rng, moved[:, None, :])
-    return QueueState(t=state.t + 1, n_past=0, n_future=0, poses=poses, log_weights=logw)
+    """MCL with the motion kernel multiplied by the traversability prior."""
+    return _window_step(state, [action], scan, replace(cfg, lag=0), grid, rng)
 
 
 def mcl_smoother_step(
@@ -356,48 +400,7 @@ def mcl_smoother_step(
     Resampling copies histories atomically, so the marginal at offset -lag is
     the fixed-lag smoothed distribution of time t - lag.
     """
-    moved = motion_sample_batch(state.current(), action, cfg.motion_noise, rng)
-    traj = np.concatenate([state.poses[:, : state.n_past + 1], moved[:, None, :]], axis=1)
-    if traj.shape[1] > cfg.lag + 1:
-        traj = traj[:, 1:]
-    obs = observation_log_likelihood_batch(scan, moved, grid, cfg.sensor_sigma)
-    logw, poses = _finish_step(state.log_weights + obs, cfg, rng, traj)
-    return QueueState(
-        t=state.t + 1, n_past=poses.shape[1] - 1, n_future=0, poses=poses, log_weights=logw
-    )
-
-
-# ---------------------------------------------------------------------------
-# queue filter
-# ---------------------------------------------------------------------------
-
-def _roll_out(
-    start: np.ndarray,
-    actions: list[Action],
-    log_weights: np.ndarray,
-    cfg: FilterConfig,
-    grid: OccupancyGrid,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sample one pose per action from ``start`` on, weighting each transition.
-
-    Returns the sampled poses ``(n, len(actions), 3)``, the log traversability
-    prior of each transition ``(n, len(actions))``, and ``log_weights`` with
-    those priors added one transition at a time.
-    """
-    n = start.shape[0]
-    poses = np.empty((n, len(actions), 3))
-    log_priors = np.empty((n, len(actions)))
-    prev = start
-    for k, action in enumerate(actions):
-        nxt = motion_sample_batch(prev, action, cfg.motion_noise, rng)
-        log_priors[:, k] = traversability_log_prior_batch(
-            grid, prev, nxt, cfg.beta, cfg.collision_step
-        )
-        log_weights = log_weights + log_priors[:, k]
-        poses[:, k] = nxt
-        prev = nxt
-    return poses, log_priors, log_weights
+    return _window_step(state, [action], scan, replace(cfg, beta=0.0), grid, rng)
 
 
 def deq_init(
@@ -441,34 +444,10 @@ def deq_step(
 ) -> QueueState:
     """Advance the queue filter from time t-1 to t.
 
-    Per particle: back out the stored future factors ``f``, sample the new
-    current pose under the executed action (prior ``p_0``), re-propose the
-    future side along the plan, ``min(lag, T-t)`` steps (priors ``n``), drop
-    the oldest pose once the past side holds ``lag`` states, and weight by the
-    scan likelihood at the new current pose, in the order
-    ``((logw - f_1 ... - f_F) + p_0 + n_1 ... + n_F) + obs``; then normalize
-    and resample whole queues when the ESS falls below threshold.  With lag 0
-    this is `mcl_map_motion_step` bit for bit.
+    The future side is re-proposed along the plan, ``min(lag, T-t)`` steps.
     """
     if t != state.t + 1:
         raise ValueError(f"deq_step expects t == {state.t + 1}, got {t}")
-    logw = state.log_weights
-    for k in range(state.n_future):
-        logw = logw - state.future_log_priors[:, k]
     f_target = min(cfg.lag, plan.horizon - t)
     actions = [action] + [plan.action(t + k) for k in range(1, f_target + 1)]
-    rolled, log_priors, logw = _roll_out(state.current(), actions, logw, cfg, grid, rng)
-    n_past = min(state.n_past + 1, cfg.lag)
-    past = state.poses[:, state.n_past + 1 - n_past : state.n_past + 1]
-    obs = observation_log_likelihood_batch(scan, rolled[:, 0], grid, cfg.sensor_sigma)
-    logw, poses, future_log_priors = _finish_step(
-        logw + obs, cfg, rng, np.concatenate([past, rolled], axis=1), log_priors[:, 1:]
-    )
-    return QueueState(
-        t=t,
-        n_past=n_past,
-        n_future=f_target,
-        poses=poses,
-        log_weights=logw,
-        future_log_priors=future_log_priors,
-    )
+    return _window_step(state, actions, scan, cfg, grid, rng)

@@ -17,7 +17,7 @@ import dataclasses
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -40,8 +40,28 @@ from .worldsim import (
     step_true,
 )
 
-METHODS = ("deq_mcl", "mcl_smoother", "mcl_map_motion", "mcl")
-LAGGED_METHODS = ("deq_mcl", "mcl_smoother")
+
+def _baseline(step: str, lagged: bool):
+    return (
+        lambda fcfg, sampler, plan, grid, rng: filters.init_belief(fcfg, sampler, grid, rng),
+        lambda st, t, action, scan, plan, fcfg, grid, rng: getattr(filters, step)(
+            st, action, scan, fcfg, grid, rng
+        ),
+        lagged,
+    )
+
+
+# method -> (initial belief, step from t-1 to t, reports the marginal at -lag).
+# Every init takes deq_init's arguments and every step deq_step's.  Each
+# looks its filter up in `filters` when called, so that a wrapper installed
+# on the module after import is the one that runs.
+METHOD_TABLE = {
+    "deq_mcl": (lambda *a: filters.deq_init(*a), lambda *a: filters.deq_step(*a), True),
+    "mcl_smoother": _baseline("mcl_smoother_step", True),
+    "mcl_map_motion": _baseline("mcl_map_motion_step", False),
+    "mcl": _baseline("mcl_step", False),
+}
+METHODS = tuple(METHOD_TABLE)
 OUTPUT_DIR_ENV = "DEQMCL_OUT"
 
 _STREAM_TRUTH = 0
@@ -49,6 +69,7 @@ _STREAM_SENSOR = 1
 _STREAM_FILTER = 2
 
 SUMMARY_HEADER = "method,rmse_mean,rmse_sd,entropy_mean,var_x,var_y,var_cos,var_sin"
+SUMMARY_KEYS = SUMMARY_HEADER.split(",")[1:]
 
 REPORT_CAVEAT = (
     "Note: absolute metric values depend on the simulator noise levels, the sensor\n"
@@ -64,35 +85,35 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class PlanSpec:
     kind: str  # "waypoints" | "constant"
-    v_step: float = 5.0
-    omega_step: float = math.pi / 8
-    waypoints: tuple[Point2, ...] = ()
-    v: float = 1.0
-    omega: float = 0.0
-    count: int = 1
+    v_step: float
+    omega_step: float
+    waypoints: tuple[Point2, ...]
+    v: float
+    omega: float
+    count: int | None  # constant plans only
 
 
 @dataclass(frozen=True)
 class InitSpec:
-    kind: str = "gaussian"  # "gaussian" | "uniform_box" | "uniform_free"
-    sigma_xy: float = 10.0
-    sigma_theta: float = 0.2
-    box: tuple[float, float, float, float, float, float] = (0, 0, 0, 0, 0, 0)
+    kind: str  # "gaussian" | "uniform_box" | "uniform_free"
+    sigma_xy: float
+    sigma_theta: float
+    box: tuple[float, float, float, float, float, float]
 
 
 @dataclass(frozen=True)
 class MetricParams:
-    entropy_cell: float = 5.0
-    entropy_heading_bins: int = 36
-    rmse_mode: str = "mean"
+    entropy_cell: float
+    entropy_heading_bins: int
+    rmse_mode: str
 
 
 @dataclass(frozen=True)
 class OracleParams:
-    cell: float = 1.0
-    heading_bins: int = 1
-    seeds: int = 20
-    compare_t: int = 9
+    cell: float
+    heading_bins: int
+    seeds: int
+    compare_t: int
 
 
 @dataclass(frozen=True)
@@ -106,12 +127,12 @@ class ExperimentConfig:
     noise: NoiseParams
     beams: BeamConfig
     filter_base: FilterConfig
-    per_method: dict[str, dict] = field(default_factory=dict)
-    init: InitSpec = field(default_factory=InitSpec)
-    metric_params: MetricParams = field(default_factory=MetricParams)
-    cloud_stride: int = 0
-    outputs: str = "out"
-    oracle_params: OracleParams | None = None
+    per_method: dict[str, dict]
+    init: InitSpec
+    metric_params: MetricParams
+    cloud_stride: int
+    outputs: str
+    oracle_params: OracleParams | None
 
 
 def packaged_config_dir() -> Path:
@@ -129,22 +150,68 @@ def resolve_config_path(name: str | Path) -> Path:
     raise ConfigError(f"config {name!r} not found (also looked in {packaged_config_dir()})")
 
 
-_CONFIG_SECTIONS = (
-    "map", "start", "plan", "n_trials", "master_seed", "methods", "noise", "filter_noise",
-    "beams", "filter", "per_method", "init", "metrics", "trace", "outputs", "oracle",
-)
+_REQUIRED = object()  # default of a key that must be given
+
+# Every config key: section -> key -> (type, default, bound), section "" being
+# the top level.  A float must be finite, and its bound ("positive",
+# "non-negative" or None) narrows it; an int's bound is its minimum and a
+# str's the tuple of its allowed values.  `load_config` reads the ``object``
+# keys itself.  A float key ending in ``_deg`` is given in degrees and stored
+# in radians; every key is stored without that suffix.
+_CONFIG_KEYS = {
+    "": {
+        "map": (str, _REQUIRED, None), "n_trials": (int, 1, 1), "master_seed": (int, 0, 0),
+        "methods": (object, METHODS, None), "filter": (object, None, None),
+        "per_method": (object, None, None), "outputs": (str, "out", None),
+    },
+    "start": {
+        "x": (float, _REQUIRED, None), "y": (float, _REQUIRED, None), "theta_deg": (float, 0.0, None),
+    },
+    "plan": {
+        "kind": (str, "waypoints", ("waypoints", "constant")), "waypoints": (object, None, None),
+        "v_step": (float, 5.0, "positive"), "omega_step_deg": (float, 22.5, "positive"),
+        "v": (float, 1.0, None), "omega_deg": (float, 0.0, None), "count": (int, None, 1),
+    },
+    "noise": {
+        "sigma_v": (float, 0.5, "non-negative"), "sigma_omega_deg": (float, 2.9, "non-negative"),
+        "sigma_range": (float, 2.0, "non-negative"),
+    },
+    # an absent key keeps the world noise: the filters model it exactly
+    "filter_noise": {
+        "sigma_v": (float, None, "non-negative"), "sigma_omega_deg": (float, None, "non-negative"),
+    },
+    "beams": {
+        "headings_deg": (object, (-60, -30, 0, 30, 60), None),
+        "max_range": (float, 100.0, "positive"), "ray_step": (float, 0.5, "positive"),
+    },
+    "init": {
+        "kind": (str, "gaussian", ("gaussian", "uniform_box", "uniform_free")),
+        "sigma_xy": (float, 10.0, "non-negative"), "sigma_theta_deg": (float, 11.5, "non-negative"),
+        "box": (object, None, None),
+    },
+    "metrics": {
+        "entropy_cell": (float, 5.0, "positive"), "entropy_heading_bins": (int, 36, 1),
+        "rmse_mode": (str, "mean", ("mean", "rms")),
+    },
+    "trace": {"cloud_stride": (int, 0, 0)},
+    # oracle rows start at t = 2, the first filter step
+    "oracle": {
+        "cell": (float, 1.0, "positive"), "heading_bins": (int, 1, 1), "seeds": (int, 20, 1),
+        "compare_t": (int, 9, 2),
+    },
+}
 
 # the `filter` section sets every FilterConfig field but the motion noise
 _FILTER_KEYS = tuple(f.name for f in dataclasses.fields(FilterConfig) if f.name != "motion_noise")
 
 
-def _require(section: dict, key: str, where: str):
-    if key not in section:
+def _required(value, key: str, where: str):
+    if value is None:
         raise ConfigError(f"missing key {key!r} in {where}")
-    return section[key]
+    return value
 
 
-def _section(section, where: str, keys: tuple[str, ...]) -> dict:
+def _section(section, where: str, keys) -> dict:
     """``section`` as a mapping ({} for None); a key outside ``keys`` raises a `ConfigError` naming it."""
     if section is None:
         return {}
@@ -163,21 +230,56 @@ def _integer(value, where: str, minimum: int) -> int:
     return value
 
 
-def _float(value, where: str) -> float:
-    """``value`` as a float; bools and values ``float`` cannot convert are rejected."""
-    if not isinstance(value, bool):
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            pass
-    raise ConfigError(f"{where} must be a number, got {value!r}")
+def _float(value, where: str, bound: str | None = None) -> float:
+    """``value`` as a finite float, positive or non-negative as ``bound`` says."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        x = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} must be a number, got {value!r}") from None
+    if not (math.isfinite(x) and {"positive": x > 0, "non-negative": x >= 0}.get(bound, True)):
+        raise ConfigError(f"{where} must be {bound + ' and ' if bound else ''}finite, got {x!r}")
+    return x
 
 
 def _numbers(value, where: str, count: int) -> tuple[float, ...]:
-    """``value`` as a list of ``count`` floats (`_float`)."""
+    """``value`` as a list of ``count`` finite floats."""
     if not isinstance(value, (list, tuple)) or len(value) != count:
         raise ConfigError(f"{where} must be a list of {count} numbers, got {value!r}")
     return tuple(_float(v, where) for v in value)
+
+
+def _read_keys(raw: dict) -> dict[str, dict]:
+    """Every key of `_CONFIG_KEYS`, checked, by section; a key absent from
+    the table raises a `ConfigError` naming it."""
+    known = [*_CONFIG_KEYS[""], *list(_CONFIG_KEYS)[1:]]
+    for key in raw:
+        if key not in known:
+            raise ConfigError(f"unknown top-level key {key!r}; known: {', '.join(known)}")
+    values = {}
+    for section, rows in _CONFIG_KEYS.items():
+        given = _section(raw.get(section), section, rows) if section else raw
+        where = f"{section}: " if section else ""
+        out = values[section] = {}
+        for key, (kind, default, bound) in rows.items():
+            value = given.get(key, default)
+            if value is _REQUIRED:
+                raise ConfigError(f"missing key {key!r} in {section or 'config'}")
+            name = key.removesuffix("_deg")
+            if kind is object or (value is None and key not in given):
+                out[name] = value
+            elif kind is int:
+                out[name] = _integer(value, where + key, bound)
+            elif kind is str:
+                out[name] = str(value)
+                if bound and out[name] not in bound:
+                    raise ConfigError(f"{where}{key} must be one of {', '.join(bound)}, got {value!r}")
+            else:
+                out[name] = _float(value, where + key, bound)
+                if name != key:
+                    out[name] = math.radians(out[name])
+    return values
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -194,92 +296,50 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"{cfg_path}: not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{cfg_path}: top level must be a mapping")
-    for key in raw:
-        if key not in _CONFIG_SECTIONS:
-            raise ConfigError(f"unknown top-level key {key!r}; known: {', '.join(_CONFIG_SECTIONS)}")
+    v = _read_keys(raw)
+    top, plan = v[""], v["plan"]
 
-    map_path = (cfg_path.parent / _require(raw, "map", "config")).resolve()
+    map_path = (cfg_path.parent / top["map"]).resolve()
     if not map_path.exists():
         raise ConfigError(f"map file {map_path} does not exist")
 
-    s = _section(_require(raw, "start", "config"), "start", ("x", "y", "theta_deg"))
-    start = Pose(
-        _float(_require(s, "x", "start"), "start: x"),
-        _float(_require(s, "y", "start"), "start: y"),
-        math.radians(_float(s.get("theta_deg", 0.0), "start: theta_deg")),
-    )
-
-    p = _section(
-        _require(raw, "plan", "config"),
-        "plan",
-        ("kind", "v_step", "omega_step_deg", "waypoints", "v", "omega_deg", "count"),
-    )
-    kind = p.get("kind", "waypoints")
-    if kind == "waypoints":
-        wps = tuple(Point2(*_numbers(w, "plan: waypoints", 2)) for w in _require(p, "waypoints", "plan"))
-        plan_spec = PlanSpec(
-            kind="waypoints",
-            v_step=_float(p.get("v_step", 5.0), "plan: v_step"),
-            omega_step=math.radians(_float(p.get("omega_step_deg", 22.5), "plan: omega_step_deg")),
-            waypoints=wps,
-        )
-    elif kind == "constant":
-        plan_spec = PlanSpec(
-            kind="constant",
-            v=_float(p.get("v", 1.0), "plan: v"),
-            omega=math.radians(_float(p.get("omega_deg", 0.0), "plan: omega_deg")),
-            count=_integer(_require(p, "count", "plan"), "plan: count", 1),
+    waypoints = plan.pop("waypoints")
+    if plan["kind"] == "waypoints":
+        waypoints = tuple(
+            Point2(*_numbers(w, "plan: waypoints", 2)) for w in _required(waypoints, "waypoints", "plan")
         )
     else:
-        raise ConfigError(f"unknown plan kind {kind!r}")
+        _required(plan["count"], "count", "plan")
+        waypoints = ()
 
-    n_trials = _integer(raw.get("n_trials", 1), "n_trials", 1)
-    master_seed = _integer(raw.get("master_seed", 0), "master_seed", 0)
-
-    methods = tuple(raw.get("methods", list(METHODS)))
+    methods = tuple(top["methods"])
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}; known: {METHODS}")
 
-    nz = _section(raw.get("noise"), "noise", ("sigma_v", "sigma_omega_deg", "sigma_range"))
-    noise = NoiseParams(
-        sigma_v=_float(nz.get("sigma_v", 0.5), "noise: sigma_v"),
-        sigma_omega=math.radians(_float(nz.get("sigma_omega_deg", 2.9), "noise: sigma_omega_deg")),
-        sigma_range=_float(nz.get("sigma_range", 2.0), "noise: sigma_range"),
+    noise = NoiseParams(**v["noise"])
+    filter_noise = dataclasses.replace(
+        noise, **{k: x for k, x in v["filter_noise"].items() if x is not None}
     )
 
-    bm = _section(raw.get("beams"), "beams", ("headings_deg", "max_range", "ray_step"))
-    headings = bm.get("headings_deg", (-60, -30, 0, 30, 60))
+    headings = v["beams"].pop("headings")
     if not isinstance(headings, (list, tuple)):
         raise ConfigError(f"beams: headings_deg must be a list of numbers, got {headings!r}")
     headings = tuple(math.radians(_float(h, "beams: headings_deg")) for h in headings)
-    max_range = _float(bm.get("max_range", 100.0), "beams: max_range")
-    ray_step = _float(bm.get("ray_step", 0.5), "beams: ray_step")
     try:
-        beams = BeamConfig(headings=headings, max_range=max_range, ray_step=ray_step)
+        beams = BeamConfig(headings=headings, **v["beams"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"beams: {exc}") from None
 
-    fn = _section(raw.get("filter_noise"), "filter_noise", ("sigma_v", "sigma_omega_deg"))
-    if raw.get("filter_noise") is None:
-        filter_noise = noise  # filters model the world noise exactly
-    else:
-        filter_noise = NoiseParams(
-            sigma_v=_float(fn.get("sigma_v", noise.sigma_v), "filter_noise: sigma_v"),
-            sigma_omega=math.radians(
-                _float(fn.get("sigma_omega_deg", math.degrees(noise.sigma_omega)), "filter_noise: sigma_omega_deg")
-            ),
-            sigma_range=noise.sigma_range,
-        )
-
-    filter_raw = _section(raw.get("filter"), "filter", _FILTER_KEYS)
     try:
-        filter_base = FilterConfig(motion_noise=filter_noise, **filter_raw)
+        filter_base = FilterConfig(
+            motion_noise=filter_noise, **_section(top["filter"], "filter", _FILTER_KEYS)
+        )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"filter: {exc}") from None
     per_method = {
-        m: _section(override, f"per_method.{m}", _FILTER_KEYS)
-        for m, override in _section(raw.get("per_method"), "per_method", METHODS).items()
+        m: dict(_section(override, f"per_method.{m}", _FILTER_KEYS))
+        for m, override in _section(top["per_method"], "per_method", METHODS).items()
     }
     for m, override in per_method.items():
         try:
@@ -287,62 +347,35 @@ def load_config(path: str | Path) -> ExperimentConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"per_method.{m}: {exc}") from None
 
-    init_raw = _section(raw.get("init"), "init", ("kind", "sigma_xy", "sigma_theta_deg", "box"))
-    init_kind = init_raw.get("kind", "gaussian")
-    if init_kind not in ("gaussian", "uniform_box", "uniform_free"):
-        raise ConfigError(f"unknown init kind {init_kind!r}")
-    box = (0.0,) * 6
-    if init_kind == "uniform_box":
-        b = _numbers(_require(init_raw, "box", "init"), "init: box", 6)
+    init = v["init"]
+    box = init.pop("box")
+    if init["kind"] == "uniform_box":
+        b = _numbers(_required(box, "box", "init"), "init: box", 6)
+        if not (b[0] <= b[1] and b[2] <= b[3] and b[4] <= b[5]):
+            raise ConfigError(
+                f"init: box must be [xmin, xmax, ymin, ymax, thmin_deg, thmax_deg] with each min <= max, "
+                f"got {list(b)!r}"
+            )
         box = b[:4] + (math.radians(b[4]), math.radians(b[5]))
-    init = InitSpec(
-        kind=init_kind,
-        sigma_xy=_float(init_raw.get("sigma_xy", 10.0), "init: sigma_xy"),
-        sigma_theta=math.radians(_float(init_raw.get("sigma_theta_deg", 11.5), "init: sigma_theta_deg")),
-        box=box,
-    )
-
-    mt = _section(raw.get("metrics"), "metrics", ("entropy_cell", "entropy_heading_bins", "rmse_mode"))
-    metric_params = MetricParams(
-        entropy_cell=_float(mt.get("entropy_cell", 5.0), "metrics: entropy_cell"),
-        entropy_heading_bins=_integer(
-            mt.get("entropy_heading_bins", 36), "metrics: entropy_heading_bins", 1
-        ),
-        rmse_mode=str(mt.get("rmse_mode", "mean")),
-    )
-    if metric_params.rmse_mode not in ("mean", "rms"):
-        raise ConfigError(f"metrics.rmse_mode must be 'mean' or 'rms', got {metric_params.rmse_mode!r}")
-
-    oracle_params = None
-    if "oracle" in raw:
-        o = _section(raw["oracle"], "oracle", ("cell", "heading_bins", "seeds", "compare_t"))
-        oracle_params = OracleParams(
-            cell=_float(o.get("cell", 1.0), "oracle: cell"),
-            heading_bins=_integer(o.get("heading_bins", 1), "oracle: heading_bins", 1),
-            seeds=_integer(o.get("seeds", 20), "oracle: seeds", 1),
-            # rows start at t = 2, the first filter step
-            compare_t=_integer(o.get("compare_t", 9), "oracle: compare_t", 2),
-        )
-
-    tr = _section(raw.get("trace"), "trace", ("cloud_stride",))
-    cloud_stride = _integer(tr.get("cloud_stride", 0), "trace: cloud_stride", 0)
+    else:
+        box = (0.0,) * 6
 
     return ExperimentConfig(
         map_path=map_path,
-        start=start,
-        plan=plan_spec,
-        n_trials=n_trials,
-        master_seed=master_seed,
+        start=Pose(**v["start"]),
+        plan=PlanSpec(waypoints=waypoints, **plan),
+        n_trials=top["n_trials"],
+        master_seed=top["master_seed"],
         methods=methods,
         noise=noise,
         beams=beams,
         filter_base=filter_base,
-        per_method={m: dict(v) for m, v in per_method.items()},
-        init=init,
-        metric_params=metric_params,
-        cloud_stride=cloud_stride,
-        outputs=str(raw.get("outputs", "out")),
-        oracle_params=oracle_params,
+        per_method=per_method,
+        init=InitSpec(box=box, **init),
+        metric_params=MetricParams(**v["metrics"]),
+        cloud_stride=v["trace"]["cloud_stride"],
+        outputs=top["outputs"],
+        oracle_params=OracleParams(**v["oracle"]) if "oracle" in raw else None,
     )
 
 
@@ -474,22 +507,6 @@ def trial_truth(
     )
 
 
-def _make_stepper(method: str, fcfg: FilterConfig, grid: OccupancyGrid, plan: ActionPlan):
-    if method == "mcl":
-        return lambda st, t, a, scan, rng: filters.mcl_step(st, a, scan, fcfg, grid, rng)
-    if method == "mcl_map_motion":
-        return lambda st, t, a, scan, rng: filters.mcl_map_motion_step(st, a, scan, fcfg, grid, rng)
-    if method == "mcl_smoother":
-        return lambda st, t, a, scan, rng: filters.mcl_smoother_step(st, a, scan, fcfg, grid, rng)
-    if method == "deq_mcl":
-        return lambda st, t, a, scan, rng: filters.deq_step(st, t, a, scan, plan, fcfg, grid, rng)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def reporting_lag(method: str, fcfg: FilterConfig) -> int:
-    return fcfg.lag if method in LAGGED_METHODS else 0
-
-
 def run_trial(
     cfg: ExperimentConfig,
     method: str,
@@ -520,13 +537,9 @@ def run_trial(
         truth_scans = trial_truth(cfg, trial, grid, plan)
     truth, scans = truth_scans
 
-    sampler = make_init_sampler(cfg, grid)
-    if method == "deq_mcl":
-        state = filters.deq_init(fcfg, sampler, plan, grid, rng_filter)
-    else:
-        state = filters.init_belief(fcfg, sampler, grid, rng_filter)
-    stepper = _make_stepper(method, fcfg, grid, plan)
-    lag = reporting_lag(method, fcfg)
+    init, step, lagged = METHOD_TABLE[method]
+    state = init(fcfg, make_init_sampler(cfg, grid), plan, grid, rng_filter)
+    lag = fcfg.lag if lagged else 0
     mp = cfg.metric_params
 
     records: list[dict] = []
@@ -568,7 +581,7 @@ def run_trial(
 
     for tau in range(1, horizon + 1):
         if tau >= 2:
-            state = stepper(state, tau, plan.action(tau), scans[tau], rng_filter)
+            state = step(state, tau, plan.action(tau), scans[tau], plan, fcfg, grid, rng_filter)
         j = tau - lag
         if j >= 1:
             emit(j, state, tau)
@@ -639,29 +652,15 @@ def run_experiment(
                     fh.write(json.dumps(rec) + "\n")
         if per_trial:
             rmses = np.array([tm.rmse for tm in per_trial])
-            var_mean = np.mean(np.stack([tm.variance for tm in per_trial]), axis=0)
-            row = {
-                "method": method,
-                "rmse_mean": float(rmses.mean()),
-                "rmse_sd": float(rmses.std(ddof=1)) if rmses.size > 1 else 0.0,
-                "entropy_mean": float(np.mean([tm.entropy for tm in per_trial])),
-                "var_x": float(var_mean[0]),
-                "var_y": float(var_mean[1]),
-                "var_cos": float(var_mean[2]),
-                "var_sin": float(var_mean[3]),
-            }
+            values = [
+                rmses.mean(),
+                rmses.std(ddof=1) if rmses.size > 1 else 0.0,
+                np.mean([tm.entropy for tm in per_trial]),
+                *np.mean(np.stack([tm.variance for tm in per_trial]), axis=0),
+            ]
         else:
-            row = {
-                "method": method,
-                "rmse_mean": float("nan"),
-                "rmse_sd": float("nan"),
-                "entropy_mean": float("nan"),
-                "var_x": float("nan"),
-                "var_y": float("nan"),
-                "var_cos": float("nan"),
-                "var_sin": float("nan"),
-            }
-        summary_rows.append(row)
+            values = [math.nan] * len(SUMMARY_KEYS)
+        summary_rows.append({"method": method, **{k: float(x) for k, x in zip(SUMMARY_KEYS, values)}})
 
     write_summary_csv(out / "summary.csv", summary_rows)
     (out / "metrics.csv").write_text(
@@ -679,20 +678,9 @@ def run_experiment(
 def write_summary_csv(path: Path, rows: list[dict]) -> None:
     # repr keeps full float precision so the CSV equals the in-memory
     # aggregates exactly and identical runs are byte-identical.
-    lines = [SUMMARY_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [r["method"]]
-                + [
-                    repr(float(r[k]))
-                    for k in (
-                        "rmse_mean", "rmse_sd", "entropy_mean",
-                        "var_x", "var_y", "var_cos", "var_sin",
-                    )
-                ]
-            )
-        )
+    lines = [SUMMARY_HEADER] + [
+        ",".join([r["method"]] + [repr(float(r[k])) for k in SUMMARY_KEYS]) for r in rows
+    ]
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -15,12 +15,10 @@ from deqmcl.filters import (
     mcl_map_motion_step,
     mcl_smoother_step,
     mcl_step,
-    motion_sample,
     motion_sample_batch,
-    observation_log_likelihood,
     observation_log_likelihood_batch,
     systematic_resample,
-    traversability_log_prior,
+    traversability_log_prior_batch,
 )
 from deqmcl.gridmap import OccupancyGrid
 from deqmcl.metrics import belief_variance, mean_state
@@ -53,8 +51,9 @@ def gaussian_sampler(pose, sigma_xy, sigma_theta):
 class TestMotionSample:
     def test_zero_noise_equals_apply_action(self):
         pose, action = Pose(1, 2, 0.3), Action(2.0, -0.4)
-        got = motion_sample(pose, action, NoiseParams(0, 0, 0), np.random.default_rng(0))
-        assert got == apply_action(pose, action)
+        got = motion_sample_batch(pose.as_array()[None, :], action, NoiseParams(0, 0, 0),
+                                  np.random.default_rng(0))
+        assert np.array_equal(got[0], apply_action(pose, action).as_array())
 
     def test_sample_mean_matches_deterministic_step(self):
         # mean over 1e5 draws within 3 standard errors of the noise-free step
@@ -68,9 +67,10 @@ class TestMotionSample:
 
     def test_distinct_seeds_distinct_samples(self):
         noise = NoiseParams(0.5, 0.1, 0)
-        a = motion_sample(Pose(0, 0, 0), Action(1, 0), noise, np.random.default_rng(1))
-        b = motion_sample(Pose(0, 0, 0), Action(1, 0), noise, np.random.default_rng(2))
-        assert a != b
+        start = np.zeros((1, 3))
+        a = motion_sample_batch(start, Action(1, 0), noise, np.random.default_rng(1))
+        b = motion_sample_batch(start, Action(1, 0), noise, np.random.default_rng(2))
+        assert not np.array_equal(a, b)
 
 
 class TestObservationLogLikelihood:
@@ -79,13 +79,13 @@ class TestObservationLogLikelihood:
         pose = Pose(30.0, 10.0, 0.0)
         beams = BeamConfig(headings=(0.0,), max_range=50.0, ray_step=0.5)
         scan = sense(grid, pose, beams, NoiseParams(0, 0, 0), np.random.default_rng(0))
-        got = observation_log_likelihood(scan, pose, grid, sensor_sigma=2.0)
-        assert got == pytest.approx(-(math.log(2.0) + LOG_SQRT_2PI), abs=1e-12)
+        got = observation_log_likelihood_batch(scan, pose.as_array()[None, :], grid, 2.0)
+        assert got[0] == pytest.approx(-(math.log(2.0) + LOG_SQRT_2PI), abs=1e-12)
 
     def test_pose_inside_wall_is_minus_inf(self, room):
         beams = BeamConfig(headings=(0.0,), max_range=50.0, ray_step=0.5)
         scan = sense(room, Pose(30, 30, 0), beams, NoiseParams(0, 0, 0), np.random.default_rng(0))
-        assert observation_log_likelihood(scan, Pose(0.5, 0.5, 0.0), room, 2.0) == -np.inf
+        assert observation_log_likelihood_batch(scan, np.array([[0.5, 0.5, 0.0]]), room, 2.0)[0] == -np.inf
 
     def test_one_sigma_residual_costs_half(self):
         # two candidates whose predicted ranges differ by exactly sensor_sigma
@@ -93,8 +93,9 @@ class TestObservationLogLikelihood:
         sigma = 1.0
         beams = BeamConfig(headings=(0.0,), max_range=50.0, ray_step=0.5)
         scan = sense(grid, Pose(28.0, 10.0, 0.0), beams, NoiseParams(0, 0, 0), np.random.default_rng(0))
-        ll_true = observation_log_likelihood(scan, Pose(28.0, 10.0, 0.0), grid, sigma)
-        ll_off = observation_log_likelihood(scan, Pose(29.0, 10.0, 0.0), grid, sigma)
+        ll_true, ll_off = observation_log_likelihood_batch(
+            scan, np.array([[28.0, 10.0, 0.0], [29.0, 10.0, 0.0]]), grid, sigma
+        )
         assert ll_true - ll_off == pytest.approx(0.5, abs=1e-12)
 
     def test_batch_matches_scalar(self, room):
@@ -106,38 +107,41 @@ class TestObservationLogLikelihood:
         )
         batch = observation_log_likelihood_batch(scan, poses, room, 2.0)
         for i in range(20):
-            single = observation_log_likelihood(scan, Pose(*poses[i]), room, 2.0)
-            assert batch[i] == single
+            single = observation_log_likelihood_batch(scan, poses[i : i + 1], room, 2.0)
+            assert batch[i] == single[0]
 
 
 class TestTraversabilityLogPrior:
+    @staticmethod
+    def _slab():
+        # wall slab three cells thick; lattice samples crossing it hit it exactly 3 times
+        cells = np.zeros((4, 12), dtype=bool)
+        cells[:, 5:8] = True
+        return OccupancyGrid(12, 4, 1.0, cells)
+
     def test_collision_free_segment_is_zero(self, room):
-        got = traversability_log_prior(room, Pose(10, 10, 0), Pose(20, 20, 0), beta=10.0)
-        assert got == 0.0
+        got = traversability_log_prior_batch(room, np.array([[10.0, 10.0]]), np.array([[20.0, 20.0]]),
+                                             beta=10.0, step=1.0)
+        assert got[0] == 0.0
 
     def test_three_collisions_beta_ten(self):
-        # wall slab three cells thick; lattice samples hit it exactly 3 times
-        cells = np.zeros((4, 12), dtype=bool)
-        cells[:, 5:8] = True
-        grid = OccupancyGrid(12, 4, 1.0, cells)
-        got = traversability_log_prior(grid, Pose(4.5, 2.0, 0), Pose(8.5, 2.0, 0), beta=10.0, step=1.0)
-        assert got == -30.0
+        got = traversability_log_prior_batch(self._slab(), np.array([[4.5, 2.0]]), np.array([[8.5, 2.0]]),
+                                             beta=10.0, step=1.0)
+        assert got[0] == -30.0
 
     def test_beta_zero_disables_prior(self, room):
-        got = traversability_log_prior(room, Pose(0.5, 0.5, 0), Pose(5, 5, 0), beta=0.0)
-        assert got == 0.0
+        got = traversability_log_prior_batch(room, np.array([[0.5, 0.5]]), np.array([[5.0, 5.0]]),
+                                             beta=0.0, step=1.0)
+        assert got[0] == 0.0
 
     def test_monotone_suppression_in_beta(self):
-        cells = np.zeros((4, 12), dtype=bool)
-        cells[:, 5:8] = True
-        grid = OccupancyGrid(12, 4, 1.0, cells)
-        crossing = (Pose(4.5, 2.0, 0), Pose(8.5, 2.0, 0))
-        free = (Pose(1.0, 2.0, 0), Pose(3.0, 2.0, 0))
+        # row 0 crosses the slab, row 1 stays in free space
+        prev = np.array([[4.5, 2.0], [1.0, 2.0]])
+        nxt = np.array([[8.5, 2.0], [3.0, 2.0]])
         prev_ratio = np.inf
         for beta in (0.0, 1.0, 5.0, 10.0, 20.0):
-            log_ratio = traversability_log_prior(grid, *crossing, beta) - traversability_log_prior(
-                grid, *free, beta
-            )
+            crossing, free = traversability_log_prior_batch(self._slab(), prev, nxt, beta, 1.0)
+            log_ratio = crossing - free
             assert log_ratio <= prev_ratio
             prev_ratio = log_ratio
 

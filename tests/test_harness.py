@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import json
@@ -6,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from deqmcl import cli, harness, render
+from deqmcl import cli, filters, harness, render
 from deqmcl.gridmap import load_grid
 from deqmcl.harness import ConfigError, load_config, run_experiment, run_trial
 from deqmcl.metrics import error_from_mean
@@ -215,6 +216,32 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=f"^{where} must be a (number|list of)"):
             load_config(cfg_path)
 
+    @pytest.mark.parametrize("old, new, where", [
+        ("x: 6.0", "x: .nan", "start: x"),
+        ("theta_deg: 0.0}", "theta_deg: .inf}", "start: theta_deg"),
+        ("sigma_v: 0.1", "sigma_v: -1", "noise: sigma_v"),
+        ("", "filter_noise: {sigma_omega_deg: -0.5}", "filter_noise: sigma_omega_deg"),
+        ("v: 1.0", "v: .inf", "plan: v"),
+        ("kind: constant, v: 1.0", "kind: waypoints, v_step: 0, waypoints: [[1, 2]]", "plan: v_step"),
+        ("kind: constant, v: 1.0", "kind: waypoints, waypoints: [[1, .nan]]", "plan: waypoints"),
+        ("headings_deg: [0.0]", "headings_deg: [.inf]", "beams: headings_deg"),
+        ("", "oracle: {cell: 0}", "oracle: cell"),
+        ("sigma_xy: 2.0", "sigma_xy: -3", "init: sigma_xy"),
+        ("sigma_theta_deg: 3.0", "sigma_theta_deg: -1", "init: sigma_theta_deg"),
+        ("kind: gaussian", "kind: uniform_box, box: [6, 2, 1, 2, 0, 0]", "init: box"),
+        ("kind: gaussian", "kind: uniform_box, box: [2, 6, 1, 2, 10, -10]", "init: box"),
+        ("entropy_cell: 2.0", "entropy_cell: 0", "metrics: entropy_cell"),
+        ("entropy_heading_bins: 18", "rmse_mode: median", "metrics: rmse_mode"),
+        ("kind: constant", "kind: spiral", "plan: kind"),
+    ])
+    def test_out_of_range_rejected(self, tmp_path, old, new, where):
+        cfg_path = write_mini_config(tmp_path)
+        text = cfg_path.read_text()
+        assert old in text
+        cfg_path.write_text(text.replace(old, new) if old else text + new + "\n")
+        with pytest.raises(ConfigError, match=f"^{where} must be "):
+            load_config(cfg_path)
+
     def test_non_number_error_names_key_and_value(self, tmp_path):
         cfg_path = write_mini_config(tmp_path)
         cfg_path.write_text(cfg_path.read_text().replace("sigma_v: 0.1", "sigma_v: 'x'"))
@@ -305,6 +332,33 @@ class TestRunTrial:
             assert offsets <= {-2, 0, 2}
 
 
+class TestMethodTable:
+    STEPS = {"deq_mcl": "deq_step", "mcl_smoother": "mcl_smoother_step",
+             "mcl_map_motion": "mcl_map_motion_step", "mcl": "mcl_step"}
+
+    @pytest.mark.parametrize("method", harness.METHODS)
+    def test_filters_looked_up_when_called(self, tmp_path, monkeypatch, method):
+        # wrappers installed on `filters` after import (as a profiler's spans
+        # are) must see every step, and the prior only where beta applies
+        cfg = load_config(write_mini_config(tmp_path, methods=method, count=6, lag=2))
+        calls = collections.Counter()
+        for name in (*self.STEPS.values(), "traversability_log_prior_batch"):
+            def counted(*args, _name=name, _original=getattr(filters, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(filters, name, counted)
+        run_trial(cfg, method, 0)
+        horizon = 7  # count + 1
+        assert {n: calls[n] for n in self.STEPS.values()} == {
+            n: (horizon - 1 if n == self.STEPS[method] else 0) for n in self.STEPS.values()
+        }
+        assert cfg.filter_base.beta == 5.0
+        if method in ("mcl", "mcl_smoother"):
+            assert calls["traversability_log_prior_batch"] == 0
+        else:
+            assert calls["traversability_log_prior_batch"] >= horizon - 1
+
+
 class TestRunExperiment:
     def test_single_method_single_trial_outputs(self, tmp_path):
         cfg = load_config(write_mini_config(tmp_path, methods="mcl", count=4))
@@ -376,14 +430,24 @@ class TestPaperPathDigest:
     # still had its lag-0 and incremental branches (Python 3.11.7, numpy
     # 2.4.6, x86-64).  Refactors of the filters must keep it.
     PAPER_SEED_1 = "715d12adaa781f6c5de34eef99ea79c837993bacbf0ea7ed027826a17419e077"
+    # the same with all four methods, recorded while each filter still had
+    # its own step body
+    PAPER_SEED_1_ALL_METHODS = "f774897ed134dec3eba8cf76bb2a94b332ddca3b16d3d3da0ae49a15e5eb7d4a"
 
-    def test_paper_outputs_are_byte_identical(self, tmp_path):
+    @staticmethod
+    def _digest(tmp_path, methods):
         cfg = dataclasses.replace(load_config("paper.cfg"), n_trials=1)
-        run_experiment(cfg, out_dir=str(tmp_path), methods=("deq_mcl", "mcl_map_motion"), seed=1)
+        run_experiment(cfg, out_dir=str(tmp_path), methods=methods, seed=1)
         digest = hashlib.sha256()
         for name in ("summary.csv", "metrics.csv"):
             digest.update((tmp_path / name).read_bytes())
-        assert digest.hexdigest() == self.PAPER_SEED_1
+        return digest.hexdigest()
+
+    def test_paper_outputs_are_byte_identical(self, tmp_path):
+        assert self._digest(tmp_path, ("deq_mcl", "mcl_map_motion")) == self.PAPER_SEED_1
+
+    def test_paper_outputs_all_methods_are_byte_identical(self, tmp_path):
+        assert self._digest(tmp_path, harness.METHODS) == self.PAPER_SEED_1_ALL_METHODS
 
 
 class TestInitSamplers:
