@@ -219,7 +219,7 @@ def effective_sample_size(log_weights: np.ndarray) -> float:
     return float(1.0 / np.sum(w * w))
 
 
-def systematic_resample(weights, rng: np.random.Generator, n_out: int | None = None) -> np.ndarray:
+def systematic_resample(weights, rng: np.random.Generator) -> np.ndarray:
     """Systematic resampling: particle indices from one uniform offset and stride 1/n.
 
     Copy counts satisfy floor(n * w_i) <= count_i <= ceil(n * w_i).  Raises
@@ -233,7 +233,7 @@ def systematic_resample(weights, rng: np.random.Generator, n_out: int | None = N
     total = w.sum()
     if total <= 0:
         raise FilterDegeneracyError("all resampling weights are zero")
-    n = w.size if n_out is None else int(n_out)
+    n = w.size
     cum = np.cumsum(w / total)
     cum[-1] = 1.0
     u = (rng.random() + np.arange(n)) / n

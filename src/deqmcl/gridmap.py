@@ -18,10 +18,9 @@ import numpy as np
 # 88-ray emission batches the search's probes cost more than they save.  A
 # larger batch first bisects each ray over the summed-area table, then marches
 # from there in blocks of at most `_MARCH_BLOCK` points, but at least one
-# sample per ray, and each ray jumps over its free box between blocks.  One
-# pass of the march costs about as much interpreter time as testing a few
-# thousand points: narrower blocks pay in passes, wider ones test samples past
-# the first hit or inside a free box that the jump would have skipped.
+# sample per ray.  One pass of the march costs about as much interpreter time
+# as testing a few thousand points: narrower blocks pay in passes, wider ones
+# test samples past the first hit.
 _MARCH_POINTS = 1 << 16
 _MARCH_BLOCK = 1 << 12
 
@@ -55,15 +54,12 @@ class OccupancyGrid:
     height: int
     resolution: float
     cells: np.ndarray
-    # Chebyshev distance, in cells, to the nearest occupied or outside cell:
-    # 0 exactly on the obstacles.  A view into `_clearance_table`.
-    clearance: np.ndarray = field(init=False, repr=False, compare=False)
-    # `clearance` with one more row and column of zeros, the outside: cell
-    # indices clamped to [-1, width] x [-1, height] all find their value in
-    # it, index -1 by wrapping round to the last row or column.
-    _clearance_table: np.ndarray = field(init=False, repr=False, compare=False)
+    # `cells` with one more row and column of occupied cells, the outside:
+    # cell indices clamped to [-1, width] x [-1, height] all find their
+    # value in it, index -1 by wrapping round to the last row or column
+    _occupied: np.ndarray = field(init=False, repr=False, compare=False)
     # entry [iy + 2, ix + 2] counts the occupied cells in [-1, ix] x [-1, iy],
-    # the outside counted as occupied; see `_occupied_sums`
+    # the outside counted as occupied; see `_summed_area`
     _occupied_sums: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -75,11 +71,9 @@ class OccupancyGrid:
         if cells.shape != (self.height, self.width):
             raise ValueError(f"cells shape {cells.shape} does not match {self.height}x{self.width}")
         object.__setattr__(self, "cells", cells)
-        table = np.zeros((self.height + 1, self.width + 1), dtype=np.uint8)
-        table[:-1, :-1] = _chebyshev_clearance(cells)
-        object.__setattr__(self, "_clearance_table", table)
-        object.__setattr__(self, "clearance", table[:-1, :-1])
-        object.__setattr__(self, "_occupied_sums", _occupied_sums(cells))
+        ringed = np.pad(cells, 1, constant_values=True)  # the outside is occupied
+        object.__setattr__(self, "_occupied", np.ascontiguousarray(ringed[1:, 1:]))
+        object.__setattr__(self, "_occupied_sums", _summed_area(ringed))
 
     @property
     def world_width(self) -> float:
@@ -100,7 +94,7 @@ class OccupancyGrid:
         # in the division, which puts it outside the grid as it should
         with np.errstate(over="ignore"):
             cell /= self.resolution
-        return np.asarray(self._clearance_at(np.floor(cell, out=cell)) == 0)
+        return np.asarray(self._occupied_at(np.floor(cell, out=cell)))
 
     def _clamp_cells(self, cell: np.ndarray) -> np.ndarray:
         """Clamp stacked float cell indices in place to [-1, width] x [-1, height].
@@ -113,12 +107,12 @@ class OccupancyGrid:
         np.fmin(cell, bound, out=cell)
         return cell
 
-    def _clearance_at(self, cell: np.ndarray) -> np.ndarray:
-        """`clearance` at stacked float cell indices, clamped in place (`_clamp_cells`); 0 off the grid."""
+    def _occupied_at(self, cell: np.ndarray) -> np.ndarray:
+        """Occupancy at stacked float cell indices, clamped in place (`_clamp_cells`); True off the grid."""
         self._clamp_cells(cell)
         flat = cell[1] * (self.width + 1)  # exact: small whole numbers
         flat += cell[0]
-        return self._clearance_table.ravel()[flat.astype(np.intp)]
+        return self._occupied.ravel()[flat.astype(np.intp)]
 
     def _rectangle_free(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Whether every cell of the rectangle spanned by cells ``a`` and ``b`` is free.
@@ -221,8 +215,8 @@ class OccupancyGrid:
         rays that have not hit yet ``max(1, _MARCH_BLOCK // active)`` samples
         further, never past the last sample, tests all of those points with
         one lookup, records each ray's first hit in the block and drops the
-        rays that hit.  After a block each ray that goes on may jump over the
-        free box around its last sample (`_box_jump`).
+        rays that hit.  A ray that goes on starts its next block after its
+        last tested sample.
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -232,17 +226,11 @@ class OccupancyGrid:
         n_samples = int(math.floor(max_range / step + 1e-9))
         if m == 0 or n_samples == 0:
             return dist
-        direction = np.stack([np.cos(theta), np.sin(theta)])
-        with np.errstate(divide="ignore"):  # an axis-parallel ray
-            samples_per_cell = self.resolution / (step * np.abs(direction))
-        # rows: origin, direction and samples per cell along each axis; one
-        # column per ray still marching
-        rays = np.concatenate([np.stack([x, y]), direction, samples_per_cell])
+        # rows: origin and direction; one column per ray still marching
+        rays = np.stack([x, y, np.cos(theta), np.sin(theta)])
         idx = np.arange(m)
         dense = m * n_samples <= _MARCH_POINTS
-        # over: far-off points, see `occupied_xy`; invalid: the jump of an
-        # axis-parallel or a non-finite ray
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore"):  # far-off points, see `occupied_xy`
             # samples 1..k of each ray are done: 0 for the dense block, else one per ray
             k = 0
             if not dense:
@@ -256,21 +244,15 @@ class OccupancyGrid:
                 cell = block * rays[2:4, :, None]
                 cell += rays[0:2, :, None]
                 cell /= self.resolution
-                scaled = cell[:, :, -1].copy()  # each ray's last sample, in cell units
-                clear = self._clearance_at(np.floor(cell, out=cell))
-                hit = clear == 0
+                hit = self._occupied_at(np.floor(cell, out=cell))
                 done = hit.any(axis=1)
                 if done.any():
                     first = hit[done].argmax(axis=1)
                     dist[idx[done]] = block[first] if dense else block[done, first]
                 if dense:
                     break
-                last = ks[:, -1]
-                jumped = self._box_jump(
-                    rays, last, scaled, cell[:, :, -1], clear[:, -1], n_samples, max_range, step
-                )
-                keep = ~done & (jumped < n_samples)
-                k = jumped[keep]
+                keep = ~done & (ks[:, -1] < n_samples)
+                k = ks[keep, -1]
                 if not keep.all():
                     rays, idx = rays[:, keep], idx[keep]
         return dist
@@ -302,63 +284,19 @@ class OccupancyGrid:
             hi = np.where(free, hi, mid)
         return lo
 
-    def _box_jump(self, rays, k, scaled, cell, clear, n_samples: int, max_range: float, step: float):
-        """Sample index each ray may move on to from its sample ``k``.
 
-        ``scaled`` is sample ``k`` of each ray in cell units (stacked x, y),
-        ``cell`` its floor and ``clear`` that cell's clearance.  A cell of
-        clearance ``c >= 1`` is the centre of a free box: the cells within
-        Chebyshev distance ``c - 1`` of it, all of them inside the grid and
-        free (a cell of clearance 0 has none).  The candidate is the last
-        sample before the ray crosses a face of the cell's free box; the ray
-        stays at ``k`` unless the candidate's exactly computed cell lies in
-        the box.
-        """
-        r = clear - 1.0
-        direction, samples_per_cell = rays[2:4], rays[4:6]
-        ahead = direction >= 0  # the far face is the upper one
-        to_face = r + np.abs(ahead - (scaled - cell))  # cells to the far face, per axis
-        n = np.ceil(np.fmin(*(to_face * samples_per_cell))) - 1.0  # fmin: NaN on an axis with no motion
-        to = np.minimum(k + np.fmax(n, 0.0), n_samples).astype(np.intp)
-        landing = self._sample_cells(rays, to, max_range, step)
-        return np.where((np.abs(landing - cell) <= r).all(axis=0), to, k)
-
-
-def _chebyshev_clearance(cells: np.ndarray) -> np.ndarray:
-    """Chebyshev distance, in cells, from each cell to the nearest occupied cell.
-
-    The area outside the grid counts as occupied, so occupied cells get 0 and
-    free cells on the border 1.  Distances above 255 are stored as 255, which
-    only understates the clearance.  Built by repeated 3x3 erosion of the free
-    mask: a free cell is one further from the obstacles than the nearest of
-    its eight neighbours, so pass ``r`` adds 1 to every cell of clearance
-    above ``r``.
-    """
-    free = np.pad(~cells, 1)  # the False pad is the occupied outside
-    inner = free[1:-1, 1:-1]
-    clearance = np.zeros(cells.shape, dtype=np.uint8)
-    for _ in range(255):
-        if not inner.any():
-            break
-        clearance += inner
-        rows = free[:-2] & free[1:-1] & free[2:]
-        inner[...] = rows[:, :-2] & rows[:, 1:-1] & rows[:, 2:]
-    return clearance
-
-
-def _occupied_sums(cells: np.ndarray) -> np.ndarray:
-    """Summed-area table of ``cells`` ringed by one occupied cell on each side.
+def _summed_area(ringed: np.ndarray) -> np.ndarray:
+    """Summed-area table of the occupied cells of ``ringed``.
 
     Entry ``[i, j]`` counts the occupied cells among the first ``i`` rows and
-    ``j`` columns of the ringed grid; row and column 0 are zeros.  The sums
+    ``j`` columns of ``ringed``; row and column 0 are zeros.  The sums
     accumulate in place, with no temporary as large as the table.
     """
-    sums = np.zeros((cells.shape[0] + 3, cells.shape[1] + 3), dtype=np.int32)
-    ringed = sums[1:, 1:]
-    ringed[...] = 1
-    ringed[1:-1, 1:-1] = cells
-    np.cumsum(ringed, axis=0, out=ringed)
-    np.cumsum(ringed, axis=1, out=ringed)
+    sums = np.zeros((ringed.shape[0] + 1, ringed.shape[1] + 1), dtype=np.int32)
+    inner = sums[1:, 1:]
+    inner[...] = ringed
+    np.cumsum(inner, axis=0, out=inner)
+    np.cumsum(inner, axis=1, out=inner)
     return sums
 
 

@@ -37,20 +37,17 @@ class TrialMetrics:
     variance: np.ndarray  # (var_x, var_y, var_cos, var_sin)
 
 
-def mean_state(belief: BeliefSnapshot) -> np.ndarray:
-    """Weighted mean of (x, y, cos theta, sin theta) over the particles."""
+def _features(belief: BeliefSnapshot) -> np.ndarray:
+    """The (n, 4) matrix of (x, y, cos theta, sin theta), one row per particle."""
     if belief.poses.shape[0] == 0:
         raise ValueError("belief holds no particles")
-    w = belief.weights
-    feats = np.column_stack(
-        [
-            belief.poses[:, 0],
-            belief.poses[:, 1],
-            np.cos(belief.poses[:, 2]),
-            np.sin(belief.poses[:, 2]),
-        ]
-    )
-    return feats.T @ w
+    theta = belief.poses[:, 2]
+    return np.column_stack([belief.poses[:, 0], belief.poses[:, 1], np.cos(theta), np.sin(theta)])
+
+
+def mean_state(belief: BeliefSnapshot) -> np.ndarray:
+    """Weighted mean of (x, y, cos theta, sin theta) over the particles."""
+    return _features(belief).T @ belief.weights
 
 
 def error_from_mean(mean: np.ndarray, truth: Pose) -> float:
@@ -107,16 +104,7 @@ def belief_entropy(belief: BeliefSnapshot, cell: float = 5.0, n_heading_bins: in
 
 def belief_variance(belief: BeliefSnapshot) -> np.ndarray:
     """Weighted variance of each of x, y, cos theta, sin theta."""
-    if belief.poses.shape[0] == 0:
-        raise ValueError("belief holds no particles")
+    feats = _features(belief)
     w = belief.weights
-    feats = np.column_stack(
-        [
-            belief.poses[:, 0],
-            belief.poses[:, 1],
-            np.cos(belief.poses[:, 2]),
-            np.sin(belief.poses[:, 2]),
-        ]
-    )
     mean = feats.T @ w
     return ((feats - mean) ** 2).T @ w

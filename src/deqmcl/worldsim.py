@@ -102,7 +102,7 @@ class NoiseParams:
 
     def __post_init__(self):
         for name in ("sigma_v", "sigma_omega", "sigma_range"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:  # written so that NaN fails the check
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
@@ -148,8 +148,15 @@ class DepthScan:
         headings = np.asarray(self.beam_headings, dtype=float)
         if ranges.shape != headings.shape or ranges.ndim != 1 or ranges.size < 1:
             raise ValueError("ranges and beam_headings must be equal-length 1D arrays")
-        if np.any(ranges < 0) or np.any(ranges > self.max_range):
+        # written so that NaN fails the checks
+        if not (self.max_range > 0 and math.isfinite(self.max_range)):
+            raise ValueError(f"max_range must be positive and finite, got {self.max_range}")
+        if not (self.ray_step > 0 and math.isfinite(self.ray_step)):
+            raise ValueError(f"ray_step must be positive and finite, got {self.ray_step}")
+        if not np.all((ranges >= 0) & (ranges <= self.max_range)):
             raise ValueError("ranges must lie in [0, max_range]")
+        if not np.all(np.isfinite(headings)):
+            raise ValueError("beam_headings must be finite")
         object.__setattr__(self, "ranges", ranges)
         object.__setattr__(self, "beam_headings", headings)
 
@@ -199,11 +206,11 @@ def sense(
     )
 
 
-def rollout(start: Pose, plan: ActionPlan, from_step: int = 1) -> list[Pose]:
-    """Noise-free pose chain [start, pose after step from_step, ...]."""
+def rollout(start: Pose, plan: ActionPlan) -> list[Pose]:
+    """Noise-free pose chain [start, pose after step 1, ...]."""
     poses = [start]
-    for t in range(from_step, plan.horizon + 1):
-        poses.append(apply_action(poses[-1], plan.action(t)))
+    for action in plan.actions:
+        poses.append(apply_action(poses[-1], action))
     return poses
 
 

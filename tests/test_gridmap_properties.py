@@ -1,7 +1,7 @@
 """Property tests: the block-marched raycast, the segment collision counts and
 the occupancy lookup agree exactly with per-sample references over the
-original lookup formula, and the clearance map, the free-rectangle test and
-the raycast's free-prefix search with brute force."""
+original lookup formula, and the free-rectangle test and the raycast's
+free-prefix search with brute force."""
 
 import math
 import warnings
@@ -99,9 +99,9 @@ def grids(draw, max_side=12):
 
 @st.composite
 def sparse_grids(draw, max_side=60):
-    """Mostly open grids, whose wide free boxes let the raycast jump far and
-    short segments go unsampled: up to 8% occupancy plus optional thin walls
-    across the whole grid."""
+    """Mostly open grids, whose wide free rectangles let the raycast skip far
+    and short segments go unsampled: up to 8% occupancy plus optional thin
+    walls across the whole grid."""
     width = draw(st.integers(1, max_side))
     height = draw(st.integers(1, max_side))
     resolution = draw(st.sampled_from([0.25, 0.5, 1.0, 1.5, 3.0]))
@@ -257,7 +257,7 @@ class TestRaycastMatchesReference:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_sparse_batches_spanning_several_blocks(self, grid, n_rays, seed):
-        # one sample per block at first, then per-ray offsets after jumps
+        # one sample per block at first, each ray from its own free prefix
         rng = np.random.default_rng(seed)
         origins = free_origins(grid, rng, n_rays)
         if origins is None:
@@ -280,11 +280,20 @@ class TestRaycastMatchesReference:
         got = grid.raycast_batch(x, y, theta, 30.0, 0.5)
         np.testing.assert_array_equal(got, reference_raycast(grid, x, y, theta, 30.0, 0.5))
 
+    def test_long_rays_on_an_open_grid(self):
+        # rays up to 1,400 samples long across a grid with no obstacle
+        grid = OccupancyGrid(600, 530, 1.0, np.zeros((530, 600), dtype=bool))
+        x = np.array([300.2, 300.2, 10.5])
+        y = np.array([265.7, 265.7, 265.7])
+        theta = np.array([0.0, 2.0, math.pi])
+        got = grid.raycast_batch(x, y, theta, 700.0, 0.5)
+        np.testing.assert_array_equal(got, reference_raycast(grid, x, y, theta, 700.0, 0.5))
+
     @pytest.mark.parametrize("resolution", [1.0, 0.5, 0.25])
     @pytest.mark.parametrize("step_factor", [0.01, 0.02, 0.05, 0.1])
     def test_axis_rays_from_half_cells_at_fine_steps(self, resolution, step_factor):
-        # samples fall exactly on the wall faces, where a jump estimated from
-        # the face distance lands one sample too far unless it is checked
+        # samples fall exactly on the wall faces, where the floor is decided
+        # by rounding
         cells = np.zeros((12, 20), dtype=bool)
         cells[:, [4, 14]] = True
         cells[7, :] = True
@@ -458,7 +467,7 @@ class TestNarrowGrids:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_raycast(self, grid, step_factor, range_factor, n_rays, axis_share, on_faces, seed):
-        assert grid.clearance.max() <= 2
+        assert brute_clearance(grid).max() <= 2
         rng = np.random.default_rng(seed)
         origins = face_points(grid, rng, n_rays) if on_faces else free_origins(grid, rng, n_rays)
         if origins is None:
@@ -478,7 +487,7 @@ class TestNarrowGrids:
     @given(grid=narrow_grids(), n_rays=st.integers(20_000, 40_000), seed=st.integers(0, 2**32 - 1))
     def test_raycast_many_rays_at_a_tenth_of_a_cell(self, grid, n_rays, seed):
         # the oracle's regime: more rays than a block holds points, ten
-        # samples per cell, every ray jumping cell by cell
+        # samples per cell, every ray marching through narrow free space
         rng = np.random.default_rng(seed)
         origins = free_origins(grid, rng, n_rays)
         if origins is None:
@@ -523,7 +532,7 @@ class TestNarrowGrids:
             return
         pick = rng.integers(0, free_ix.size, n_segments)
         cx, cy = free_ix[pick], free_iy[pick]
-        r = grid.clearance[cy, cx].astype(float) - 1.0
+        r = brute_clearance(grid)[cy, cx].astype(float) - 1.0
         res = grid.resolution
         ax = (cx + rng.random(n_segments)) * res
         ay = (cy + rng.random(n_segments)) * res
@@ -553,8 +562,9 @@ class TestSegmentCountsMatchReference:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_sparse_grids(self, grid, step, n_segments, reach, special_share, seed):
-        # short segments that the clearance proves free, longer ones that it
-        # does not, starts off the grid, and NaN or infinite endpoints
+        # short segments that the free-rectangle test proves free, longer
+        # ones that it does not, starts off the grid, and NaN or infinite
+        # endpoints
         rng = np.random.default_rng(seed)
         ax = rng.uniform(-2.0, grid.world_width + 2.0, n_segments)
         ay = rng.uniform(-2.0, grid.world_height + 2.0, n_segments)
@@ -603,22 +613,6 @@ class TestSegmentCountsMatchReference:
         by = np.full(6, 10.0)
         counts = grid.segment_collision_counts(ax, ay, bx, by, 0.5)
         np.testing.assert_array_equal(counts, [2, 2, 2, 2, 2, 0])
-
-
-class TestClearance:
-    @settings(max_examples=200, deadline=None)
-    @given(grid=st.one_of(grids(max_side=20), sparse_grids(max_side=25)))
-    def test_matches_brute_force(self, grid):
-        np.testing.assert_array_equal(grid.clearance, brute_clearance(grid))
-
-    def test_saturates_at_255(self):
-        grid = OccupancyGrid(600, 530, 1.0, np.zeros((530, 600), dtype=bool))
-        np.testing.assert_array_equal(grid.clearance, np.minimum(brute_clearance(grid), 255))
-        x = np.array([300.2, 300.2, 10.5])
-        y = np.array([265.7, 265.7, 265.7])
-        theta = np.array([0.0, 2.0, math.pi])
-        got = grid.raycast_batch(x, y, theta, 700.0, 0.5)
-        np.testing.assert_array_equal(got, reference_raycast(grid, x, y, theta, 700.0, 0.5))
 
 
 class TestRectangleFree:

@@ -8,6 +8,7 @@ from deqmcl.worldsim import (
     Action,
     ActionPlan,
     BeamConfig,
+    DepthScan,
     NoiseParams,
     PlanError,
     Pose,
@@ -158,6 +159,36 @@ class TestSense:
         for seed in range(20):
             scan = sense(room, Pose(30.0, 30.0, 0.0), beams, noise, np.random.default_rng(seed))
             assert 0.0 <= scan.ranges[0] <= 5.0
+
+
+class TestNoiseParams:
+    @pytest.mark.parametrize("name", ["sigma_v", "sigma_omega", "sigma_range"])
+    @pytest.mark.parametrize("value", [math.nan, -1.0])
+    def test_nan_or_negative_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            NoiseParams(**{name: value})
+
+
+class TestDepthScan:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("ranges", [1.0, math.nan]),
+            ("beam_headings", [0.0, math.nan]),
+            ("beam_headings", [0.0, math.inf]),
+            ("max_range", math.nan),
+            ("max_range", math.inf),
+            ("max_range", 0.0),
+            ("ray_step", math.nan),
+            ("ray_step", math.inf),
+            ("ray_step", 0.0),
+        ],
+    )
+    def test_non_finite_or_non_positive_rejected(self, field, value):
+        fields = dict(ranges=[1.0, 2.0], beam_headings=[0.0, 0.5], max_range=10.0, ray_step=0.5)
+        DepthScan(**fields)
+        with pytest.raises(ValueError):
+            DepthScan(**{**fields, field: value})
 
 
 class TestBuildLoopPlan:
