@@ -36,6 +36,7 @@ from .worldsim import (
     PlanError,
     Pose,
     build_loop_plan,
+    check_rollout,
     sense,
     step_true,
 )
@@ -63,6 +64,8 @@ METHOD_TABLE = {
 }
 METHODS = tuple(METHOD_TABLE)
 OUTPUT_DIR_ENV = "DEQMCL_OUT"
+
+MAX_TRUTH_RETRIES = 100  # rejected truth draws before the robot holds its pose
 
 _STREAM_TRUTH = 0
 _STREAM_SENSOR = 1
@@ -404,18 +407,13 @@ def load_experiment_grid(cfg: ExperimentConfig) -> OccupancyGrid:
 
 
 def build_plan(cfg: ExperimentConfig, grid: OccupancyGrid) -> ActionPlan:
-    if cfg.plan.kind == "waypoints":
-        return build_loop_plan(
-            grid,
-            cfg.start,
-            list(cfg.plan.waypoints),
-            cfg.plan.v_step,
-            cfg.plan.omega_step,
-            collision_step=cfg.filter_base.collision_step,
-        )
-    actions = [Action(0.0, 0.0)]
-    actions += [Action(cfg.plan.v, cfg.plan.omega)] * cfg.plan.count
-    return ActionPlan(tuple(actions))
+    """The configured plan; a `PlanError` if its noise-free rollout collides."""
+    spec, step = cfg.plan, cfg.filter_base.collision_step
+    if spec.kind == "waypoints":
+        return build_loop_plan(grid, cfg.start, list(spec.waypoints), spec.v_step, spec.omega_step, step)
+    plan = ActionPlan((Action(0.0, 0.0),) + (Action(spec.v, spec.omega),) * spec.count)
+    check_rollout(grid, cfg.start, plan, step)
+    return plan
 
 
 def make_init_sampler(cfg: ExperimentConfig, grid: OccupancyGrid):
@@ -462,13 +460,12 @@ def simulate_truth(
     rng_truth: np.random.Generator,
     rng_sensor: np.random.Generator,
     collision_step: float = 1.0,
-    max_retries: int = 100,
 ) -> tuple[list[Pose], list[DepthScan | None]]:
     """Ground truth for one trial: poses[t] and scans[t] indexed 1..T.
 
     Noise draws that would push the robot through a wall are rejected and
     redrawn (the physical robot cannot pass through obstacles); after
-    ``max_retries`` rejections the robot holds its pose for that step.
+    ``MAX_TRUTH_RETRIES`` rejections the robot holds its pose for that step.
     """
     horizon = plan.horizon
     poses: list[Pose | None] = [None] * (horizon + 1)
@@ -479,7 +476,7 @@ def simulate_truth(
     for t in range(2, horizon + 1):
         base = poses[t - 1]
         nxt = None
-        for _ in range(max_retries):
+        for _ in range(MAX_TRUTH_RETRIES):
             cand = step_true(base, plan.action(t), noise, rng_truth)
             if not grid.is_occupied(cand.position) and (
                 grid.segment_collision_count(base.position, cand.position, collision_step) == 0
@@ -505,6 +502,20 @@ def trial_truth(
         derive_rng(cfg.master_seed, trial, _STREAM_SENSOR),
         collision_step=cfg.filter_base.collision_step,
     )
+
+
+def _filter_states(fcfg: FilterConfig, rng: np.random.Generator, sampler, init, step,
+                   plan: ActionPlan, grid: OccupancyGrid, scans: list[DepthScan | None]):
+    """Yield (t, state) for t = 1..T: the initial belief, then one filter step per scan.
+
+    ``init`` and ``step`` are a `METHOD_TABLE` entry's; ``rng`` is the
+    (method, trial) filter stream.
+    """
+    state = init(fcfg, sampler, plan, grid, rng)
+    yield 1, state
+    for t in range(2, plan.horizon + 1):
+        state = step(state, t, plan.action(t), scans[t], plan, fcfg, grid, rng)
+        yield t, state
 
 
 def run_trial(
@@ -538,12 +549,11 @@ def run_trial(
     truth, scans = truth_scans
 
     init, step, lagged = METHOD_TABLE[method]
-    state = init(fcfg, make_init_sampler(cfg, grid), plan, grid, rng_filter)
     lag = fcfg.lag if lagged else 0
     mp = cfg.metric_params
 
     records: list[dict] = []
-    errors: list[metrics.StepError] = []
+    errors: list[float] = []
     entropies: list[float] = []
     variances: list[np.ndarray] = []
 
@@ -553,7 +563,7 @@ def run_trial(
         e = metrics.error_from_mean(mean, truth[j])
         entropy = metrics.belief_entropy(snap, mp.entropy_cell, mp.entropy_heading_bins)
         var = metrics.belief_variance(snap)
-        errors.append(metrics.StepError(t=j, value=e))
+        errors.append(e)
         entropies.append(entropy)
         variances.append(var)
         rec = {
@@ -579,18 +589,15 @@ def run_trial(
             rec["cloud_t"] = tau
         records.append(rec)
 
-    for tau in range(1, horizon + 1):
-        if tau >= 2:
-            state = step(state, tau, plan.action(tau), scans[tau], plan, fcfg, grid, rng_filter)
-        j = tau - lag
-        if j >= 1:
-            emit(j, state, tau)
+    states = _filter_states(fcfg, rng_filter, make_init_sampler(cfg, grid), init, step, plan, grid, scans)
+    for tau, state in states:
+        if tau - lag >= 1:
+            emit(tau - lag, state, tau)
     for j in range(max(1, horizon - lag + 1), horizon + 1):
         emit(j, state, horizon)
 
     trial_metrics = metrics.TrialMetrics(
         rmse=metrics.trial_rmse(errors, mp.rmse_mode),
-        step_errors=np.array([e.value for e in errors]),
         entropy=float(np.mean(entropies)),
         variance=np.mean(np.stack(variances), axis=0),
     )
@@ -747,12 +754,15 @@ def run_oracle_validation(cfg: ExperimentConfig, out_dir: str | None = None) -> 
     op = cfg.oracle_params
     grid = load_experiment_grid(cfg)
     plan = build_plan(cfg, grid)
+    if op.compare_t > plan.horizon:
+        raise ConfigError(
+            f"oracle.compare_t = {op.compare_t} lies past the plan horizon {plan.horizon}"
+        )
     fcfg = filter_config_for(cfg, "deq_mcl")
-    horizon = plan.horizon
+    init, step, _ = METHOD_TABLE["deq_mcl"]
 
-    plan_actions = [plan.action(t) for t in range(2, horizon + 1)]
-    distinct = list(dict.fromkeys(plan_actions))
-    hmm = oracle.discretize(grid, fcfg, distinct, op.cell, op.heading_bins)
+    plan_actions = list(plan.actions[1:])
+    hmm = oracle.discretize(grid, fcfg, list(dict.fromkeys(plan_actions)), op.cell, op.heading_bins)
     hmm.initial = lattice_initial(cfg, hmm)
 
     sampler = make_init_sampler(cfg, grid)
@@ -760,29 +770,14 @@ def run_oracle_validation(cfg: ExperimentConfig, out_dir: str | None = None) -> 
     for seed_idx in range(op.seeds):
         rng_filter = derive_rng(cfg.master_seed, seed_idx, _STREAM_FILTER, "deq_mcl")
         _, scans = trial_truth(cfg, seed_idx, grid, plan)
-        state = filters.deq_init(fcfg, sampler, plan, grid, rng_filter)
-        for t in range(2, horizon + 1):
-            state = filters.deq_step(
-                state, t, plan.action(t), scans[t], plan, fcfg, grid, rng_filter
-            )
-            exact = oracle.exact_queue_posterior(
-                hmm,
-                executed=plan_actions[: t - 1],
-                planned=plan_actions[t - 1 :],
-                observations=[scans[j] for j in range(2, t + 1)],
-                lag=fcfg.lag,
-                t=t,
-            )
+        emissions = [oracle.emission_weights(hmm, scan) for scan in scans[2:]]
+        for t, state in _filter_states(fcfg, rng_filter, sampler, init, step, plan, grid, scans):
+            if t == 1:  # rows start at the first filter step
+                continue
+            exact = oracle.exact_queue_posterior(hmm, plan_actions, emissions[: t - 1], fcfg.lag)
             for offset, dist in exact.items():
-                binned = oracle.bin_belief(hmm, state.marginal(offset))
-                rows.append(
-                    {
-                        "seed": seed_idx,
-                        "t": t,
-                        "offset": offset,
-                        "tv": oracle.tv_distance(binned, dist),
-                    }
-                )
+                tv = oracle.tv_distance(oracle.bin_belief(hmm, state.marginal(offset)), dist)
+                rows.append({"seed": seed_idx, "t": t, "offset": offset, "tv": tv})
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

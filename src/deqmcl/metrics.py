@@ -29,10 +29,9 @@ class StepError:
 
 @dataclass(frozen=True)
 class TrialMetrics:
-    """Per-trial aggregates; per-step errors are retained for cross-trial SDs."""
+    """Per-trial aggregates of one (method, trial) run."""
 
     rmse: float
-    step_errors: np.ndarray
     entropy: float
     variance: np.ndarray  # (var_x, var_y, var_cos, var_sin)
 

@@ -21,6 +21,8 @@ from .gridmap import OccupancyGrid
 from .worldsim import Action, DepthScan, Pose, normalize_angle
 
 TWO_PI = 2.0 * math.pi
+MAX_LATTICE_STATES = 10_000  # largest lattice `discretize` builds
+QUAD_POINTS = 61  # midpoint nodes of the forward-noise quadrature
 
 
 class LatticeSizeError(ValueError):
@@ -67,8 +69,6 @@ def discretize(
     actions: list[Action],
     cell: float,
     n_heading_bins: int,
-    max_states: int = 10_000,
-    quad_points: int = 61,
 ) -> DiscreteHmm:
     """Discretize the motion/observation model onto a pose lattice.
 
@@ -82,10 +82,10 @@ def discretize(
     nx = math.ceil(grid.world_width / cell - 1e-9)
     ny = math.ceil(grid.world_height / cell - 1e-9)
     n_states = nx * ny * n_heading_bins
-    if n_states > max_states:
+    if n_states > MAX_LATTICE_STATES:
         raise LatticeSizeError(
             f"{nx} x {ny} cells x {n_heading_bins} heading bins = {n_states} states "
-            f"exceeds the enumerable limit of {max_states}"
+            f"exceeds the enumerable limit of {MAX_LATTICE_STATES}"
         )
 
     ixs, iys = np.meshgrid(np.arange(nx), np.arange(ny))
@@ -127,7 +127,7 @@ def discretize(
             s_nodes = np.array([action.v])
             s_weights = np.array([1.0])
         else:
-            z = -6.0 + (np.arange(quad_points) + 0.5) * 12.0 / quad_points
+            z = -6.0 + (np.arange(QUAD_POINTS) + 0.5) * 12.0 / QUAD_POINTS
             s_nodes = action.v + noise.sigma_v * z
             s_weights = np.exp(-0.5 * z * z)
             s_weights = s_weights / s_weights.sum()
@@ -180,7 +180,8 @@ def discretize(
     )
 
 
-def _emission_weights(hmm: DiscreteHmm, scan: DepthScan) -> np.ndarray:
+def emission_weights(hmm: DiscreteHmm, scan: DepthScan) -> np.ndarray:
+    """The lattice weights of one scan, scaled so that the largest is 1."""
     log_e = hmm.log_emission(scan)
     m = log_e.max()
     if m == -np.inf:
@@ -188,47 +189,38 @@ def _emission_weights(hmm: DiscreteHmm, scan: DepthScan) -> np.ndarray:
     return np.exp(log_e - m)
 
 
+def _window(actions: list[Action], emissions: list[np.ndarray], lag: int) -> tuple[int, int, int]:
+    """(t, n_past, n_future) of the window the two arguments describe."""
+    if len(emissions) > len(actions):
+        raise ValueError(f"{len(emissions)} emissions but only {len(actions)} actions")
+    t = len(emissions) + 1
+    return t, min(t - 1, lag), min(lag, len(actions) + 1 - t)
+
+
 def exact_queue_posterior(
-    hmm: DiscreteHmm,
-    executed: list[Action],
-    planned: list[Action],
-    observations: list[DepthScan],
-    lag: int,
-    t: int,
+    hmm: DiscreteHmm, actions: list[Action], emissions: list[np.ndarray], lag: int
 ) -> dict[int, np.ndarray]:
-    """Exact per-offset queue marginals p(x_{t+k} | actions, plan, o_{2:t}, map).
+    """Exact per-offset queue marginals p(x_{t+k} | plan, o_{2:t}, map).
 
-    ``executed`` and ``observations`` cover steps 2..t (the time-1 belief is
-    the prior, matching the filters); ``planned`` covers steps t+1..T.
-    Offsets k run over [-min(t-1, lag), +min(lag, T-t)].  Future transitions
-    carry the traversability prior, so infeasible plans feed back into the
-    current and past marginals exactly as in the queue filter.
+    ``actions`` holds the plan's actions for steps 2..T, so T =
+    len(actions) + 1; ``emissions`` holds the `emission_weights` of scans
+    2..t, so t = len(emissions) + 1 (the time-1 belief is the prior,
+    matching the filters).  Offsets k run over [-min(t-1, lag),
+    +min(lag, T-t)].  Every transition carries the traversability prior, so
+    infeasible plans feed back into the current and past marginals exactly
+    as in the queue filter.
     """
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
-    if len(executed) != t - 1 or len(observations) != t - 1:
-        raise ValueError(
-            f"need t-1 = {t - 1} executed actions and observations, "
-            f"got {len(executed)} and {len(observations)}"
-        )
-    horizon = t + len(planned)
-    n_future = min(lag, horizon - t)
-    n_past = min(t - 1, lag)
-
-    def kernel(j: int) -> np.ndarray:
-        act = executed[j - 2] if j <= t else planned[j - t - 1]
-        return hmm.weighted_transitions[act]
-
-    emission = {j: _emission_weights(hmm, observations[j - 2]) for j in range(2, t + 1)}
+    t, n_past, n_future = _window(actions, emissions, lag)
+    kernels = [hmm.weighted_transitions[a] for a in actions]  # kernels[j - 2] leads to step j
 
     alphas: dict[int, np.ndarray] = {}
     msg = hmm.initial / hmm.initial.sum()
     if 1 >= t - n_past:
         alphas[1] = msg
     for j in range(2, t + n_future + 1):
-        msg = kernel(j).T @ msg
+        msg = kernels[j - 2].T @ msg
         if j <= t:
-            msg = msg * emission[j]
+            msg = msg * emissions[j - 2]
         total = msg.sum()
         if not (total > 0 and np.isfinite(total)):
             raise ImpossibleEvidenceError(f"evidence has zero probability at step {j}")
@@ -240,8 +232,8 @@ def exact_queue_posterior(
     for j in range(t + n_future - 1, t - n_past - 1, -1):
         incoming = betas[j + 1]
         if j + 1 <= t:
-            incoming = incoming * emission[j + 1]
-        b = kernel(j + 1) @ incoming
+            incoming = incoming * emissions[j - 1]
+        b = kernels[j - 1] @ incoming
         peak = b.max()
         if not (peak > 0 and np.isfinite(peak)):
             raise ImpossibleEvidenceError(f"evidence has zero probability beyond step {j}")
@@ -259,31 +251,24 @@ def exact_queue_posterior(
 
 def enumerate_queue_posterior(
     hmm: DiscreteHmm,
-    executed: list[Action],
-    planned: list[Action],
-    observations: list[DepthScan],
+    actions: list[Action],
+    emissions: list[np.ndarray],
     lag: int,
-    t: int,
     max_tuples: int = 2_000_000,
 ) -> dict[int, np.ndarray]:
     """Brute-force joint enumeration over full trajectories, for tiny instances.
 
-    Independent of the message-passing path; guards the oracle itself.
+    Takes `exact_queue_posterior`'s arguments and returns its marginals,
+    summed over every trajectory of the window instead of by message
+    passing, so that it guards the oracle itself.
     """
-    horizon = t + len(planned)
-    n_future = min(lag, horizon - t)
-    n_past = min(t - 1, lag)
+    t, n_past, n_future = _window(actions, emissions, lag)
     steps = t + n_future
     n_states = hmm.n_states
     if n_states ** steps > max_tuples:
         raise LatticeSizeError(f"{n_states}^{steps} trajectories exceed {max_tuples}")
 
-    def kernel(j: int) -> np.ndarray:
-        act = executed[j - 2] if j <= t else planned[j - t - 1]
-        return hmm.weighted_transitions[act]
-
-    emission = {j: _emission_weights(hmm, observations[j - 2]) for j in range(2, t + 1)}
-    kernels = {j: kernel(j) for j in range(2, steps + 1)}
+    kernels = [hmm.weighted_transitions[a] for a in actions]
     marginals = {k: np.zeros(n_states) for k in range(-n_past, n_future + 1)}
     total = 0.0
     for traj in itertools.product(range(n_states), repeat=steps):
@@ -291,9 +276,9 @@ def enumerate_queue_posterior(
         for j in range(2, steps + 1):
             if w == 0.0:
                 break
-            w *= kernels[j][traj[j - 2], traj[j - 1]]
+            w *= kernels[j - 2][traj[j - 2], traj[j - 1]]
             if j <= t:
-                w *= emission[j][traj[j - 1]]
+                w *= emissions[j - 2][traj[j - 1]]
         else:
             if w > 0.0:
                 total += w

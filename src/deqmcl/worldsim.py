@@ -15,10 +15,11 @@ import numpy as np
 from .gridmap import OccupancyGrid, Point2
 
 TWO_PI = 2.0 * math.pi
+MAX_PLAN_ACTIONS = 100_000  # a waypoint plan longer than this did not converge
 
 
 class PlanError(ValueError):
-    """A waypoint plan cannot be built or its noise-free rollout collides."""
+    """A plan cannot be built or its noise-free rollout collides."""
 
 
 def normalize_angle(theta: float) -> float:
@@ -214,6 +215,22 @@ def rollout(start: Pose, plan: ActionPlan) -> list[Pose]:
     return poses
 
 
+def check_rollout(grid: OccupancyGrid, start: Pose, plan: ActionPlan, collision_step: float) -> None:
+    """Raise `PlanError` at the first step whose noise-free rollout segment
+    touches an occupied sample (sampled every ``collision_step``)."""
+    poses = rollout(start, plan)
+    xy = np.array([[p.x, p.y] for p in poses])
+    counts = grid.segment_collision_counts(xy[:-1, 0], xy[:-1, 1], xy[1:, 0], xy[1:, 1], collision_step)
+    hits = np.flatnonzero(counts)
+    if hits.size:
+        i = int(hits[0]) + 1
+        a, b = poses[i - 1], poses[i]
+        raise PlanError(
+            f"noise-free rollout collides on step {i}: "
+            f"({a.x:.1f}, {a.y:.1f}) -> ({b.x:.1f}, {b.y:.1f}), {counts[i - 1]} contact samples"
+        )
+
+
 def build_loop_plan(
     grid: OccupancyGrid,
     start: Pose,
@@ -221,7 +238,6 @@ def build_loop_plan(
     v_step: float,
     omega_step: float,
     collision_step: float = 1.0,
-    max_actions: int = 100_000,
 ) -> ActionPlan:
     """Build a turn-then-drive plan visiting ``waypoints`` in order.
 
@@ -230,7 +246,7 @@ def build_loop_plan(
     then forward actions (v = v_step) until within v_step of it; the aim is
     re-checked every step so long legs stay on course.  The returned plan
     starts with a zero action (the start step, never executed) and its
-    noise-free rollout is verified collision-free segment by segment.
+    noise-free rollout passes `check_rollout`.
     """
     if v_step <= 0 or omega_step <= 0:
         raise PlanError(f"v_step and omega_step must be positive, got {v_step}, {omega_step}")
@@ -252,17 +268,9 @@ def build_loop_plan(
                 act = Action(v_step, 0.0)
             actions.append(act)
             pose = apply_action(pose, act)
-            if len(actions) > max_actions:
-                raise PlanError(f"plan did not converge within {max_actions} actions")
+            if len(actions) > MAX_PLAN_ACTIONS:
+                raise PlanError(f"plan did not converge within {MAX_PLAN_ACTIONS} actions")
 
     plan = ActionPlan(tuple(actions))
-    poses = rollout(start, plan)
-    for i in range(1, len(poses)):
-        a, b = poses[i - 1], poses[i]
-        c = grid.segment_collision_count(a.position, b.position, collision_step)
-        if c > 0:
-            raise PlanError(
-                f"noise-free rollout collides on step {i}: "
-                f"({a.x:.1f}, {a.y:.1f}) -> ({b.x:.1f}, {b.y:.1f}), {c} contact samples"
-            )
+    check_rollout(grid, start, plan, collision_step)
     return plan

@@ -11,7 +11,7 @@ from deqmcl import cli, filters, harness, render
 from deqmcl.gridmap import load_grid
 from deqmcl.harness import ConfigError, load_config, run_experiment, run_trial
 from deqmcl.metrics import error_from_mean
-from deqmcl.worldsim import Pose
+from deqmcl.worldsim import PlanError, Pose
 
 MINI_MAP = "30 12 1.0\n" + "#" * 30 + "\n" + ("#" + "." * 28 + "#\n") * 10 + "#" * 30 + "\n"
 
@@ -450,6 +450,15 @@ class TestPaperPathDigest:
         assert self._digest(tmp_path, harness.METHODS) == self.PAPER_SEED_1_ALL_METHODS
 
 
+class TestBuildPlan:
+    def test_colliding_constant_plan_rejected(self):
+        # tiny.cfg's corridor ends at x = 23; 30 steps of 1.2 from x = 3.5 drive into the wall
+        cfg = load_config("tiny.cfg")
+        cfg = dataclasses.replace(cfg, plan=dataclasses.replace(cfg.plan, count=30))
+        with pytest.raises(PlanError, match="collides on step"):
+            harness.build_plan(cfg, harness.load_experiment_grid(cfg))
+
+
 class TestInitSamplers:
     def test_uniform_free_covers_free_space(self, tmp_path):
         path = write_mini_config(tmp_path)
@@ -548,6 +557,12 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "collision samples: 0" in out
+
+    def test_map_check_reports_colliding_plan(self, tmp_path, capsys):
+        cfg_path = write_mini_config(tmp_path, count=40)  # from x = 6 past the wall at x = 29
+        rc = cli.main(["map-check", "--config", str(cfg_path)])
+        assert rc == 1
+        assert "noise-free rollout collides on step" in capsys.readouterr().out
 
     def test_run_subcommand(self, tmp_path, capsys):
         cfg_path = write_mini_config(tmp_path, methods="mcl", count=4)

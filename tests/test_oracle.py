@@ -1,10 +1,11 @@
+import collections
 import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
-from deqmcl import harness
+from deqmcl import harness, oracle
 
 from deqmcl.filters import FilterConfig
 from deqmcl.gridmap import OccupancyGrid
@@ -13,6 +14,7 @@ from deqmcl.oracle import (
     ImpossibleEvidenceError,
     LatticeSizeError,
     discretize,
+    emission_weights,
     enumerate_queue_posterior,
     exact_queue_posterior,
     gaussian_initial,
@@ -99,12 +101,16 @@ class TestDiscretize:
         assert np.all(np.isfinite(log_e[hmm.free]))
 
 
+def weights(hmm, scans):
+    return [emission_weights(hmm, scan) for scan in scans]
+
+
 class TestExactQueuePosterior:
     def test_lag0_reduces_to_forward_filter(self):
         grid, cfg, hmm = strip_hmm(sigma_v=0.5, sensor_sigma=1.5)
         act = Action(1.0, 0.0)
         scans = [strip_scan(grid, 2.5, s) for s in range(3)]
-        out = exact_queue_posterior(hmm, [act] * 3, [], scans, lag=0, t=4)
+        out = exact_queue_posterior(hmm, [act] * 3, weights(hmm, scans), lag=0)
         assert set(out) == {0}
         # independent forward algorithm written inline
         msg = hmm.initial.copy()
@@ -116,11 +122,10 @@ class TestExactQueuePosterior:
             msg /= msg.sum()
         np.testing.assert_allclose(out[0], msg, atol=1e-12)
 
-    def test_uninformative_emission_smoothing_equals_filtering(self, monkeypatch):
+    def test_uninformative_emission_smoothing_equals_filtering(self):
         grid, cfg, hmm = strip_hmm(sigma_v=0.5, beta=0.0)
-        monkeypatch.setattr(DiscreteHmm, "log_emission", lambda self, scan: np.zeros(self.n_states))
         act = Action(1.0, 0.0)
-        out = exact_queue_posterior(hmm, [act] * 3, [act] * 2, [None] * 3, lag=2, t=4)
+        out = exact_queue_posterior(hmm, [act] * 5, [np.ones(hmm.n_states)] * 3, lag=2)
         # with constant emission and no map prior the backward pass is flat:
         # every past/current marginal equals the plain forward marginal
         msg = hmm.initial.copy()
@@ -137,7 +142,7 @@ class TestExactQueuePosterior:
         grid, cfg, hmm = strip_hmm(sigma_v=0.5, beta=0.0)
         act = Action(1.0, 0.0)
         scans = [strip_scan(grid, 2.5, s) for s in range(3)]
-        out = exact_queue_posterior(hmm, [act] * 3, [act] * 4, scans, lag=2, t=4)
+        out = exact_queue_posterior(hmm, [act] * 7, weights(hmm, scans), lag=2)
         g = hmm.transitions[act]
         prop1 = g.T @ out[0]
         prop2 = g.T @ prop1
@@ -153,7 +158,7 @@ class TestExactQueuePosterior:
         act = Action(1.0, 0.0)
         hmm = discretize(grid, cfg, [act], cell=1.0, n_heading_bins=1)
         scans = [strip_scan(grid, 1.5, 7), strip_scan(grid, 2.5, 8)]
-        out = exact_queue_posterior(hmm, [act] * 2, [act], scans, lag=1, t=3)
+        out = exact_queue_posterior(hmm, [act] * 3, weights(hmm, scans), lag=1)
 
         g = hmm.weighted_transitions[act]
         e = {}
@@ -183,8 +188,8 @@ class TestExactQueuePosterior:
         for seed in range(5):
             grid, cfg, hmm = strip_hmm(sigma_v=0.6, beta=1.5, sensor_sigma=1.2)
             scans = [strip_scan(grid, 1.5 + 0.8 * j, 50 + 10 * seed + j) for j in range(3)]
-            fb = exact_queue_posterior(hmm, [act] * 3, [act], scans, lag=2, t=4)
-            brute = enumerate_queue_posterior(hmm, [act] * 3, [act], scans, lag=2, t=4)
+            fb = exact_queue_posterior(hmm, [act] * 4, weights(hmm, scans), lag=2)
+            brute = enumerate_queue_posterior(hmm, [act] * 4, weights(hmm, scans), lag=2)
             assert set(fb) == set(brute)
             for k in fb:
                 assert abs(fb[k].sum() - 1.0) < 1e-9
@@ -192,22 +197,27 @@ class TestExactQueuePosterior:
 
     def test_impossible_evidence_raises(self, monkeypatch):
         grid, cfg, hmm = strip_hmm()
+        with pytest.raises(ImpossibleEvidenceError):
+            exact_queue_posterior(hmm, [Action(1, 0)], [np.zeros(hmm.n_states)], lag=0)
         monkeypatch.setattr(
             DiscreteHmm, "log_emission", lambda self, scan: np.full(self.n_states, -np.inf)
         )
         with pytest.raises(ImpossibleEvidenceError):
-            exact_queue_posterior(hmm, [Action(1, 0)], [], [None], lag=0, t=2)
+            emission_weights(hmm, None)
 
     def test_argument_length_validation(self):
         _, _, hmm = strip_hmm()
-        with pytest.raises(ValueError):
-            exact_queue_posterior(hmm, [Action(1, 0)], [], [], lag=0, t=2)
+        ones = np.ones(hmm.n_states)
+        exact_queue_posterior(hmm, [Action(1, 0)], [ones], lag=0)  # t = T is allowed
+        for posterior in (exact_queue_posterior, enumerate_queue_posterior):
+            with pytest.raises(ValueError, match="2 emissions but only 1 actions"):
+                posterior(hmm, [Action(1, 0)], [ones, ones], lag=0)
 
     def test_enumeration_guards_size(self):
         _, _, hmm = strip_hmm()
         with pytest.raises(LatticeSizeError):
-            enumerate_queue_posterior(hmm, [Action(1, 0)] * 19, [], [None] * 19, lag=0, t=20,
-                                      max_tuples=1000)
+            enumerate_queue_posterior(hmm, [Action(1, 0)] * 19, [np.ones(hmm.n_states)] * 19,
+                                      lag=0, max_tuples=1000)
 
 
 class TestValidationPlumbing:
@@ -256,3 +266,34 @@ class TestOracleOutputDigest:
         harness.run_oracle_validation(cfg, out_dir=str(tmp_path))
         digest = hashlib.sha256((tmp_path / "oracle_tv.csv").read_bytes()).hexdigest()
         assert digest == self.TINY_2_SEEDS
+
+
+def tiny_cfg(**oracle_params):
+    cfg = harness.load_config("tiny.cfg")
+    return dataclasses.replace(
+        cfg, oracle_params=dataclasses.replace(cfg.oracle_params, **oracle_params)
+    )
+
+
+class TestOracleValidation:
+    def test_one_emission_per_scan(self, monkeypatch):
+        calls = collections.Counter()
+
+        def counted(name):
+            original = getattr(oracle, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(oracle, name, wrapper)
+
+        counted("observation_log_likelihood_batch")
+        counted("exact_queue_posterior")
+        harness.run_oracle_validation(tiny_cfg(seeds=2))
+        # tiny.cfg's plan has 14 steps: 13 scans and 13 filter steps per seed
+        assert calls == {"observation_log_likelihood_batch": 26, "exact_queue_posterior": 26}
+
+    def test_compare_t_past_horizon_rejected(self):
+        with pytest.raises(harness.ConfigError, match="oracle.compare_t"):
+            harness.run_oracle_validation(tiny_cfg(compare_t=50))
