@@ -58,8 +58,8 @@ class OccupancyGrid:
     # cell indices clamped to [-1, width] x [-1, height] all find their
     # value in it, index -1 by wrapping round to the last row or column
     _occupied: np.ndarray = field(init=False, repr=False, compare=False)
-    # entry [iy + 2, ix + 2] counts the occupied cells in [-1, ix] x [-1, iy],
-    # the outside counted as occupied; see `_summed_area`
+    # entry [iy + 2, ix + 2] counts the occupied cells in [-1, ix] x [-1, iy], the
+    # outside counted as occupied (`_summed_area`); read flat (`_sum_offsets`)
     _occupied_sums: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -119,14 +119,20 @@ class OccupancyGrid:
 
         ``a`` and ``b`` are stacked float cell indices, clamped in place
         (`_clamp_cells`); a rectangle reaching off the grid, or with a NaN
-        corner, holds an outside cell and is not free.  Four lookups in
-        `_occupied_sums` count its occupied cells.
+        corner, holds an outside cell and is not free.  Four corner sums of
+        `_occupied_sums`, each one flat `take`, count its occupied cells.
         """
         # along each axis entry c + 2 counts the cells through c, c + 1 those before it
-        lo = np.fmin(self._clamp_cells(a), self._clamp_cells(b)).astype(np.intp) + 1
-        hi = np.fmax(a, b).astype(np.intp) + 2
-        s = self._occupied_sums
-        return s[hi[1], hi[0]] - s[lo[1], hi[0]] - s[hi[1], lo[0]] + s[lo[1], lo[0]] == 0
+        lo = self._sum_offsets(np.fmin(self._clamp_cells(a), self._clamp_cells(b)), 1.0)
+        hi = self._sum_offsets(np.fmax(a, b), 2.0)
+        s = self._occupied_sums.ravel()
+        return s.take(hi[1] + hi[0]) - s.take(lo[1] + hi[0]) - s.take(hi[1] + lo[0]) + s.take(lo[1] + lo[0]) == 0
+
+    def _sum_offsets(self, cell: np.ndarray, shift) -> np.ndarray:
+        """Flat `_occupied_sums` offsets of columns ``cell[0] + shift`` and rows ``cell[1] + shift``."""
+        corner = (cell + shift).astype(np.intp)
+        corner[1] *= self._occupied_sums.shape[1]
+        return corner
 
     def is_occupied(self, p: Point2) -> bool:
         """True iff ``p`` maps to an occupied cell or lies outside the grid."""
@@ -257,12 +263,12 @@ class OccupancyGrid:
                     rays, idx = rays[:, keep], idx[keep]
         return dist
 
-    def _sample_cells(self, rays, k, max_range: float, step: float) -> np.ndarray:
-        """Cell of sample ``k`` of each ray, by the arithmetic of a block."""
+    def _sample_corners(self, rays, k, max_range: float, step: float, shift) -> np.ndarray:
+        """`_sum_offsets` of the clamped cell of sample ``k`` of each ray, by the arithmetic of a block."""
         cell = rays[2:4] * np.minimum(k * step, max_range)
         cell += rays[0:2]
         cell /= self.resolution
-        return np.floor(cell, out=cell)
+        return self._sum_offsets(self._clamp_cells(np.floor(cell, out=cell)), shift)
 
     def _free_prefix(self, rays, n_samples: int, max_range: float, step: float) -> np.ndarray:
         """Largest ``j`` in [0, n_samples] per ray whose sample's cell and the
@@ -273,13 +279,22 @@ class OccupancyGrid:
         the sample index along each axis, so the test is true for a prefix of
         ``j`` and plain bisection finds its end in ``n_samples.bit_length()``
         probes.  Every sample ``1 .. j`` lies in the rectangle: it is free.
+
+        Along an axis whose direction is not ``< 0`` the origin's cell is the
+        low corner, else the high one; its corner sum is read once.  Swapped
+        corners along one axis only negate the sum, so ``== 0`` still means
+        free.  A NaN ray's origin clamps to the outside cell: never free.
         """
-        origin = self._sample_cells(rays, np.zeros(rays.shape[1], dtype=np.intp), max_range, step)
+        back = rays[2:4] < 0  # per axis: every sample's cell is at or before the origin's
+        fixed = self._sample_corners(rays, 0, max_range, step, 1.0 + back)
+        s = self._occupied_sums.ravel()
+        base = s.take(fixed[1] + fixed[0])
         lo = np.zeros(rays.shape[1], dtype=np.intp)  # proven free, or 0
         hi = np.full(rays.shape[1], n_samples + 1, dtype=np.intp)  # not proven free
         for _ in range(n_samples.bit_length()):
             mid = (lo + hi) // 2
-            free = self._rectangle_free(origin, self._sample_cells(rays, mid, max_range, step))
+            m = self._sample_corners(rays, mid, max_range, step, 2.0 - back)
+            free = s.take(m[1] + m[0]) - s.take(fixed[1] + m[0]) - s.take(m[1] + fixed[0]) + base == 0
             lo = np.where(free, mid, lo)
             hi = np.where(free, hi, mid)
         return lo

@@ -18,7 +18,7 @@ import numpy as np
 
 from .filters import BeliefSnapshot, FilterConfig, observation_log_likelihood_batch
 from .gridmap import OccupancyGrid
-from .worldsim import Action, DepthScan, Pose, normalize_angle
+from .worldsim import Action, DepthScan, Pose, normalize_angle, normalize_angles
 
 TWO_PI = 2.0 * math.pi
 MAX_LATTICE_STATES = 10_000  # largest lattice `discretize` builds
@@ -303,8 +303,7 @@ def bin_belief(hmm: DiscreteHmm, snapshot: BeliefSnapshot) -> np.ndarray:
     ix = np.floor(snapshot.poses[:, 0] / hmm.cell).astype(np.int64)
     iy = np.floor(snapshot.poses[:, 1] / hmm.cell).astype(np.int64)
     width = TWO_PI / hmm.n_heading_bins
-    theta = np.mod(snapshot.poses[:, 2], TWO_PI)
-    theta = np.where(theta > math.pi, theta - TWO_PI, theta)
+    theta = normalize_angles(snapshot.poses[:, 2])
     ib = np.minimum(((theta + math.pi) / width).astype(np.int64), hmm.n_heading_bins - 1)
     valid = (ix >= 0) & (ix < hmm.nx) & (iy >= 0) & (iy < hmm.ny)
     idx = (iy[valid] * hmm.nx + ix[valid]) * hmm.n_heading_bins + ib[valid]

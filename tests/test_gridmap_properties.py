@@ -62,6 +62,37 @@ def reference_raycast(grid: OccupancyGrid, x, y, theta, max_range: float, step: 
     return dist
 
 
+def reference_rectangle_free(grid: OccupancyGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`OccupancyGrid._rectangle_free` by four 2-D gathers from the summed-area table."""
+    # along each axis entry c + 2 counts the cells through c, c + 1 those before it
+    lo = np.fmin(grid._clamp_cells(a), grid._clamp_cells(b)).astype(np.intp) + 1
+    hi = np.fmax(a, b).astype(np.intp) + 2
+    s = grid._occupied_sums
+    return s[hi[1], hi[0]] - s[lo[1], hi[0]] - s[hi[1], lo[0]] + s[lo[1], lo[0]] == 0
+
+
+def reference_sample_cells(grid: OccupancyGrid, rays, k, max_range: float, step: float) -> np.ndarray:
+    """Cell of sample ``k`` of each ray, by the arithmetic of a block."""
+    cell = rays[2:4] * np.minimum(k * step, max_range)
+    cell += rays[0:2]
+    cell /= grid.resolution
+    return np.floor(cell, out=cell)
+
+
+def reference_free_prefix(grid: OccupancyGrid, rays, n_samples: int, max_range: float, step: float) -> np.ndarray:
+    """`OccupancyGrid._free_prefix` with every probe a whole `reference_rectangle_free`
+    test between the origin's cell and the sample's, the origin clamped anew each time."""
+    origin = reference_sample_cells(grid, rays, np.zeros(rays.shape[1], dtype=np.intp), max_range, step)
+    lo = np.zeros(rays.shape[1], dtype=np.intp)  # proven free, or 0
+    hi = np.full(rays.shape[1], n_samples + 1, dtype=np.intp)  # not proven free
+    for _ in range(n_samples.bit_length()):
+        mid = (lo + hi) // 2
+        free = reference_rectangle_free(grid, origin, reference_sample_cells(grid, rays, mid, max_range, step))
+        lo = np.where(free, mid, lo)
+        hi = np.where(free, hi, mid)
+    return lo
+
+
 def reference_segment_counts(grid: OccupancyGrid, ax, ay, bx, by, step: float) -> np.ndarray:
     """One segment at a time: sample its lattice and count occupied samples.
 
@@ -364,6 +395,14 @@ def maze_grid() -> OccupancyGrid:
     return OccupancyGrid(30, 25, 1.0, cells)
 
 
+def posts_grid() -> OccupancyGrid:
+    """A 9 x 7 room at 0.5 units per cell with three single-cell posts and one short wall."""
+    cells = np.zeros((7, 9), dtype=bool)
+    cells[[1, 3, 5], [2, 6, 4]] = True
+    cells[5, 0:2] = True
+    return OccupancyGrid(9, 7, 0.5, cells)
+
+
 class TestFreePrefix:
     """The search each marched ray makes before its first block."""
 
@@ -393,6 +432,32 @@ class TestFreePrefix:
         want = np.maximum(free.sum(axis=1) - 1, 0)
         got = grid._free_prefix(rays, n_samples, max_range, step)
         np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got, reference_free_prefix(grid, rays, n_samples, max_range, step))
+
+    @pytest.mark.parametrize("make_grid, step_factor", [
+        (posts_grid, 0.5), (posts_grid, 1.0), (corridor_grid, 0.5), (maze_grid, 0.5), (maze_grid, 1.5),
+    ])
+    def test_axis_headings_from_cell_faces_and_corners(self, make_grid, step_factor):
+        # every half-cell point from one cell off the grid to one past it (the
+        # cell faces, corners and centres) with headings 0.0, -0.0, +-pi/2,
+        # +-pi and NaN: a direction component of 0.0, -0.0, 6e-17 or -1.2e-16
+        # (sin(-pi)) picks which corner is the origin's, and samples at whole
+        # multiples of half a cell land on faces
+        grid = make_grid()
+        ix, iy = np.meshgrid(np.arange(-2, 2 * grid.width + 3), np.arange(-2, 2 * grid.height + 3))
+        headings = HEADINGS + [np.nan]
+        x = np.repeat(ix.ravel() / 2.0 * grid.resolution, len(headings))
+        y = np.repeat(iy.ravel() / 2.0 * grid.resolution, len(headings))
+        rays = ray_rows(x, y, np.tile(headings, ix.size))
+        assert (rays[3] < 0).any() and (rays[3] == 0).any() and np.signbit(rays[3][rays[3] == 0]).any()
+        step = step_factor * grid.resolution
+        max_range = 6.0 * grid.resolution
+        n_samples = int(math.floor(max_range / step + 1e-9))
+        got = grid._free_prefix(rays, n_samples, max_range, step)
+        np.testing.assert_array_equal(got, reference_free_prefix(grid, rays, n_samples, max_range, step))
+        free = brute_free_samples(grid, rays, n_samples, max_range, step)
+        np.testing.assert_array_equal(got, np.maximum(free.sum(axis=1) - 1, 0))
+        assert got.max() == n_samples and (got[np.isnan(rays[2])] == 0).all()
 
     @pytest.mark.parametrize("max_range, step", [(7.3, 0.5), (7.0, 0.5), (3.05, 0.1), (0.5, 0.5)])
     def test_rays_that_never_hit_skip_every_sample(self, max_range, step):
@@ -618,7 +683,7 @@ class TestSegmentCountsMatchReference:
 class TestRectangleFree:
     @settings(max_examples=200, deadline=None)
     @given(
-        grid=st.one_of(grids(max_side=15), narrow_grids(max_side=15)),
+        grid=st.one_of(grids(max_side=15), narrow_grids(max_side=15), sparse_grids(max_side=15)),
         n=st.integers(1, 40),
         seed=st.integers(0, 2**32 - 1),
     )
@@ -639,7 +704,9 @@ class TestRectangleFree:
             ly, hy = sorted((int(y0), int(y1)))
             inside = lx >= 0 and ly >= 0 and hx < grid.width and hy < grid.height
             want.append(inside and not grid.cells[ly : hy + 1, lx : hx + 1].any())
+        ref = reference_rectangle_free(grid, a.copy(), b.copy())
         np.testing.assert_array_equal(grid._rectangle_free(a, b), want)
+        np.testing.assert_array_equal(ref, want)
 
 
 class TestOccupiedMatchesReference:

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -249,6 +250,44 @@ class TestValidationPlumbing:
         binned = bin_belief(hmm, snap)
         assert binned.sum() == pytest.approx(0.5)
         assert binned[1] == pytest.approx(0.5)
+
+
+def reference_bin_belief(hmm: DiscreteHmm, snapshot) -> np.ndarray:
+    """`oracle.bin_belief` with its heading wrap written out by `np.mod`."""
+    ix = np.floor(snapshot.poses[:, 0] / hmm.cell).astype(np.int64)
+    iy = np.floor(snapshot.poses[:, 1] / hmm.cell).astype(np.int64)
+    width = 2.0 * math.pi / hmm.n_heading_bins
+    theta = np.mod(snapshot.poses[:, 2], 2.0 * math.pi)
+    theta = np.where(theta > math.pi, theta - 2.0 * math.pi, theta)
+    ib = np.minimum(((theta + math.pi) / width).astype(np.int64), hmm.n_heading_bins - 1)
+    valid = (ix >= 0) & (ix < hmm.nx) & (iy >= 0) & (iy < hmm.ny)
+    idx = (iy[valid] * hmm.nx + ix[valid]) * hmm.n_heading_bins + ib[valid]
+    return np.bincount(idx, weights=snapshot.weights[valid], minlength=hmm.n_states).astype(float)
+
+
+class TestBinBelief:
+    @pytest.mark.parametrize("n_heading_bins", [1, 4, 36])
+    def test_matches_the_np_mod_wrap(self, n_heading_bins):
+        # headings at +-pi, one ulp either side of them, at multiples of 2 pi
+        # and of pi wrapped from up to 20 turns away, and at bin edges
+        from deqmcl.filters import BeliefSnapshot
+        from deqmcl.oracle import bin_belief
+
+        grid = OccupancyGrid(3, 2, 1.0, np.zeros((2, 3), dtype=bool))
+        cfg = FilterConfig(n_particles=10, lag=1, beta=0.0, motion_noise=NoiseParams(0.2, 0.1, 0.5),
+                           sensor_sigma=1.0, collision_step=0.5)
+        hmm = discretize(grid, cfg, [Action(1.0, 0.0)], cell=1.0, n_heading_bins=n_heading_bins)
+        edges = -math.pi + np.arange(n_heading_bins + 1) * (2.0 * math.pi / n_heading_bins)
+        turns = np.arange(-20, 21) * 2.0 * math.pi
+        base = np.concatenate([[math.pi, -math.pi, 0.0, -0.0], edges, turns, turns + math.pi, turns - math.pi])
+        theta = np.concatenate([base, np.nextafter(base, np.inf), np.nextafter(base, -np.inf)])
+        rng = np.random.default_rng(n_heading_bins)
+        poses = np.column_stack([rng.uniform(-0.5, 3.5, theta.size), rng.uniform(-0.5, 2.5, theta.size), theta])
+        weights = rng.random(theta.size)
+        snap = BeliefSnapshot(time=1, offset=0, poses=poses, weights=weights / weights.sum())
+        got = bin_belief(hmm, snap)
+        np.testing.assert_array_equal(got, reference_bin_belief(hmm, snap))
+        assert got.shape == (hmm.n_states,) and got.sum() > 0
 
 
 class TestOracleOutputDigest:

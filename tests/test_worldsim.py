@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deqmcl.gridmap import Point2
 from deqmcl.worldsim import (
@@ -14,7 +16,9 @@ from deqmcl.worldsim import (
     Pose,
     apply_action,
     build_loop_plan,
+    TWO_PI,
     normalize_angle,
+    normalize_angles,
     rollout,
     sense,
     step_true,
@@ -38,6 +42,72 @@ class TestPose:
         for theta in rng.uniform(-50, 50, 1000):
             t = normalize_angle(theta)
             assert -math.pi < t <= math.pi
+
+
+def reference_normalize_angles(theta):
+    """The `np.mod` form of `normalize_angles`, which it must match bit for bit.
+
+    It calls `np.mod` itself, so a numpy whose remainder rule changes fails
+    the tests below."""
+    t = np.mod(theta, TWO_PI)
+    return np.where(t > math.pi, t - TWO_PI, t)
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    """Equal as float64 bit patterns, any NaN equal to any NaN."""
+    same = (got.view(np.uint64) == want.view(np.uint64)) | (np.isnan(got) & np.isnan(want))
+    bad = np.flatnonzero(~same)
+    assert bad.size == 0, f"differ at {bad[:5]}: got {got[bad[:5]]!r}, want {want[bad[:5]]!r}"
+
+
+def around(values):
+    """Each value with its two float neighbours."""
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([np.nextafter(values, -np.inf), values, np.nextafter(values, np.inf)])
+
+
+class TestNormalizeAngles:
+    # signed zeros, the wrap points, the period and its multiples, the
+    # smallest subnormal, huge values and the float maximum, each with its
+    # neighbours; NaN
+    SPECIALS = np.concatenate([
+        around([0.0, -0.0, math.pi, -math.pi, TWO_PI, -TWO_PI, 5e-324, -5e-324, 1e300, -1e300]),
+        around(np.arange(-40, 41) * TWO_PI), around(np.arange(-40, 41) * math.pi),
+        [np.finfo(float).max, -np.finfo(float).max, np.nan, -np.nan],
+    ])
+
+    def test_specials_match_np_mod_bit_for_bit(self):
+        got = normalize_angles(self.SPECIALS)
+        assert_same_bits(got, reference_normalize_angles(self.SPECIALS))
+        finite = got[np.isfinite(got)]
+        assert np.all((finite > -math.pi) & (finite <= math.pi))
+        assert np.signbit(normalize_angles(np.array([-0.0, -TWO_PI]))).tolist() == [False, False]
+
+    def test_random_bit_patterns_and_headings(self):
+        rng = np.random.default_rng(0)
+        theta = np.concatenate([
+            rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64),
+            rng.uniform(-4 * math.pi, 4 * math.pi, 200_000),
+        ])
+        with np.errstate(invalid="ignore"):  # +-inf
+            assert_same_bits(normalize_angles(theta), reference_normalize_angles(theta))
+
+    @settings(max_examples=300, deadline=None)
+    @given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    def test_arbitrary_float64_bit_patterns(self, bits):
+        theta = np.array(bits, dtype=np.uint64).view(np.float64)
+        with np.errstate(invalid="ignore"):  # +-inf
+            assert_same_bits(normalize_angles(theta), reference_normalize_angles(theta))
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_infinities_warn_as_np_mod_does(self, value):
+        theta = np.array([0.5, value])
+        for wrap in (reference_normalize_angles, normalize_angles):
+            with pytest.warns(RuntimeWarning, match="^invalid value encountered in"):
+                out = wrap(theta)
+            assert out[0] == 0.5 and np.isnan(out[1])
+            with np.errstate(invalid="raise"), pytest.raises(FloatingPointError, match="invalid value"):
+                wrap(theta)
 
 
 class TestApplyAction:
