@@ -15,13 +15,19 @@ import numpy as np
 
 # `OccupancyGrid.raycast_batch` tests a batch of at most `_MARCH_POINTS`
 # points as one dense block, without the free-prefix search: on the oracle's
-# 88-ray emission batches the search's probes cost more than they save.  A
-# larger batch first bisects each ray over the summed-area table, then marches
-# from there in blocks of at most `_MARCH_BLOCK` points, but at least one
-# sample per ray.  One pass of the march costs about as much interpreter time
-# as testing a few thousand points: narrower blocks pay in passes, wider ones
-# test samples past the first hit.
-_MARCH_POINTS = 1 << 16
+# 88-ray emission batches the search's probes cost more than they save.  The
+# two cross near 32,768 points.  Median ms per batch, dense / search, on 2
+# cores with numpy 2.4.6, rays from random free points at random headings:
+# `tiny_map.txt`, 300-sample rays: 88 rays 0.44 / 0.55, 110 rays 0.52 / 0.59,
+# 130 rays 1.18 / 0.64, 200 rays 1.74 / 0.64; `paper_map.txt`, 200-sample
+# rays: 130 rays 0.45 / 0.72, 164 rays 0.60 / 0.67, 200 rays 0.76 / 0.68,
+# 327 rays 1.14 / 0.69.  A larger batch first bisects each ray over the
+# summed-area table, then marches from there in blocks of at most
+# `_MARCH_BLOCK` points, but at least one sample per ray.  One pass of the
+# march costs about as much interpreter time as testing a few thousand
+# points: narrower blocks pay in passes, wider ones test samples past the
+# first hit.
+_MARCH_POINTS = 1 << 15
 _MARCH_BLOCK = 1 << 12
 
 

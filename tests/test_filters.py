@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from deqmcl import filters
 from deqmcl.filters import (
     FilterConfig,
     FilterDegeneracyError,
@@ -561,6 +562,75 @@ class TestDeqQueue:
         state = deq_init(cfg, gaussian_sampler(Pose(5, 4, 0), 2.0, 0.05), plan, grid, rng)
         with pytest.raises(ValueError):
             deq_step(state, 3, plan.action(3), scans[3], plan, cfg, grid, rng)
+
+
+def reference_roll_out(start, actions, log_weights, cfg, grid, rng):
+    """`filters._roll_out` as one prior call per transition, in draw order."""
+    n = start.shape[0]
+    poses = np.empty((n, len(actions), 3))
+    log_priors = np.full((n, len(actions)), -0.0)
+    prev = start
+    for k, action in enumerate(actions):
+        nxt = motion_sample_batch(prev, action, cfg.motion_noise, rng)
+        if cfg.beta:
+            log_priors[:, k] = traversability_log_prior_batch(
+                grid, prev, nxt, cfg.beta, cfg.collision_step
+            )
+            log_weights = log_weights + log_priors[:, k]
+        poses[:, k] = nxt
+        prev = nxt
+    return poses, log_priors, log_weights
+
+
+class TestRollOut:
+    """The grouped prior of `_roll_out` against one prior call per transition."""
+
+    S = filters._PRIOR_SEGMENTS
+
+    @staticmethod
+    def _bits(a):
+        return np.ascontiguousarray(a).view(np.int64)
+
+    @pytest.mark.parametrize("beta", [0.0, 2.5])
+    @pytest.mark.parametrize("k, n", [
+        (0, 7), (0, 8193),  # deq_init at lag 0 or at horizon 1
+        (1, 8191), (1, 8192), (1, 8193),
+        (2, S // 2 - 1), (2, S // 2), (2, S // 2 + 1),
+        (21, S // 21 - 1), (21, S // 21), (21, S // 21 + 1), (21, S + 1),
+    ])
+    def test_bit_exact_against_per_transition_loop(self, monkeypatch, k, n, beta):
+        # a cluttered room, so that segments of both kinds, free and colliding, occur
+        grid = make_room(40, 40)
+        cells = grid.cells | (np.random.default_rng(3).random(grid.cells.shape) < 0.15)
+        grid = OccupancyGrid(40, 40, 1.0, cells)
+        cfg = FilterConfig(n_particles=n, lag=k, beta=beta, motion_noise=NoiseParams(0.5, 0.2, 0))
+        setup = np.random.default_rng(n + k)
+        start = np.column_stack([setup.uniform(0, 40, (n, 2)), setup.uniform(-np.pi, np.pi, n)])
+        log_weights = setup.standard_normal(n) * 3.0
+        actions = [Action(2.0 + 0.1 * i, 0.3 * (-1) ** i) for i in range(k)]
+
+        rng_ref, rng = np.random.default_rng(5), np.random.default_rng(5)
+        reference = reference_roll_out(start, actions, log_weights, cfg, grid, rng_ref)
+        calls = []
+        original = filters.traversability_log_prior_batch
+
+        def counted(grid, prev, nxt, beta, step):
+            calls.append(prev.shape[0])
+            return original(grid, prev, nxt, beta, step)
+
+        monkeypatch.setattr(filters, "traversability_log_prior_batch", counted)
+        got = filters._roll_out(start, actions, log_weights, cfg, grid, rng)
+
+        assert got[0].shape == (n, k, 3) and got[1].shape == (n, k)
+        for a, b in zip(got, reference):
+            np.testing.assert_array_equal(self._bits(a), self._bits(b))
+        assert rng.standard_normal() == rng_ref.standard_normal()
+        group = max(1, self.S // n)
+        assert len(calls) == (-(-k // group) if beta else 0)
+        assert sum(calls) == (k * n if beta else 0)
+        assert all(c <= max(self.S, n) for c in calls)
+        if beta and k:
+            assert np.any(reference[1] < 0) and np.any(reference[1] == 0)
 
 
 class TestStepInvariantsAllFilters:

@@ -670,6 +670,39 @@ class TestSegmentCountsMatchReference:
         got = grid.segment_collision_counts(ax, ay, bx, by, step)
         np.testing.assert_array_equal(got, reference_segment_counts(grid, ax, ay, bx, by, step))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        grid=st.one_of(sparse_grids(), narrow_grids()),
+        step=st.sampled_from([0.1, 0.25, 0.5, 1.0, 1.7]),
+        sizes=st.lists(st.integers(0, 12), min_size=1, max_size=5),
+        special_share=st.sampled_from([0.0, 0.2]),
+        zero_share=st.sampled_from([0.0, 0.3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batch_independent(self, grid, step, sizes, special_share, zero_share, seed):
+        # a segment's count does not depend on the batch it is counted in:
+        # one long segment's samples, padded to the batch's longest and
+        # masked, must not reach the others' counts; `filters._roll_out`
+        # groups whole transitions into one call on this
+        rng = np.random.default_rng(seed)
+        m = sum(sizes)
+        reach = rng.choice([1.0, max(grid.world_width, grid.world_height)], m)
+        ax = rng.uniform(-2.0, grid.world_width + 2.0, m)
+        ay = rng.uniform(-2.0, grid.world_height + 2.0, m)
+        bx = ax + rng.uniform(-1.0, 1.0, m) * reach
+        by = ay + rng.uniform(-1.0, 1.0, m) * reach
+        zero = rng.random(m) < zero_share
+        bx[zero], by[zero] = ax[zero], ay[zero]
+        ends = np.stack([ax, ay, bx, by])
+        special = rng.random(ends.shape) < special_share
+        ends[special] = rng.choice([np.nan, np.inf, -np.inf], int(special.sum()))
+        whole = grid.segment_collision_counts(*ends, step)
+        cuts = np.cumsum(sizes)[:-1]
+        parts = [grid.segment_collision_counts(*part, step) for part in np.split(ends, cuts, axis=1)]
+        assert whole.shape == (m,)
+        np.testing.assert_array_equal(whole, np.concatenate(parts))
+        np.testing.assert_array_equal(whole, reference_segment_counts(grid, *ends, step))
+
     def test_non_finite_endpoint_counts_two(self):
         grid = OccupancyGrid(20, 20, 1.0, np.zeros((20, 20), dtype=bool))
         ax = np.array([10.0, 10.0, np.nan, 10.0, np.inf, 10.0])

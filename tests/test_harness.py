@@ -339,7 +339,9 @@ class TestMethodTable:
     @pytest.mark.parametrize("method", harness.METHODS)
     def test_filters_looked_up_when_called(self, tmp_path, monkeypatch, method):
         # wrappers installed on `filters` after import (as a profiler's spans
-        # are) must see every step, and the prior only where beta applies
+        # are) must see every step, and the prior only where beta applies:
+        # at 80 particles each roll-out is one grouped prior call, so deq_mcl
+        # makes one in deq_init and one per step
         cfg = load_config(write_mini_config(tmp_path, methods=method, count=6, lag=2))
         calls = collections.Counter()
         for name in (*self.STEPS.values(), "traversability_log_prior_batch"):
@@ -353,10 +355,8 @@ class TestMethodTable:
             n: (horizon - 1 if n == self.STEPS[method] else 0) for n in self.STEPS.values()
         }
         assert cfg.filter_base.beta == 5.0
-        if method in ("mcl", "mcl_smoother"):
-            assert calls["traversability_log_prior_batch"] == 0
-        else:
-            assert calls["traversability_log_prior_batch"] >= horizon - 1
+        prior_calls = {"mcl": 0, "mcl_smoother": 0, "mcl_map_motion": horizon - 1, "deq_mcl": horizon}
+        assert calls["traversability_log_prior_batch"] == prior_calls[method]
 
 
 class TestRunExperiment:
