@@ -42,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_run(args) -> int:
     cfg = harness.load_config(args.config)
-    methods = tuple(args.methods.split(",")) if args.methods else None
+    methods = [m.strip() for m in args.methods.split(",")] if args.methods else None
     result = harness.run_experiment(cfg, out_dir=args.out, methods=methods, seed=args.seed)
     out = result["out_dir"]
     print((out / "report.txt").read_text())

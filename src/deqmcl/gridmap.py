@@ -140,28 +140,15 @@ class OccupancyGrid:
         corner[1] *= self._occupied_sums.shape[1]
         return corner
 
-    def is_occupied(self, p: Point2) -> bool:
-        """True iff ``p`` maps to an occupied cell or lies outside the grid."""
-        return bool(self.occupied_xy(p.x, p.y))
-
-    def segment_collision_count(self, a: Point2, b: Point2, step: float = 1.0) -> int:
-        """Count occupied sample points on the segment from ``a`` to ``b``.
-
-        The segment is sampled on a symmetric lattice: both endpoints plus
-        equally spaced interior points, with spacing at most ``step``.
-        """
-        if step <= 0:
-            raise ValueError(f"step must be positive, got {step}")
-        counts = self.segment_collision_counts(
-            np.array([a.x]), np.array([a.y]), np.array([b.x]), np.array([b.y]), step
-        )
-        return int(counts[0])
-
     def segment_collision_counts(self, ax, ay, bx, by, step: float) -> np.ndarray:
-        """Vectorized `segment_collision_count` over parallel arrays of endpoints.
+        """Count the occupied sample points of each segment from ``(ax, ay)``
+        to ``(bx, by)``, over parallel arrays of endpoints.
 
-        A segment with a NaN or infinite endpoint counts 2: it gets the two
-        samples ``t = 0, 1``, and both are non-finite, hence occupied.
+        A segment is sampled on a symmetric lattice: both endpoints plus
+        equally spaced interior points, with spacing at most ``step``, which
+        must be positive and finite.  A segment with a NaN or infinite
+        endpoint counts 2: it gets the two samples ``t = 0, 1``, and both are
+        non-finite, hence occupied.
 
         Sample ``j`` of a segment with ``k`` intervals lies at
         ``a + t*(b - a)``, ``t = min(j, k)/max(k, 1)``.  Each step of that
@@ -172,6 +159,8 @@ class OccupancyGrid:
         When that rectangle is free (`_rectangle_free`), the segment counts 0
         without being sampled.
         """
+        if not (step > 0 and math.isfinite(step)):
+            raise ValueError(f"step must be positive and finite, got {step}")
         ax = np.asarray(ax, dtype=float)
         ay = np.asarray(ay, dtype=float)
         bx = np.asarray(bx, dtype=float)

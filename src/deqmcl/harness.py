@@ -98,7 +98,7 @@ class PlanSpec:
 
 @dataclass(frozen=True)
 class InitSpec:
-    kind: str  # "gaussian" | "uniform_box" | "uniform_free"
+    kind: str  # "gaussian" | "uniform_box"
     sigma_xy: float
     sigma_theta: float
     box: tuple[float, float, float, float, float, float]
@@ -108,7 +108,6 @@ class InitSpec:
 class MetricParams:
     entropy_cell: float
     entropy_heading_bins: int
-    rmse_mode: str
 
 
 @dataclass(frozen=True)
@@ -130,7 +129,6 @@ class ExperimentConfig:
     noise: NoiseParams
     beams: BeamConfig
     filter_base: FilterConfig
-    per_method: dict[str, dict]
     init: InitSpec
     metric_params: MetricParams
     cloud_stride: int
@@ -164,8 +162,7 @@ _REQUIRED = object()  # default of a key that must be given
 _CONFIG_KEYS = {
     "": {
         "map": (str, _REQUIRED, None), "n_trials": (int, 1, 1), "master_seed": (int, 0, 0),
-        "methods": (object, METHODS, None), "filter": (object, None, None),
-        "per_method": (object, None, None), "outputs": (str, "out", None),
+        "methods": (object, METHODS, None), "filter": (object, None, None), "outputs": (str, "out", None),
     },
     "start": {
         "x": (float, _REQUIRED, None), "y": (float, _REQUIRED, None), "theta_deg": (float, 0.0, None),
@@ -188,13 +185,12 @@ _CONFIG_KEYS = {
         "max_range": (float, 100.0, "positive"), "ray_step": (float, 0.5, "positive"),
     },
     "init": {
-        "kind": (str, "gaussian", ("gaussian", "uniform_box", "uniform_free")),
+        "kind": (str, "gaussian", ("gaussian", "uniform_box")),
         "sigma_xy": (float, 10.0, "non-negative"), "sigma_theta_deg": (float, 11.5, "non-negative"),
         "box": (object, None, None),
     },
     "metrics": {
         "entropy_cell": (float, 5.0, "positive"), "entropy_heading_bins": (int, 36, 1),
-        "rmse_mode": (str, "mean", ("mean", "rms")),
     },
     "trace": {"cloud_stride": (int, 0, 0)},
     # oracle rows start at t = 2, the first filter step
@@ -285,6 +281,18 @@ def _read_keys(raw: dict) -> dict[str, dict]:
     return values
 
 
+def check_methods(value) -> tuple[str, ...]:
+    """``value`` as a tuple of distinct `METHODS` names; anything else is a
+    `ConfigError` that names the ``methods`` key."""
+    names = tuple(value) if isinstance(value, (list, tuple)) else ()
+    for m in names:
+        if m not in METHODS:
+            raise ConfigError(f"methods must be drawn from {', '.join(METHODS)}; unknown method {m!r}")
+    if not names or len(set(names)) != len(names):
+        raise ConfigError(f"methods must be a non-empty list of distinct method names, got {value!r}")
+    return names
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     """Load and validate a YAML experiment config.
 
@@ -308,17 +316,13 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
     waypoints = plan.pop("waypoints")
     if plan["kind"] == "waypoints":
-        waypoints = tuple(
-            Point2(*_numbers(w, "plan: waypoints", 2)) for w in _required(waypoints, "waypoints", "plan")
-        )
+        if not isinstance(_required(waypoints, "waypoints", "plan"), list):
+            raise ConfigError(f"plan: waypoints must be a list of [x, y] pairs, got {waypoints!r}")
+        waypoints = tuple(Point2(*_numbers(w, "plan: waypoints", 2)) for w in waypoints)
     else:
         _required(plan["count"], "count", "plan")
         waypoints = ()
-
-    methods = tuple(top["methods"])
-    for m in methods:
-        if m not in METHODS:
-            raise ConfigError(f"unknown method {m!r}; known: {METHODS}")
+    methods = check_methods(top["methods"])
 
     noise = NoiseParams(**v["noise"])
     filter_noise = dataclasses.replace(
@@ -340,15 +344,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"filter: {exc}") from None
-    per_method = {
-        m: dict(_section(override, f"per_method.{m}", _FILTER_KEYS))
-        for m, override in _section(top["per_method"], "per_method", METHODS).items()
-    }
-    for m, override in per_method.items():
-        try:
-            dataclasses.replace(filter_base, **override)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"per_method.{m}: {exc}") from None
 
     init = v["init"]
     box = init.pop("box")
@@ -373,21 +368,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
         noise=noise,
         beams=beams,
         filter_base=filter_base,
-        per_method=per_method,
         init=InitSpec(box=box, **init),
         metric_params=MetricParams(**v["metrics"]),
         cloud_stride=v["trace"]["cloud_stride"],
         outputs=top["outputs"],
         oracle_params=OracleParams(**v["oracle"]) if "oracle" in raw else None,
     )
-
-
-def filter_config_for(cfg: ExperimentConfig, method: str) -> FilterConfig:
-    base = cfg.filter_base
-    override = cfg.per_method.get(method)
-    if not override:
-        return base
-    return dataclasses.replace(base, **override)
 
 
 def derive_rng(master_seed: int, trial: int, stream: int, method: str | None = None) -> np.random.Generator:
@@ -416,7 +402,7 @@ def build_plan(cfg: ExperimentConfig, grid: OccupancyGrid) -> ActionPlan:
     return plan
 
 
-def make_init_sampler(cfg: ExperimentConfig, grid: OccupancyGrid):
+def make_init_sampler(cfg: ExperimentConfig):
     """Initial-belief sampler; draws three blocks (x, y, theta) in that order."""
     spec = cfg.init
     start = cfg.start
@@ -429,23 +415,13 @@ def make_init_sampler(cfg: ExperimentConfig, grid: OccupancyGrid):
             theta = start.theta + rng.standard_normal(n) * spec.sigma_theta
             return np.column_stack([x, y, theta])
 
-    elif spec.kind == "uniform_box":
+    else:  # uniform_box
         xmin, xmax, ymin, ymax, thmin, thmax = spec.box
 
         def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
             x = rng.uniform(xmin, xmax, n)
             y = rng.uniform(ymin, ymax, n)
             theta = rng.uniform(thmin, thmax, n) if thmax > thmin else np.full(n, thmin)
-            return np.column_stack([x, y, theta])
-
-    else:  # uniform over free cells
-
-        def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
-            free_iy, free_ix = np.nonzero(~grid.cells)
-            picks = rng.integers(0, free_ix.size, n)
-            x = (free_ix[picks] + rng.random(n)) * grid.resolution
-            y = (free_iy[picks] + rng.random(n)) * grid.resolution
-            theta = rng.uniform(-math.pi, math.pi, n)
             return np.column_stack([x, y, theta])
 
     return sampler
@@ -470,20 +446,20 @@ def simulate_truth(
     horizon = plan.horizon
     poses: list[Pose | None] = [None] * (horizon + 1)
     scans: list[DepthScan | None] = [None] * (horizon + 1)
-    if grid.is_occupied(start.position):
+    if grid.occupied_xy(start.x, start.y):
         raise PlanError(f"start pose ({start.x}, {start.y}) is in occupied space")
     poses[1] = start
     for t in range(2, horizon + 1):
         base = poses[t - 1]
-        nxt = None
+        poses[t] = base
         for _ in range(MAX_TRUTH_RETRIES):
             cand = step_true(base, plan.action(t), noise, rng_truth)
-            if not grid.is_occupied(cand.position) and (
-                grid.segment_collision_count(base.position, cand.position, collision_step) == 0
-            ):
-                nxt = cand
+            if grid.occupied_xy(cand.x, cand.y):
+                continue
+            ends = np.array([[base.x], [base.y], [cand.x], [cand.y]])
+            if not grid.segment_collision_counts(*ends, collision_step)[0]:
+                poses[t] = cand
                 break
-        poses[t] = nxt if nxt is not None else base
         scans[t] = sense(grid, poses[t], beams, noise, rng_sensor)
     return poses, scans  # type: ignore[return-value]
 
@@ -491,11 +467,8 @@ def simulate_truth(
 def trial_truth(
     cfg: ExperimentConfig, trial: int, grid: OccupancyGrid, plan: ActionPlan
 ) -> tuple[list[Pose], list[DepthScan | None]]:
-    """The trial's ground truth, shared by every method.
-
-    It uses the base filter section's collision step (the one `build_plan`
-    checks the plan with), so a per-method override cannot change the world.
-    """
+    """The trial's ground truth, shared by every method; it uses the collision
+    step `build_plan` checks the plan with."""
     return simulate_truth(
         grid, plan, cfg.start, cfg.noise, cfg.beams,
         derive_rng(cfg.master_seed, trial, _STREAM_TRUTH),
@@ -540,7 +513,7 @@ def run_trial(
         grid = load_experiment_grid(cfg)
     if plan is None:
         plan = build_plan(cfg, grid)
-    fcfg = filter_config_for(cfg, method)
+    fcfg = cfg.filter_base
     horizon = plan.horizon
 
     rng_filter = derive_rng(cfg.master_seed, trial, _STREAM_FILTER, method)
@@ -589,7 +562,7 @@ def run_trial(
             rec["cloud_t"] = tau
         records.append(rec)
 
-    states = _filter_states(fcfg, rng_filter, make_init_sampler(cfg, grid), init, step, plan, grid, scans)
+    states = _filter_states(fcfg, rng_filter, make_init_sampler(cfg), init, step, plan, grid, scans)
     for tau, state in states:
         if tau - lag >= 1:
             emit(tau - lag, state, tau)
@@ -597,7 +570,7 @@ def run_trial(
         emit(j, state, horizon)
 
     trial_metrics = metrics.TrialMetrics(
-        rmse=metrics.trial_rmse(errors, mp.rmse_mode),
+        rmse=metrics.trial_rmse(errors),
         entropy=float(np.mean(entropies)),
         variance=np.mean(np.stack(variances), axis=0),
     )
@@ -621,12 +594,14 @@ def run_experiment(
 ) -> dict:
     """Run the full (method x trial) battery and write summary, report and traces.
 
-    Filter-degenerate trials are recorded in failures.txt and skipped in the
+    ``methods`` (default: the config's) and ``seed`` (default: the config's
+    master seed) override the config; ``methods`` is checked as the config
+    key is, before anything runs.  Filter-degenerate trials are recorded in failures.txt and skipped in the
     aggregates; the run continues.
     """
     if seed is not None:
         cfg = dataclasses.replace(cfg, master_seed=seed)
-    methods = tuple(methods) if methods is not None else cfg.methods
+    methods = check_methods(methods) if methods is not None else cfg.methods
     out = resolve_output_dir(cfg, out_dir)
     traces_dir = out / "traces"
     traces_dir.mkdir(parents=True, exist_ok=True)
@@ -734,10 +709,7 @@ def lattice_initial(cfg: ExperimentConfig, hmm: oracle.DiscreteHmm) -> np.ndarra
     """Project the configured initial belief onto the oracle lattice."""
     if cfg.init.kind == "uniform_box":
         return oracle.uniform_box_initial(hmm, cfg.init.box)
-    if cfg.init.kind == "gaussian":
-        return oracle.gaussian_initial(hmm, cfg.start, cfg.init.sigma_xy, cfg.init.sigma_theta)
-    initial = hmm.free.astype(float)
-    return initial / initial.sum()
+    return oracle.gaussian_initial(hmm, cfg.start, cfg.init.sigma_xy, cfg.init.sigma_theta)
 
 
 def run_oracle_validation(cfg: ExperimentConfig, out_dir: str | None = None) -> list[dict]:
@@ -758,14 +730,14 @@ def run_oracle_validation(cfg: ExperimentConfig, out_dir: str | None = None) -> 
         raise ConfigError(
             f"oracle.compare_t = {op.compare_t} lies past the plan horizon {plan.horizon}"
         )
-    fcfg = filter_config_for(cfg, "deq_mcl")
+    fcfg = cfg.filter_base
     init, step, _ = METHOD_TABLE["deq_mcl"]
 
     plan_actions = list(plan.actions[1:])
     hmm = oracle.discretize(grid, fcfg, list(dict.fromkeys(plan_actions)), op.cell, op.heading_bins)
     hmm.initial = lattice_initial(cfg, hmm)
 
-    sampler = make_init_sampler(cfg, grid)
+    sampler = make_init_sampler(cfg)
     rows: list[dict] = []
     for seed_idx in range(op.seeds):
         rng_filter = derive_rng(cfg.master_seed, seed_idx, _STREAM_FILTER, "deq_mcl")

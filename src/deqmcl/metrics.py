@@ -1,4 +1,4 @@
-"""Evaluation metrics: per-step estimation error, its aggregate, and the
+"""Evaluation metrics: per-step estimation error, its trial mean, and the
 entropy and per-dimension variance of a particle belief.
 
 The state for error purposes is the 4-vector (x, y, cos theta, sin theta);
@@ -60,21 +60,13 @@ def step_error(belief: BeliefSnapshot, truth: Pose) -> StepError:
     return StepError(t=belief.time + belief.offset, value=error_from_mean(mean_state(belief), truth))
 
 
-def trial_rmse(errors, mode: str = "mean") -> float:
-    """Aggregate per-step errors over a trial.
-
-    ``mode="mean"`` averages e_t (each e_t is already a root of summed
-    squares); ``mode="rms"`` takes sqrt(mean(e_t^2)) instead, kept for
-    sensitivity checks.
-    """
+def trial_rmse(errors) -> float:
+    """Aggregate per-step errors over a trial: the mean of e_t, each e_t
+    already being a root of summed squares."""
     values = np.array([e.value if isinstance(e, StepError) else float(e) for e in errors])
     if values.size == 0:
         raise ValueError("no step errors to aggregate")
-    if mode == "mean":
-        return float(values.mean())
-    if mode == "rms":
-        return float(np.sqrt(np.mean(values**2)))
-    raise ValueError(f"unknown aggregation mode {mode!r}")
+    return float(values.mean())
 
 
 def belief_entropy(belief: BeliefSnapshot, cell: float = 5.0, n_heading_bins: int = 36) -> float:

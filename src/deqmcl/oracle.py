@@ -37,10 +37,10 @@ class ImpossibleEvidenceError(RuntimeError):
 class DiscreteHmm:
     """Pose-lattice HMM mirroring the continuous localization model.
 
-    ``transitions`` holds row-stochastic motion matrices per action;
-    ``weighted_transitions`` additionally folds in the traversability prior
-    exp(-beta * C) of the center-to-center segment, so its rows are
-    sub-stochastic near obstacles.
+    ``weighted_transitions`` holds one motion matrix per action, each entry
+    weighted by the traversability prior exp(-beta * C) of its
+    center-to-center segment: the rows are stochastic at beta 0 and
+    sub-stochastic near obstacles otherwise.
     """
 
     grid: OccupancyGrid
@@ -50,7 +50,6 @@ class DiscreteHmm:
     ny: int
     centers: np.ndarray  # (S, 3)
     free: np.ndarray     # (S,) bool
-    transitions: dict[Action, np.ndarray]
     weighted_transitions: dict[Action, np.ndarray]
     sensor_sigma: float
     initial: np.ndarray  # (S,)
@@ -75,7 +74,8 @@ def discretize(
     Transition rows are built by composite-midpoint integration of the motion
     kernel: the heading noise is evaluated at destination-bin centers and the
     forward noise on a midpoint grid over +/- 6 sigma, each node mapped to
-    the cell it lands in.  Rows are renormalized so they sum to exactly 1.
+    the cell it lands in.  Rows are renormalized so they sum to exactly 1,
+    then each nonzero entry is weighted by the traversability prior.
     """
     if cell <= 0:
         raise ValueError(f"cell must be positive, got {cell}")
@@ -103,7 +103,6 @@ def discretize(
     free = ~grid.occupied_xy(centers[:, 0], centers[:, 1])
 
     noise = cfg.motion_noise
-    transitions: dict[Action, np.ndarray] = {}
     weighted: dict[Action, np.ndarray] = {}
     n_cells = nx * ny
     cell_state_base = np.arange(n_cells) * n_heading_bins
@@ -151,17 +150,15 @@ def discretize(
         trans[dead, np.arange(n_states)[dead]] = 1.0  # all mass off-lattice: hold state
         row_sums[dead] = 1.0
         trans /= row_sums[:, None]
-        transitions[action] = trans
 
-        w = trans.copy()
         src_idx, dst_idx = np.nonzero(trans)
         counts = grid.segment_collision_counts(
             centers[src_idx, 0], centers[src_idx, 1],
             centers[dst_idx, 0], centers[dst_idx, 1],
             cfg.collision_step,
         )
-        w[src_idx, dst_idx] *= np.exp(-cfg.beta * counts)
-        weighted[action] = w
+        trans[src_idx, dst_idx] *= np.exp(-cfg.beta * counts)
+        weighted[action] = trans
 
     initial = free.astype(float)
     initial /= initial.sum()
@@ -173,7 +170,6 @@ def discretize(
         ny=ny,
         centers=centers,
         free=free,
-        transitions=transitions,
         weighted_transitions=weighted,
         sensor_sigma=cfg.sensor_sigma,
         initial=initial,

@@ -49,10 +49,6 @@ class Pose:
             raise ValueError(f"pose fields must be finite, got {(self.x, self.y, self.theta)}")
         object.__setattr__(self, "theta", normalize_angle(self.theta))
 
-    @property
-    def position(self) -> Point2:
-        return Point2(self.x, self.y)
-
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.theta])
 
@@ -188,7 +184,7 @@ def sense(
     rng: np.random.Generator,
 ) -> DepthScan:
     """Simulate one depth scan from ``pose``; one noise variate per beam, in beam order."""
-    if grid.is_occupied(pose.position):
+    if grid.occupied_xy(pose.x, pose.y):
         raise ValueError(f"sensor pose ({pose.x}, {pose.y}) is inside an obstacle")
     headings = np.asarray(beams.headings, dtype=float)
     true_ranges = grid.raycast_batch(
@@ -252,7 +248,7 @@ def build_loop_plan(
     if v_step <= 0 or omega_step <= 0:
         raise PlanError(f"v_step and omega_step must be positive, got {v_step}, {omega_step}")
     for i, wp in enumerate(waypoints):
-        if grid.is_occupied(wp):
+        if grid.occupied_xy(wp.x, wp.y):
             raise PlanError(f"waypoint {i} at ({wp.x}, {wp.y}) is in occupied space")
 
     actions = [Action(0.0, 0.0)]

@@ -15,6 +15,17 @@ def raycast(grid: OccupancyGrid, origin: Point2, heading: float, max_range: floa
     return float(d[0])
 
 
+def is_occupied(grid: OccupancyGrid, p: Point2) -> bool:
+    """Whether ``p`` is occupied: one point through `occupied_xy`."""
+    return bool(grid.occupied_xy(np.array([p.x]), np.array([p.y]))[0])
+
+
+def segment_count(grid: OccupancyGrid, a: Point2, b: Point2, step: float = 1.0) -> int:
+    """Occupied samples of the segment from ``a`` to ``b``: one segment through `segment_collision_counts`."""
+    ends = [np.array([v]) for v in (a.x, a.y, b.x, b.y)]
+    return int(grid.segment_collision_counts(*ends, step)[0])
+
+
 class TestLoadGrid:
     def test_three_by_two_example(self):
         grid = load_grid("3 2 1.0\n###\n#.#\n")
@@ -23,7 +34,7 @@ class TestLoadGrid:
         for ix in range(3):
             for iy in range(2):
                 expected_free = (ix, iy) == (1, 0)
-                assert grid.is_occupied(Point2(ix + 0.5, iy + 0.5)) != expected_free
+                assert is_occupied(grid, Point2(ix + 0.5, iy + 0.5)) != expected_free
 
     def test_shipped_benchmark_map_loads(self):
         text = (packaged_config_dir() / "paper_map.txt").read_text()
@@ -31,8 +42,8 @@ class TestLoadGrid:
         assert (grid.width, grid.height) == (350, 300)
         assert grid.resolution == 1.0
         # outer walls solid, interior reachable
-        assert grid.is_occupied(Point2(0.5, 150.0))
-        assert not grid.is_occupied(Point2(175.0, 75.0))
+        assert is_occupied(grid, Point2(0.5, 150.0))
+        assert not is_occupied(grid, Point2(175.0, 75.0))
 
     def test_zero_width_header_rejected(self):
         with pytest.raises(MapFormatError, match="line 1"):
@@ -76,17 +87,17 @@ class TestLoadGrid:
 class TestOccupancy:
     def test_point_in_wall(self):
         grid = load_grid("3 2 1.0\n###\n#.#\n")
-        assert grid.is_occupied(Point2(0.5, 0.5))
+        assert is_occupied(grid, Point2(0.5, 0.5))
 
     def test_out_of_bounds_is_solid(self):
         grid = load_grid("3 2 1.0\n###\n#.#\n")
-        assert grid.is_occupied(Point2(-1.0, -1.0))
-        assert grid.is_occupied(Point2(100.0, 0.5))
-        assert grid.is_occupied(Point2(0.5, 2.0))  # upper edge excluded
+        assert is_occupied(grid, Point2(-1.0, -1.0))
+        assert is_occupied(grid, Point2(100.0, 0.5))
+        assert is_occupied(grid, Point2(0.5, 2.0))  # upper edge excluded
 
     def test_free_cell(self):
         grid = load_grid("3 2 1.0\n###\n#.#\n")
-        assert not grid.is_occupied(Point2(1.5, 0.5))
+        assert not is_occupied(grid, Point2(1.5, 0.5))
 
     def test_non_finite_points_occupied(self):
         grid = make_room()
@@ -95,28 +106,28 @@ class TestOccupancy:
 
     def test_resolution_scaling(self):
         grid = load_grid("3 2 2.0\n###\n#.#\n")
-        assert not grid.is_occupied(Point2(3.0, 1.0))   # cell (1, 0) spans [2,4)x[0,2)
-        assert grid.is_occupied(Point2(1.0, 1.0))
+        assert not is_occupied(grid, Point2(3.0, 1.0))   # cell (1, 0) spans [2,4)x[0,2)
+        assert is_occupied(grid, Point2(1.0, 1.0))
 
 
 class TestSegmentCollisionCount:
     def test_coincident_free_endpoints(self, room):
         p = Point2(30.0, 30.0)
-        assert room.segment_collision_count(p, p, 1.0) == 0
+        assert segment_count(room, p, p, 1.0) == 0
 
     def test_coincident_occupied_endpoints(self, room):
         p = Point2(0.5, 0.5)
-        assert room.segment_collision_count(p, p, 1.0) == 1
+        assert segment_count(room, p, p, 1.0) == 1
 
     def test_length_ten_inside_obstacle(self):
         # 11 lattice points (both endpoints plus nine interior) all occupied
         cells = np.ones((4, 20), dtype=bool)
         grid = OccupancyGrid(20, 4, 1.0, cells)
-        count = grid.segment_collision_count(Point2(4.0, 2.0), Point2(14.0, 2.0), 1.0)
+        count = segment_count(grid, Point2(4.0, 2.0), Point2(14.0, 2.0), 1.0)
         assert count == 11
 
     def test_open_space_segment(self, room):
-        assert room.segment_collision_count(Point2(10.0, 10.0), Point2(40.0, 40.0), 1.0) == 0
+        assert segment_count(room, Point2(10.0, 10.0), Point2(40.0, 40.0), 1.0) == 0
 
     def test_symmetric_sampling(self, room):
         rng = np.random.default_rng(4)
@@ -124,13 +135,13 @@ class TestSegmentCollisionCount:
             a = Point2(*rng.uniform(0, 60, 2))
             b = Point2(*rng.uniform(0, 60, 2))
             step = float(rng.uniform(0.3, 3.0))
-            assert room.segment_collision_count(a, b, step) == room.segment_collision_count(b, a, step)
+            assert segment_count(room, a, b, step) == segment_count(room, b, a, step)
 
     def test_agrees_with_is_occupied_on_points(self, room):
         rng = np.random.default_rng(5)
         for _ in range(100):
             p = Point2(*rng.uniform(-5, 65, 2))
-            assert room.is_occupied(p) == (room.segment_collision_count(p, p, 1.0) > 0)
+            assert is_occupied(room, p) == (segment_count(room, p, p, 1.0) > 0)
 
     def test_batch_matches_scalar(self, room):
         rng = np.random.default_rng(6)
@@ -138,8 +149,16 @@ class TestSegmentCollisionCount:
         bx, by = rng.uniform(0, 60, 50), rng.uniform(0, 60, 50)
         counts = room.segment_collision_counts(ax, ay, bx, by, 0.7)
         for i in range(50):
-            expected = room.segment_collision_count(Point2(ax[i], ay[i]), Point2(bx[i], by[i]), 0.7)
+            expected = segment_count(room, Point2(ax[i], ay[i]), Point2(bx[i], by[i]), 0.7)
             assert counts[i] == expected
+
+    @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
+    def test_step_must_be_positive_and_finite(self, step):
+        grid = load_grid((packaged_config_dir() / "paper_map.txt").read_text())
+        a, b = Point2(5.5, 150.0), Point2(0.5, 150.0)  # through the 3-cell left wall
+        assert segment_count(grid, a, b, 1.0) == 3
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            segment_count(grid, a, b, step)
 
     def test_spacing_respected(self, room):
         # spacing must be <= step: a 1.5-unit segment at step 1 needs 2 intervals
@@ -147,7 +166,7 @@ class TestSegmentCollisionCount:
         cells[2, 3] = True  # obstacle cell [3,4) x [2,3)
         grid = OccupancyGrid(8, 4, 1.0, cells)
         # midpoint (3.25, 2.5) falls inside the obstacle; endpoints are free
-        assert grid.segment_collision_count(Point2(2.5, 2.5), Point2(4.0, 2.5), 1.0) == 1
+        assert segment_count(grid, Point2(2.5, 2.5), Point2(4.0, 2.5), 1.0) == 1
 
 
 class TestRaycast:
@@ -171,7 +190,7 @@ class TestRaycast:
         rng = np.random.default_rng(7)
         for _ in range(50):
             origin = Point2(*rng.uniform(2, 58, 2))
-            if room.is_occupied(origin):
+            if is_occupied(room, origin):
                 continue
             heading = rng.uniform(-math.pi, math.pi)
             short = raycast(room, origin, heading, max_range=20.0, step=0.5)

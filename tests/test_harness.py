@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,14 +84,6 @@ class TestLoadConfig:
         assert cfg.beams.headings == (0.0,)
         assert cfg.init.sigma_theta == pytest.approx(math.radians(3.0))
 
-    def test_per_method_overrides(self, tmp_path):
-        path = write_mini_config(tmp_path)
-        text = path.read_text() + "per_method:\n  mcl: {n_particles: 33}\n"
-        path.write_text(text)
-        cfg = load_config(path)
-        assert harness.filter_config_for(cfg, "mcl").n_particles == 33
-        assert harness.filter_config_for(cfg, "deq_mcl").n_particles == 80
-
     def test_nan_beta_rejected(self, tmp_path):
         path = write_mini_config(tmp_path)
         path.write_text(path.read_text().replace("beta: 5.0", "beta: .nan"))
@@ -109,12 +102,6 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=f"beams: {key} must be positive and finite"):
             load_config(path)
 
-    def test_bad_per_method_override_rejected(self, tmp_path):
-        path = write_mini_config(tmp_path)
-        path.write_text(path.read_text() + "per_method:\n  mcl: {sensor_sigma: .nan}\n")
-        with pytest.raises(ConfigError, match="per_method.mcl: sensor_sigma"):
-            load_config(path)
-
     @pytest.mark.parametrize("key, value", [
         ("lag", "2.5"), ("lag", "true"), ("lag", "'2'"),
         ("n_particles", "80.0"), ("n_particles", "'10'"), ("n_particles", "false"),
@@ -126,9 +113,6 @@ class TestLoadConfig:
         path.write_text(text.replace(default, f"{key}: {value}"))
         with pytest.raises(ConfigError, match=f"filter: {key} must be an integer"):
             load_config(path)
-        path.write_text(text + f"per_method:\n  mcl: {{{key}: {value}}}\n")
-        with pytest.raises(ConfigError, match=f"per_method.mcl: {key} must be an integer"):
-            load_config(path)
 
     def test_negative_cloud_stride_rejected(self, tmp_path):
         path = write_mini_config(tmp_path, cloud_stride=-1)
@@ -136,7 +120,8 @@ class TestLoadConfig:
             load_config(path)
 
     # (text in the mini config, its replacement, the key path the error names);
-    # an empty first entry appends the replacement
+    # an empty first entry appends the replacement, and a top-level key's
+    # error says so
     @pytest.mark.parametrize("old, new, path", [
         ("sigma_v: 0.1", "sigma_vv: 0.1", "noise.sigma_vv"),
         ("max_range: 40.0", "max_rnage: 40.0", "beams.max_rnage"),
@@ -148,8 +133,8 @@ class TestLoadConfig:
         ("entropy_cell: 2.0", "entropy_cel: 2.0", "metrics.entropy_cel"),
         ("cloud_stride: 0", "stride: 0", "trace.stride"),
         ("", "filter_noise: {sigma_range: 1.0}", "filter_noise.sigma_range"),
-        ("", "per_method:\n  mcl: {resimulate_future: true}", "per_method.mcl.resimulate_future"),
-        ("", "per_method:\n  warp_drive: {lag: 1}", "per_method.warp_drive"),
+        ("entropy_heading_bins: 18", "rmse_mode: mean", "metrics.rmse_mode"),
+        ("", "per_method:\n  mcl: {lag: 1}", "per_method"),
         ("", "oracle: {seed: 3}", "oracle.seed"),
     ])
     def test_unknown_section_key_rejected(self, tmp_path, old, new, path):
@@ -157,7 +142,7 @@ class TestLoadConfig:
         text = cfg_path.read_text()
         assert old in text
         cfg_path.write_text(text.replace(old, new) if old else text + new + "\n")
-        with pytest.raises(ConfigError, match=f"unknown key '{path}'"):
+        with pytest.raises(ConfigError, match=f"unknown (top-level )?key '{path}'"):
             load_config(cfg_path)
 
     @pytest.mark.parametrize("old, new, where", [
@@ -193,6 +178,7 @@ class TestLoadConfig:
         ("kind: constant, v: 1.0", "kind: waypoints, v_step: x, waypoints: [[1, 2]]", "plan: v_step"),
         ("kind: constant, v: 1.0", "kind: waypoints, waypoints: [[1, 2], [3]]", "plan: waypoints"),
         ("kind: constant, v: 1.0", "kind: waypoints, waypoints: [[1, y]]", "plan: waypoints"),
+        ("kind: constant, v: 1.0", "kind: waypoints, waypoints: 5", "plan: waypoints"),
         ("sigma_v: 0.1", "sigma_v: x", "noise: sigma_v"),
         ("sigma_range: 0.5", "sigma_range: null", "noise: sigma_range"),
         ("", "filter_noise: {sigma_v: 'x'}", "filter_noise: sigma_v"),
@@ -231,8 +217,15 @@ class TestLoadConfig:
         ("kind: gaussian", "kind: uniform_box, box: [6, 2, 1, 2, 0, 0]", "init: box"),
         ("kind: gaussian", "kind: uniform_box, box: [2, 6, 1, 2, 10, -10]", "init: box"),
         ("entropy_cell: 2.0", "entropy_cell: 0", "metrics: entropy_cell"),
-        ("entropy_heading_bins: 18", "rmse_mode: median", "metrics: rmse_mode"),
         ("kind: constant", "kind: spiral", "plan: kind"),
+        ("kind: gaussian", "kind: uniform_free", "init: kind"),
+        ("methods: [mcl]", "methods: 5", "methods"),
+        ("methods: [mcl]", "methods:", "methods"),
+        ("methods: [mcl]", "methods: mcl", "methods"),
+        ("methods: [mcl]", "methods: []", "methods"),
+        ("methods: [mcl]", "methods: [mcl, mcl]", "methods"),
+        ("methods: [mcl]", "methods: [mcl, warp_drive]", "methods"),
+        ("methods: [mcl]", "methods: [[mcl]]", "methods"),
     ])
     def test_out_of_range_rejected(self, tmp_path, old, new, where):
         cfg_path = write_mini_config(tmp_path)
@@ -273,10 +266,8 @@ class TestRunTrial:
             truths[method] = {r["t"]: r["truth"] for r in records}
         assert truths["mcl"] == truths["mcl_map_motion"] == truths["deq_mcl"]
 
-    def test_truth_ignores_per_method_collision_step(self, tmp_path, monkeypatch):
-        path = write_mini_config(tmp_path, methods="mcl, mcl_map_motion", count=8, n_trials=2)
-        path.write_text(path.read_text() + "per_method:\n  mcl: {collision_step: 0.5}\n")
-        cfg = load_config(path)
+    def test_truth_simulated_once_per_trial(self, tmp_path, monkeypatch):
+        cfg = load_config(write_mini_config(tmp_path, methods="mcl, mcl_map_motion", count=8, n_trials=2))
         steps = []
         simulate = harness.simulate_truth
 
@@ -286,7 +277,7 @@ class TestRunTrial:
 
         monkeypatch.setattr(harness, "simulate_truth", spy)
         run_experiment(cfg, out_dir=str(tmp_path / "run"))
-        # once per trial, at the base step, however many methods share it
+        # once per trial, at the filter's step, however many methods share it
         assert steps == [cfg.filter_base.collision_step] * cfg.n_trials
         for trial in range(cfg.n_trials):
             truths = [
@@ -430,14 +421,17 @@ class TestPaperPathDigest:
     # still had its lag-0 and incremental branches (Python 3.11.7, numpy
     # 2.4.6, x86-64).  Refactors of the filters must keep it.
     PAPER_SEED_1 = "715d12adaa781f6c5de34eef99ea79c837993bacbf0ea7ed027826a17419e077"
-    # the same with all four methods, recorded while each filter still had
-    # its own step body
-    PAPER_SEED_1_ALL_METHODS = "f774897ed134dec3eba8cf76bb2a94b332ddca3b16d3d3da0ae49a15e5eb7d4a"
+    # the same digest of the benchmark's paper.cfg workloads, as the
+    # benchmark records it: workload -> seed -> sha256
+    BENCHMARK_DIGESTS = json.loads(
+        (Path(__file__).resolve().parents[1] / "perfbench" / "digests.json").read_text()
+    )
+    BENCHMARK_METHODS = {"battery": harness.METHODS, "mcl-only": ("mcl",)}
 
     @staticmethod
-    def _digest(tmp_path, methods):
+    def _digest(tmp_path, methods, seed=1):
         cfg = dataclasses.replace(load_config("paper.cfg"), n_trials=1)
-        run_experiment(cfg, out_dir=str(tmp_path), methods=methods, seed=1)
+        run_experiment(cfg, out_dir=str(tmp_path), methods=methods, seed=seed)
         digest = hashlib.sha256()
         for name in ("summary.csv", "metrics.csv"):
             digest.update((tmp_path / name).read_bytes())
@@ -446,8 +440,11 @@ class TestPaperPathDigest:
     def test_paper_outputs_are_byte_identical(self, tmp_path):
         assert self._digest(tmp_path, ("deq_mcl", "mcl_map_motion")) == self.PAPER_SEED_1
 
-    def test_paper_outputs_all_methods_are_byte_identical(self, tmp_path):
-        assert self._digest(tmp_path, harness.METHODS) == self.PAPER_SEED_1_ALL_METHODS
+    @pytest.mark.parametrize("workload", ["battery", "mcl-only"])
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_paper_outputs_match_benchmark_digests(self, tmp_path, workload, seed):
+        digest = self._digest(tmp_path, self.BENCHMARK_METHODS[workload], seed)
+        assert digest == self.BENCHMARK_DIGESTS[workload][str(seed)]
 
 
 class TestBuildPlan:
@@ -460,22 +457,6 @@ class TestBuildPlan:
 
 
 class TestInitSamplers:
-    def test_uniform_free_covers_free_space(self, tmp_path):
-        path = write_mini_config(tmp_path)
-        text = path.read_text().replace(
-            "init: {kind: gaussian, sigma_xy: 2.0, sigma_theta_deg: 3.0}",
-            "init: {kind: uniform_free}",
-        )
-        path.write_text(text)
-        cfg = load_config(path)
-        grid = harness.load_experiment_grid(cfg)
-        sampler = harness.make_init_sampler(cfg, grid)
-        poses = sampler(np.random.default_rng(0), 500)
-        assert poses.shape == (500, 3)
-        assert not grid.occupied_xy(poses[:, 0], poses[:, 1]).any()
-        # spreads over the whole free interior, not just around the start
-        assert poses[:, 0].min() < 5 and poses[:, 0].max() > 25
-
     def test_uniform_box_stays_in_box(self, tmp_path):
         path = write_mini_config(tmp_path)
         text = path.read_text().replace(
@@ -483,9 +464,7 @@ class TestInitSamplers:
             "init: {kind: uniform_box, box: [4.0, 8.0, 5.0, 7.0, -10.0, 10.0]}",
         )
         path.write_text(text)
-        cfg = load_config(path)
-        grid = harness.load_experiment_grid(cfg)
-        sampler = harness.make_init_sampler(cfg, grid)
+        sampler = harness.make_init_sampler(load_config(path))
         poses = sampler(np.random.default_rng(0), 200)
         assert np.all((poses[:, 0] >= 4) & (poses[:, 0] < 8))
         assert np.all((poses[:, 1] >= 5) & (poses[:, 1] < 7))
@@ -576,6 +555,19 @@ class TestCli:
                   "--methods", "mcl"])
         summary = (tmp_path / "sub" / "summary.csv").read_text().splitlines()
         assert len(summary) == 2 and summary[1].startswith("mcl,")
+
+    def test_run_methods_checked_before_truth(self, tmp_path, monkeypatch):
+        cfg_path = write_mini_config(tmp_path, methods="mcl, deq_mcl", count=4, lag=2)
+        run = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "sub")]
+        with monkeypatch.context() as m:
+            m.setattr(harness, "simulate_truth", lambda *a, **k: pytest.fail("truth simulated"))
+            for methods in ("warp_drive", "mcl,mcl", "mcl,", "mcl;deq_mcl"):
+                with pytest.raises(ConfigError, match="^methods must be"):
+                    cli.main([*run, "--methods", methods])
+        assert not (tmp_path / "sub").exists()
+        cli.main([*run, "--methods", " deq_mcl , mcl"])  # spaces around the names
+        summary = harness.read_summary_csv(tmp_path / "sub" / "summary.csv")
+        assert [r["method"] for r in summary] == ["deq_mcl", "mcl"]
 
     def test_oracle_subcommand(self, tmp_path, capsys):
         cfg_path = write_mini_config(tmp_path, methods="deq_mcl", count=6, lag=2)

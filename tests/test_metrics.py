@@ -86,16 +86,9 @@ class TestTrialRmse:
     def test_arithmetic_mean(self):
         assert trial_rmse([StepError(1, 0.0), StepError(2, 10.0)]) == 5.0
 
-    def test_rms_mode(self):
-        assert trial_rmse([0.0, 10.0], mode="rms") == pytest.approx(math.sqrt(50.0))
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             trial_rmse([])
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            trial_rmse([1.0], mode="median")
 
 
 class TestBeliefEntropy:

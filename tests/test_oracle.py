@@ -59,20 +59,20 @@ class TestDiscretize:
 
         cfg0 = dataclasses.replace(cfg, motion_noise=NoiseParams(0, 0, 0))
         hmm = discretize(grid, cfg0, [Action(1.0, 0.0)], cell=1.0, n_heading_bins=1)
-        trans = hmm.transitions[Action(1.0, 0.0)]
+        trans = hmm.weighted_transitions[Action(1.0, 0.0)]
         for i in range(5):  # interior states step one cell right
             assert trans[i, i + 1] == 1.0
             assert trans[i].sum() == 1.0
 
     def test_rows_sum_to_one(self):
         _, _, hmm = strip_hmm(sigma_v=0.7)
-        for trans in hmm.transitions.values():
+        for trans in hmm.weighted_transitions.values():
             np.testing.assert_allclose(trans.sum(axis=1), 1.0, atol=1e-9)
 
     def test_mirrored_action_mirrors_rows(self):
         _, _, hmm = strip_hmm(sigma_v=0.5)
-        fwd = hmm.transitions[Action(1.0, 0.0)]
-        bwd = hmm.transitions[Action(-1.0, 0.0)]
+        fwd = hmm.weighted_transitions[Action(1.0, 0.0)]
+        bwd = hmm.weighted_transitions[Action(-1.0, 0.0)]
         n = fwd.shape[0]
         np.testing.assert_allclose(fwd, bwd[::-1, ::-1], atol=1e-12)
 
@@ -83,12 +83,20 @@ class TestDiscretize:
             discretize(grid, cfg, [Action(1, 0)], cell=1.0, n_heading_bins=1)
 
     def test_map_prior_folds_into_weighted_kernel(self):
-        _, _, hmm = strip_hmm(sigma_v=0.5, beta=2.0)
+        # the strip with its cell 3 occupied: moves across it lose weight
+        cells = np.zeros((1, 6), dtype=bool)
+        cells[0, 3] = True
+        grid = OccupancyGrid(6, 1, 1.0, cells)
+        _, cfg, _ = strip_hmm(sigma_v=0.5)
         act = Action(1.0, 0.0)
-        trans, weighted = hmm.transitions[act], hmm.weighted_transitions[act]
-        assert np.all(weighted <= trans + 1e-15)
-        # interior moves stay in free space: no penalty
+        trans, weighted = (
+            discretize(grid, dataclasses.replace(cfg, beta=beta), [act], 1.0, 1).weighted_transitions[act]
+            for beta in (0.0, 2.0)
+        )
+        assert np.all(weighted <= trans)
+        # moves that stay in free space: no penalty
         assert weighted[1, 2] == trans[1, 2]
+        assert 0 < weighted[2, 4] < trans[2, 4]
 
     def test_emission_minus_inf_at_occupied_states(self):
         grid = make_room(8, 8)
@@ -130,7 +138,7 @@ class TestExactQueuePosterior:
         # with constant emission and no map prior the backward pass is flat:
         # every past/current marginal equals the plain forward marginal
         msg = hmm.initial.copy()
-        g = hmm.transitions[act]
+        g = hmm.weighted_transitions[act]
         forward = {1: msg}
         for j in range(2, 7):
             msg = g.T @ msg
@@ -144,7 +152,7 @@ class TestExactQueuePosterior:
         act = Action(1.0, 0.0)
         scans = [strip_scan(grid, 2.5, s) for s in range(3)]
         out = exact_queue_posterior(hmm, [act] * 7, weights(hmm, scans), lag=2)
-        g = hmm.transitions[act]
+        g = hmm.weighted_transitions[act]
         prop1 = g.T @ out[0]
         prop2 = g.T @ prop1
         np.testing.assert_allclose(out[1], prop1 / prop1.sum(), atol=1e-12)

@@ -25,6 +25,7 @@ from deqmcl.worldsim import (
 )
 
 from conftest import make_room
+from test_gridmap import segment_count
 
 
 class TestPose:
@@ -302,7 +303,7 @@ class TestBuildLoopPlan:
         plan = build_loop_plan(grid, start, wps, v_step=4.0, omega_step=math.pi / 8)
         poses = rollout(start, plan)
         for a, b in zip(poses, poses[1:]):
-            assert grid.segment_collision_count(a.position, b.position, 1.0) == 0
+            assert segment_count(grid, Point2(a.x, a.y), Point2(b.x, b.y), 1.0) == 0
 
     def test_turn_then_drive_structure(self):
         grid = make_room(100, 100)
