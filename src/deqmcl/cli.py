@@ -1,5 +1,8 @@
 """Command-line interface: run experiments, validate against the oracle,
-render trace snapshots, and audit plan rollouts."""
+render trace snapshots, and audit plan rollouts.
+
+Exit status: 0 on success; 1 when a trial failed or the plan collides;
+2 on a bad config or command line, reported in one line."""
 
 from __future__ import annotations
 
@@ -49,6 +52,7 @@ def cmd_run(args) -> int:
     print(f"summary: {out / 'summary.csv'}")
     if result["failures"]:
         print(f"{len(result['failures'])} trial(s) failed; see {out / 'failures.txt'}")
+        return 1
     return 0
 
 
@@ -99,7 +103,14 @@ def main(argv: list[str] | None = None) -> int:
         "render": cmd_render,
         "map-check": cmd_map_check,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except harness.ConfigError as exc:
+        print(f"deqmcl: {exc}", file=sys.stderr)
+        return 2
+    except PlanError as exc:  # map-check reports its own
+        print(f"deqmcl: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

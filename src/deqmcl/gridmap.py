@@ -14,19 +14,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # `OccupancyGrid.raycast_batch` tests a batch of at most `_MARCH_POINTS`
-# points as one dense block, without the free-prefix search: on the oracle's
-# 88-ray emission batches the search's probes cost more than they save.  The
-# two cross near 32,768 points.  Median ms per batch, dense / search, on 2
-# cores with numpy 2.4.6, rays from random free points at random headings:
-# `tiny_map.txt`, 300-sample rays: 88 rays 0.44 / 0.55, 110 rays 0.52 / 0.59,
-# 130 rays 1.18 / 0.64, 200 rays 1.74 / 0.64; `paper_map.txt`, 200-sample
-# rays: 130 rays 0.45 / 0.72, 164 rays 0.60 / 0.67, 200 rays 0.76 / 0.68,
-# 327 rays 1.14 / 0.69.  A larger batch first bisects each ray over the
-# summed-area table, then marches from there in blocks of at most
-# `_MARCH_BLOCK` points, but at least one sample per ray.  One pass of the
-# march costs about as much interpreter time as testing a few thousand
-# points: narrower blocks pay in passes, wider ones test samples past the
-# first hit.
+# points as one dense block, without the free-prefix search.  Where the two
+# cross depends on the map.  Median ms per batch, dense / search, on 2 cores
+# with numpy 2.4.6, rays from random free points at random headings:
+# `tiny_map.txt`, 300-sample rays: 44 rays 0.37 / 0.44, 66 rays 0.56 / 0.49,
+# 88 rays 0.77 / 0.52, 130 rays 1.13 / 0.58, 200 rays 1.78 / 0.63;
+# `paper_map.txt`, 200-sample rays: 82 rays 0.33 / 0.60, 130 rays
+# 0.43 / 0.55, 164 rays 0.53 / 0.59, 200 rays 0.63 / 0.61, 327 rays
+# 1.86 / 0.85.  The limit lies between the two crossings; sending the
+# oracle's 88-ray emission batches to the search instead (a limit of 16,384)
+# left a whole `tiny.cfg` oracle call as fast as before.  A larger batch
+# first searches each ray over the summed-area table, then marches from
+# there in blocks of at most `_MARCH_BLOCK` points, but at least one sample
+# per ray.  One pass of the march costs about as much interpreter time as
+# testing a few thousand points: narrower blocks pay in passes, wider ones
+# test samples past the first hit.
 _MARCH_POINTS = 1 << 15
 _MARCH_BLOCK = 1 << 12
 
@@ -67,6 +69,8 @@ class OccupancyGrid:
     # entry [iy + 2, ix + 2] counts the occupied cells in [-1, ix] x [-1, iy], the
     # outside counted as occupied (`_summed_area`); read flat (`_sum_offsets`)
     _occupied_sums: np.ndarray = field(init=False, repr=False, compare=False)
+    # the upper clamp of cell indices along x and y (`_clamp_cells`)
+    _cell_bound: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
@@ -80,6 +84,7 @@ class OccupancyGrid:
         ringed = np.pad(cells, 1, constant_values=True)  # the outside is occupied
         object.__setattr__(self, "_occupied", np.ascontiguousarray(ringed[1:, 1:]))
         object.__setattr__(self, "_occupied_sums", _summed_area(ringed))
+        object.__setattr__(self, "_cell_bound", np.array([self.width, self.height], dtype=float))
 
     @property
     def world_width(self) -> float:
@@ -108,9 +113,8 @@ class OccupancyGrid:
         Only indices off the grid change, and they stay off it: ``fmax`` sends
         NaN to -1 too.
         """
-        bound = np.array([self.width, self.height], dtype=float).reshape((2,) + (1,) * (cell.ndim - 1))
         np.fmax(cell, -1.0, out=cell)
-        np.fmin(cell, bound, out=cell)
+        np.fmin(cell.T, self._cell_bound, out=cell.T)  # the axis runs last in the transpose
         return cell
 
     def _occupied_at(self, cell: np.ndarray) -> np.ndarray:
@@ -135,8 +139,11 @@ class OccupancyGrid:
         return s.take(hi[1] + hi[0]) - s.take(lo[1] + hi[0]) - s.take(hi[1] + lo[0]) + s.take(lo[1] + lo[0]) == 0
 
     def _sum_offsets(self, cell: np.ndarray, shift) -> np.ndarray:
-        """Flat `_occupied_sums` offsets of columns ``cell[0] + shift`` and rows ``cell[1] + shift``."""
-        corner = (cell + shift).astype(np.intp)
+        """Flat `_occupied_sums` offsets of columns ``cell[0] + shift`` and rows
+        ``cell[1] + shift``; ``cell`` is shifted in place, which spares the
+        raycast search a temporary as large as its rays."""
+        cell += shift
+        corner = cell.astype(np.intp)
         corner[1] *= self._occupied_sums.shape[1]
         return corner
 
@@ -208,9 +215,15 @@ class OccupancyGrid:
 
         A batch of at most `_MARCH_POINTS` points is one dense block: all of
         its samples are tested with one lookup.  In a larger batch each ray
-        first bisects for the last sample it can skip (`_free_prefix`): the
+        first searches for the last sample it can skip (`_free_prefix`): the
         largest ``j`` whose cell spans a free rectangle with the origin's
-        cell (sample 0), so that samples ``1 .. j`` are all free.  A ray whose
+        cell (sample 0), so that samples ``1 .. j`` are all free.  The search
+        is binary lifting, at most ``n_samples.bit_length()`` probes of three
+        corner sums each: starting from ``j = 0``, each power of two from the
+        highest down is added to ``j`` where the sample that far on still
+        spans a free rectangle, and the result is clamped to ``n_samples``.
+        No more probes are made than a ray inside the grid needs to cross it.
+        A ray whose
         ``j`` is the last sample ends at ``max_range``.  The others march in
         blocks, each from its own ``j``: a block takes each of the ``active``
         rays that have not hit yet ``max(1, _MARCH_BLOCK // active)`` samples
@@ -233,11 +246,14 @@ class OccupancyGrid:
         dense = m * n_samples <= _MARCH_POINTS
         with np.errstate(over="ignore"):  # far-off points, see `occupied_xy`
             # samples 1..k of each ray are done: 0 for the dense block, else one per ray
+            # (`compress` and `take` pick the columns and rows of a 2-D array
+            # several times faster than boolean or fancy indexing does)
             k = 0
             if not dense:
                 k = self._free_prefix(rays, n_samples, max_range, step)
                 keep = k < n_samples
-                k, rays, idx = k[keep], rays[:, keep], idx[keep]
+                if not keep.all():
+                    k, rays, idx = k[keep], rays.compress(keep, axis=1), idx[keep]
             while idx.size:
                 width = n_samples if dense else min(max(1, _MARCH_BLOCK // idx.size), n_samples - int(k.min()))
                 ks = np.minimum(np.add.outer(k, np.arange(1, width + 1)), n_samples)
@@ -247,20 +263,24 @@ class OccupancyGrid:
                 cell /= self.resolution
                 hit = self._occupied_at(np.floor(cell, out=cell))
                 done = hit.any(axis=1)
-                if done.any():
-                    first = hit[done].argmax(axis=1)
-                    dist[idx[done]] = block[first] if dense else block[done, first]
+                rows = np.flatnonzero(done)
+                if rows.size:
+                    # argmax goes row by row, which costs more than the lookup
+                    # on one-sample rows, whose first hit is their one sample
+                    first = hit.take(rows, axis=0).argmax(axis=1) if width > 1 else 0
+                    dist[idx[rows]] = block[first] if dense else block[rows, first]
                 if dense:
                     break
-                keep = ~done & (ks[:, -1] < n_samples)
-                k = ks[keep, -1]
+                last = ks[:, -1]
+                keep = ~done & (last < n_samples)
+                k = last[keep]
                 if not keep.all():
-                    rays, idx = rays[:, keep], idx[keep]
+                    rays, idx = rays.compress(keep, axis=1), idx[keep]
         return dist
 
-    def _sample_corners(self, rays, k, max_range: float, step: float, shift) -> np.ndarray:
-        """`_sum_offsets` of the clamped cell of sample ``k`` of each ray, by the arithmetic of a block."""
-        cell = rays[2:4] * np.minimum(k * step, max_range)
+    def _sample_corners(self, rays, d, shift) -> np.ndarray:
+        """`_sum_offsets` of the clamped cell of each ray's sample at distance ``d``, by the arithmetic of a block."""
+        cell = rays[2:4] * d
         cell += rays[0:2]
         cell /= self.resolution
         return self._sum_offsets(self._clamp_cells(np.floor(cell, out=cell)), shift)
@@ -269,11 +289,20 @@ class OccupancyGrid:
         """Largest ``j`` in [0, n_samples] per ray whose sample's cell and the
         origin's span a free rectangle (`_rectangle_free`); 0 when none does.
 
-        Sample 0 is the origin, computed as a block computes sample ``k``.
-        The rectangles nest as ``j`` grows, since sample cells are monotone in
-        the sample index along each axis, so the test is true for a prefix of
-        ``j`` and plain bisection finds its end in ``n_samples.bit_length()``
-        probes.  Every sample ``1 .. j`` lies in the rectangle: it is free.
+        Sample ``k`` lies at ``min(k*step, max_range)``, as in a block; sample
+        0 is the origin.  The rectangles nest as ``j`` grows, since sample
+        cells are monotone in the sample index along each axis, so the test
+        is true for a prefix of ``j``, which ends at most ``reach`` samples
+        on: a free rectangle lies on the grid, so its far sample lies within
+        the grid's diagonal of the origin (a cell more covers rounding).
+        Binary lifting finds the end in ``reach.bit_length()`` probes: from
+        ``j = 0``, each power of two ``b`` from the highest down is added to
+        ``j`` where sample ``j + b`` passes.  That finds the end over
+        ``[0, 2 * b_max - 1]``, which can reach past ``n_samples``; the
+        samples there sit at ``max_range`` (the distance is still monotone
+        in ``k``), so the rectangles still nest, and the end clamped to
+        ``n_samples`` is the end over ``[0, n_samples]``.  Every sample
+        ``1 .. j`` lies in the rectangle: it is free.
 
         Along an axis whose direction is not ``< 0`` the origin's cell is the
         low corner, else the high one; its corner sum is read once.  Swapped
@@ -281,18 +310,20 @@ class OccupancyGrid:
         free.  A NaN ray's origin clamps to the outside cell: never free.
         """
         back = rays[2:4] < 0  # per axis: every sample's cell is at or before the origin's
-        fixed = self._sample_corners(rays, 0, max_range, step, 1.0 + back)
+        fixed = self._sample_corners(rays, 0.0, 1.0 + back)
         s = self._occupied_sums.ravel()
         base = s.take(fixed[1] + fixed[0])
-        lo = np.zeros(rays.shape[1], dtype=np.intp)  # proven free, or 0
-        hi = np.full(rays.shape[1], n_samples + 1, dtype=np.intp)  # not proven free
-        for _ in range(n_samples.bit_length()):
-            mid = (lo + hi) // 2
-            m = self._sample_corners(rays, mid, max_range, step, 2.0 - back)
+        diagonal = math.hypot(self.world_width, self.world_height)
+        reach = min(n_samples, int((diagonal + self.resolution) / step) + 1)
+        probes = reach.bit_length()
+        sample_dist = np.minimum(np.arange(1 << probes) * step, max_range)  # distance of sample k
+        shift = 2.0 - back
+        j = np.zeros(rays.shape[1], dtype=np.intp)  # proven free, or 0
+        for b in reversed(range(probes)):
+            m = self._sample_corners(rays, sample_dist[1 << b :].take(j), shift)
             free = s.take(m[1] + m[0]) - s.take(fixed[1] + m[0]) - s.take(m[1] + fixed[0]) + base == 0
-            lo = np.where(free, mid, lo)
-            hi = np.where(free, hi, mid)
-        return lo
+            np.add(j, 1 << b, out=j, where=free)
+        return np.minimum(j, n_samples, out=j)
 
 
 def _summed_area(ringed: np.ndarray) -> np.ndarray:

@@ -507,8 +507,10 @@ def run_trial(
     Emits exactly one record per time step t, containing the method's final
     estimate of the state at t, the matching error e_t, and (every
     ``cloud_stride`` steps) the particle clouds at offsets -lag/0/+lag of the
-    queue from which the estimate was extracted.
+    queue from which the estimate was extracted.  ``method`` is checked as
+    the ``methods`` config key is, before anything runs.
     """
+    check_methods((method,))
     if grid is None:
         grid = load_experiment_grid(cfg)
     if plan is None:
@@ -596,8 +598,9 @@ def run_experiment(
 
     ``methods`` (default: the config's) and ``seed`` (default: the config's
     master seed) override the config; ``methods`` is checked as the config
-    key is, before anything runs.  Filter-degenerate trials are recorded in failures.txt and skipped in the
-    aggregates; the run continues.
+    key is, before anything runs.  Filter-degenerate trials are recorded in
+    failures.txt and skipped in the aggregates; the run continues, and a
+    method whose trials all failed gets a row of NaN.
     """
     if seed is not None:
         cfg = dataclasses.replace(cfg, master_seed=seed)
@@ -747,9 +750,17 @@ def run_oracle_validation(cfg: ExperimentConfig, out_dir: str | None = None) -> 
             if t == 1:  # rows start at the first filter step
                 continue
             exact = oracle.exact_queue_posterior(hmm, plan_actions, emissions[: t - 1], fcfg.lag)
-            for offset, dist in exact.items():
-                tv = oracle.tv_distance(oracle.bin_belief(hmm, state.marginal(offset)), dist)
-                rows.append({"seed": seed_idx, "t": t, "offset": offset, "tv": tv})
+            if list(exact) != list(range(-state.n_past, state.n_future + 1)):
+                raise RuntimeError(
+                    f"queue window [-{state.n_past}, +{state.n_future}] at t = {t} "
+                    f"is not the exact posterior's offsets {list(exact)}"
+                )
+            # row j of the binned window is offset j - n_past; the comprehension
+            # frees the window's histograms before the next filter step
+            rows += [
+                {"seed": seed_idx, "t": t, "offset": offset, "tv": oracle.tv_distance(binned, dist)}
+                for binned, (offset, dist) in zip(oracle.bin_belief(hmm, state.poses, state.weights()), exact.items())
+            ]
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import BeliefSnapshot, FilterConfig, observation_log_likelihood_batch
+from .filters import FilterConfig, observation_log_likelihood_batch
 from .gridmap import OccupancyGrid
 from .worldsim import Action, DepthScan, Pose, normalize_angle, normalize_angles
 
@@ -294,16 +294,34 @@ def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
     return float(0.5 * np.abs(np.asarray(p, float) - np.asarray(q, float)).sum())
 
 
-def bin_belief(hmm: DiscreteHmm, snapshot: BeliefSnapshot) -> np.ndarray:
-    """Histogram a particle belief onto the lattice; off-lattice mass is dropped."""
-    ix = np.floor(snapshot.poses[:, 0] / hmm.cell).astype(np.int64)
-    iy = np.floor(snapshot.poses[:, 1] / hmm.cell).astype(np.int64)
-    width = TWO_PI / hmm.n_heading_bins
-    theta = normalize_angles(snapshot.poses[:, 2])
-    ib = np.minimum(((theta + math.pi) / width).astype(np.int64), hmm.n_heading_bins - 1)
-    valid = (ix >= 0) & (ix < hmm.nx) & (iy >= 0) & (iy < hmm.ny)
-    idx = (iy[valid] * hmm.nx + ix[valid]) * hmm.n_heading_bins + ib[valid]
-    return np.bincount(idx, weights=snapshot.weights[valid], minlength=hmm.n_states).astype(float)
+def bin_belief(hmm: DiscreteHmm, poses: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Histogram each column of a particle window onto the lattice.
+
+    ``poses`` is an ``(n, k, 3)`` window and ``weights`` its ``(n,)``
+    particle weights; row ``j`` of the ``(k, n_states)`` result is the
+    histogram of column ``j``.  Off-lattice mass is dropped.  One
+    ``bincount`` bins every column: the columns are flattened one after the
+    other, so each bin sums its weights in particle order, as a histogram of
+    its column alone would.
+    """
+    k = poses.shape[1]
+    cols = poses.transpose(2, 1, 0)  # (3, k, n): the particles of each column in order
+    cells = np.divide(cols[:2], hmm.cell, order="C")
+    ix, iy = np.floor(cells, out=cells).astype(np.int64)
+    idx = iy * hmm.nx
+    idx += ix
+    if hmm.n_heading_bins > 1:  # a one-bin lattice puts every heading in bin 0
+        width = TWO_PI / hmm.n_heading_bins
+        theta = normalize_angles(cols[2])
+        ib = np.minimum(((theta + math.pi) / width).astype(np.int64), hmm.n_heading_bins - 1)
+        idx *= hmm.n_heading_bins
+        idx += ib
+    idx += np.arange(0, k * hmm.n_states, hmm.n_states)[:, None]
+    # a negative index reads as a huge unsigned one
+    off = (ix.view(np.uint64) >= hmm.nx) | (iy.view(np.uint64) >= hmm.ny)
+    idx[off] = k * hmm.n_states  # one bin past every column's, cut off below
+    sums = np.bincount(idx.ravel(), weights=np.tile(weights, k), minlength=k * hmm.n_states + 1)
+    return sums[:-1].reshape(k, hmm.n_states)
 
 
 def uniform_box_initial(hmm: DiscreteHmm, box: tuple[float, float, float, float, float, float]) -> np.ndarray:

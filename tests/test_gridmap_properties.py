@@ -475,6 +475,49 @@ class TestFreePrefix:
         np.testing.assert_array_equal(dist, np.full(n, max_range))
         np.testing.assert_array_equal(dist, reference_raycast(grid, x, y, theta, max_range, step))
 
+    @pytest.mark.parametrize("n_samples", [1, 2, 3, 255, 256, 257, 300])
+    @pytest.mark.parametrize("between", [False, True])
+    def test_probes_past_the_last_sample(self, n_samples, between):
+        # binary lifting probes samples up to 2**n_samples.bit_length() - 1,
+        # past the last one, where samples sit at max_range; with ``between``
+        # max_range lies half a step past sample n_samples instead of on it
+        cells = np.random.default_rng(n_samples).random((80, 80)) < 0.01
+        grid = OccupancyGrid(80, 80, 1.0, np.pad(cells[1:-1, 1:-1], 1, constant_values=True))
+        max_range = 20.0
+        step = max_range / (n_samples + 0.5 * between)
+        assert int(math.floor(max_range / step + 1e-9)) == n_samples
+        rng = np.random.default_rng(n_samples + between)
+        x, y = free_origins(grid, rng, 2000)
+        rays = ray_rows(x, y, mixed_headings(rng, 2000))
+        got = grid._free_prefix(rays, n_samples, max_range, step)
+        np.testing.assert_array_equal(got, reference_free_prefix(grid, rays, n_samples, max_range, step))
+        assert (got == n_samples).any() and (got < n_samples).any()
+
+    @pytest.mark.parametrize("max_range, step", [(40.0, 0.1), (40.0, 40.0 / 255.5), (1000.0, 0.5)])
+    def test_probes_stop_at_the_grid_diagonal(self, monkeypatch, max_range, step):
+        # no free rectangle reaches further than the grid's diagonal (a cell
+        # more covers rounding), so the search makes fewer probes than
+        # n_samples.bit_length(); rays along the open grid's diagonals from
+        # its corners come closest to that bound
+        grid = OccupancyGrid(12, 9, 1.0, np.zeros((9, 12), dtype=bool))
+        rng = np.random.default_rng(12)
+        x, y = free_origins(grid, rng, 100)
+        theta = mixed_headings(rng, 100)
+        corners = np.array([[1e-9, 1e-9], [12.0 - 1e-9, 9.0 - 1e-9], [1e-9, 9.0 - 1e-9], [12.0 - 1e-9, 1e-9]])
+        x, y = np.concatenate([x, corners[:, 0]]), np.concatenate([y, corners[:, 1]])
+        diagonal = math.atan2(9.0, 12.0)
+        theta = np.concatenate([theta, [diagonal, diagonal - math.pi, -diagonal, math.pi - diagonal]])
+        rays = ray_rows(x, y, theta)
+        n_samples = int(math.floor(max_range / step + 1e-9))
+        probes = []
+        sample_corners = OccupancyGrid._sample_corners
+        monkeypatch.setattr(OccupancyGrid, "_sample_corners", lambda self, *a: probes.append(1) or sample_corners(self, *a))
+        got = grid._free_prefix(rays, n_samples, max_range, step)
+        np.testing.assert_array_equal(got, reference_free_prefix(grid, rays, n_samples, max_range, step))
+        reach = int((15.0 + 1.0) / step) + 1
+        assert len(probes) == 1 + reach.bit_length() < 1 + n_samples.bit_length()
+        assert got[-4:].min() >= int(14.0 / step)  # the corner rays cross most of the grid
+
     def test_blocked_first_rectangle(self):
         # origins in a wall, off the grid, or on a wall's face with the ray
         # heading into it, and NaN rays: nothing is skipped

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 from pathlib import Path
@@ -290,6 +291,11 @@ class TestRunTrial:
             assert [r["truth"] for r in records] == truths[0]
         assert steps[cfg.n_trials:] == [cfg.filter_base.collision_step] * cfg.n_trials
 
+    def test_unknown_method_rejected_before_any_stream(self, monkeypatch):
+        monkeypatch.setattr(harness, "derive_rng", lambda *a, **k: pytest.fail("stream derived"))
+        with pytest.raises(ConfigError, match="^methods must be drawn from .*'foo'"):
+            run_trial(load_config("tiny.cfg"), "foo", 0)
+
     def test_one_record_per_step(self, tmp_path):
         cfg = load_config(write_mini_config(tmp_path, methods="mcl_smoother", count=9, lag=3))
         _, records = run_trial(cfg, "mcl_smoother", 0)
@@ -413,6 +419,72 @@ class TestRunExperiment:
         cfg = load_config(write_mini_config(tmp_path, methods="mcl", count=4))
         out = run_experiment(cfg)["out_dir"]
         assert "only the relative ordering" in (out / "report.txt").read_text()
+
+
+def fail_mcl_steps(monkeypatch, fails) -> None:
+    """Make `filters.mcl_step` raise `FilterDegeneracyError` on each call whose
+    0-based index ``fails`` accepts."""
+    original = filters.mcl_step
+    calls = itertools.count()
+
+    def step(*args, **kwargs):
+        if fails(next(calls)):
+            raise filters.FilterDegeneracyError("all particle weights vanished (forced)")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(filters, "mcl_step", step)
+
+
+class TestFailedTrials:
+    """A filter-degenerate (method, trial) pair, through `deqmcl run`: 3 trials of
+    4 filter steps each, mcl's trials running first."""
+
+    @staticmethod
+    def run_cli(cfg_path, out) -> int:
+        return cli.main(["run", "--config", str(cfg_path), "--out", str(out)])
+
+    def test_one_failed_trial_leaves_every_other_output_as_it_was(self, tmp_path, monkeypatch, capsys):
+        cfg_path = write_mini_config(tmp_path, methods="mcl, deq_mcl", count=4, lag=2, n_trials=3)
+        clean, out = tmp_path / "clean", tmp_path / "faulty"
+        assert self.run_cli(cfg_path, clean) == 0
+        fail_mcl_steps(monkeypatch, lambda i: i == 4)  # the first step of trial 1
+        assert self.run_cli(cfg_path, out) == 1
+        assert "1 trial(s) failed" in capsys.readouterr().out
+        failures = (out / "failures.txt").read_text().splitlines()
+        assert len(failures) == 1 and failures[0].startswith("mcl trial 1: all particle weights vanished")
+        assert "failed trials: 1 (see failures.txt)" in (out / "report.txt").read_text()
+
+        clean_rows = (clean / "metrics.csv").read_text().splitlines()
+        assert (out / "metrics.csv").read_text().splitlines() == [r for r in clean_rows if not r.startswith("mcl,1,")]
+        traces = sorted(p.name for p in (out / "traces").iterdir())
+        assert traces == sorted(p.name for p in (clean / "traces").iterdir() if p.name != "mcl_trial01.jsonl")
+        for name in traces:
+            assert (out / "traces" / name).read_bytes() == (clean / "traces" / name).read_bytes()
+
+        kept = np.array([[float(v) for v in r.split(",")[2:]] for r in clean_rows if r.startswith(("mcl,0,", "mcl,2,"))])
+        summary = {r["method"]: r for r in harness.read_summary_csv(out / "summary.csv")}
+        want = [kept[:, 0].mean(), kept[:, 0].std(ddof=1), kept[:, 1].mean(), *kept[:, 2:].mean(axis=0)]
+        assert [summary["mcl"][k] for k in harness.SUMMARY_KEYS] == want
+        deq_row = [r for r in (clean / "summary.csv").read_text().splitlines() if r.startswith("deq_mcl,")]
+        assert deq_row == [r for r in (out / "summary.csv").read_text().splitlines() if r.startswith("deq_mcl,")]
+
+    def test_method_whose_every_trial_failed_gets_a_nan_row(self, tmp_path, monkeypatch):
+        cfg_path = write_mini_config(tmp_path, methods="mcl, deq_mcl", count=4, lag=2, n_trials=3)
+        out = tmp_path / "faulty"
+        fail_mcl_steps(monkeypatch, lambda i: True)
+        assert self.run_cli(cfg_path, out) == 1
+        summary = {r["method"]: r for r in harness.read_summary_csv(out / "summary.csv")}
+        assert all(math.isnan(summary["mcl"][k]) for k in harness.SUMMARY_KEYS)
+        assert all(math.isfinite(summary["deq_mcl"][k]) for k in harness.SUMMARY_KEYS)
+        assert (out / "failures.txt").read_text().splitlines() == [
+            f"mcl trial {t}: all particle weights vanished (forced)" for t in range(3)
+        ]
+        report = (out / "report.txt").read_text()
+        assert "failed trials: 3 (see failures.txt)" in report and "deq_mcl < mcl" in report
+        assert [r.split(",")[:2] for r in (out / "metrics.csv").read_text().splitlines()[1:]] == [
+            ["deq_mcl", str(t)] for t in range(3)
+        ]
+        assert sorted(p.name for p in (out / "traces").iterdir()) == [f"deq_mcl_trial{t:02d}.jsonl" for t in range(3)]
 
 
 class TestPaperPathDigest:
@@ -556,18 +628,36 @@ class TestCli:
         summary = (tmp_path / "sub" / "summary.csv").read_text().splitlines()
         assert len(summary) == 2 and summary[1].startswith("mcl,")
 
-    def test_run_methods_checked_before_truth(self, tmp_path, monkeypatch):
+    def test_run_methods_checked_before_truth(self, tmp_path, monkeypatch, capsys):
         cfg_path = write_mini_config(tmp_path, methods="mcl, deq_mcl", count=4, lag=2)
         run = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "sub")]
         with monkeypatch.context() as m:
             m.setattr(harness, "simulate_truth", lambda *a, **k: pytest.fail("truth simulated"))
             for methods in ("warp_drive", "mcl,mcl", "mcl,", "mcl;deq_mcl"):
-                with pytest.raises(ConfigError, match="^methods must be"):
-                    cli.main([*run, "--methods", methods])
+                assert cli.main([*run, "--methods", methods]) == 2
+                err = capsys.readouterr().err
+                assert err.startswith("deqmcl: methods must be") and err.count("\n") == 1
         assert not (tmp_path / "sub").exists()
         cli.main([*run, "--methods", " deq_mcl , mcl"])  # spaces around the names
         summary = harness.read_summary_csv(tmp_path / "sub" / "summary.csv")
         assert [r["method"] for r in summary] == ["deq_mcl", "mcl"]
+
+    def test_config_error_is_one_line_for_every_subcommand(self, tmp_path, capsys):
+        cfg_path = write_mini_config(tmp_path)
+        cfg_path.write_text(cfg_path.read_text().replace("y: 6.0, ", ""))
+        for argv in (["run"], ["oracle"], ["render", "--trace", "t.jsonl"], ["map-check"]):
+            assert cli.main([argv[0], "--config", str(cfg_path), *argv[1:]]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == "deqmcl: missing key 'y' in start\n" and captured.out == ""
+
+    def test_colliding_plan_is_one_line_for_run_and_oracle(self, tmp_path, capsys):
+        cfg_path = write_mini_config(tmp_path, count=40)  # from x = 6 past the wall at x = 29
+        cfg_path.write_text(cfg_path.read_text() + "oracle: {cell: 1.0, heading_bins: 1, seeds: 1, compare_t: 4}\n")
+        for command in ("run", "oracle"):
+            assert cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path / command)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("deqmcl: ") and "noise-free rollout collides on step" in err
+            assert err.count("\n") == 1
 
     def test_oracle_subcommand(self, tmp_path, capsys):
         cfg_path = write_mini_config(tmp_path, methods="deq_mcl", count=6, lag=2)

@@ -249,19 +249,19 @@ class TestValidationPlumbing:
         assert init.argmax() == 4
 
     def test_bin_belief_drops_off_lattice_mass(self):
-        from deqmcl.filters import BeliefSnapshot
         from deqmcl.oracle import bin_belief
 
         _, _, hmm = strip_hmm()
-        poses = np.array([[1.5, 0.5, 0.0], [100.0, 0.5, 0.0]])
-        snap = BeliefSnapshot(time=1, offset=0, poses=poses, weights=np.array([0.5, 0.5]))
-        binned = bin_belief(hmm, snap)
-        assert binned.sum() == pytest.approx(0.5)
-        assert binned[1] == pytest.approx(0.5)
+        # two particles, two columns: off the lattice in one column each
+        poses = np.array([[[1.5, 0.5, 0.0], [4.5, 0.5, 0.0]], [[100.0, 0.5, 0.0], [2.5, -0.5, 0.0]]])
+        binned = bin_belief(hmm, poses, np.array([0.25, 0.75]))
+        assert binned.shape == (2, hmm.n_states)
+        np.testing.assert_array_equal(binned.sum(axis=1), [0.25, 0.25])
+        assert binned[0, 1] == 0.25 and binned[1, 4] == 0.25
 
 
 def reference_bin_belief(hmm: DiscreteHmm, snapshot) -> np.ndarray:
-    """`oracle.bin_belief` with its heading wrap written out by `np.mod`."""
+    """`oracle.bin_belief` of one column, with its heading wrap written out by `np.mod`."""
     ix = np.floor(snapshot.poses[:, 0] / hmm.cell).astype(np.int64)
     iy = np.floor(snapshot.poses[:, 1] / hmm.cell).astype(np.int64)
     width = 2.0 * math.pi / hmm.n_heading_bins
@@ -274,10 +274,12 @@ def reference_bin_belief(hmm: DiscreteHmm, snapshot) -> np.ndarray:
 
 
 class TestBinBelief:
+    @pytest.mark.parametrize("n_columns", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("n_heading_bins", [1, 4, 36])
-    def test_matches_the_np_mod_wrap(self, n_heading_bins):
+    def test_matches_the_np_mod_wrap(self, n_heading_bins, n_columns):
         # headings at +-pi, one ulp either side of them, at multiples of 2 pi
-        # and of pi wrapped from up to 20 turns away, and at bin edges
+        # and of pi wrapped from up to 20 turns away, and at bin edges; every
+        # column shuffles them and draws its own positions, some off the lattice
         from deqmcl.filters import BeliefSnapshot
         from deqmcl.oracle import bin_belief
 
@@ -289,13 +291,21 @@ class TestBinBelief:
         turns = np.arange(-20, 21) * 2.0 * math.pi
         base = np.concatenate([[math.pi, -math.pi, 0.0, -0.0], edges, turns, turns + math.pi, turns - math.pi])
         theta = np.concatenate([base, np.nextafter(base, np.inf), np.nextafter(base, -np.inf)])
-        rng = np.random.default_rng(n_heading_bins)
-        poses = np.column_stack([rng.uniform(-0.5, 3.5, theta.size), rng.uniform(-0.5, 2.5, theta.size), theta])
-        weights = rng.random(theta.size)
-        snap = BeliefSnapshot(time=1, offset=0, poses=poses, weights=weights / weights.sum())
-        got = bin_belief(hmm, snap)
-        np.testing.assert_array_equal(got, reference_bin_belief(hmm, snap))
-        assert got.shape == (hmm.n_states,) and got.sum() > 0
+        rng = np.random.default_rng(10 * n_heading_bins + n_columns)
+        n = theta.size
+        poses = np.stack([
+            rng.uniform(-0.5, 3.5, (n, n_columns)),
+            rng.uniform(-0.5, 2.5, (n, n_columns)),
+            np.column_stack([rng.permutation(theta) for _ in range(n_columns)]),
+        ], axis=2)
+        weights = rng.random(n)
+        weights /= weights.sum()
+        got = bin_belief(hmm, poses, weights)
+        assert got.shape == (n_columns, hmm.n_states)
+        for j in range(n_columns):
+            snap = BeliefSnapshot(time=1, offset=j, poses=poses[:, j].copy(), weights=weights)
+            np.testing.assert_array_equal(got[j], reference_bin_belief(hmm, snap))
+            assert got[j].sum() > 0
 
 
 class TestOracleOutputDigest:
@@ -322,24 +332,35 @@ def tiny_cfg(**oracle_params):
     )
 
 
+def count_oracle_calls(monkeypatch, names) -> collections.Counter:
+    """Calls of each of the `oracle` functions ``names`` over a 2-seed tiny.cfg validation."""
+    calls = collections.Counter()
+    for name in names:
+        def counted(*args, _name=name, _original=getattr(oracle, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, name, counted)
+    harness.run_oracle_validation(tiny_cfg(seeds=2))
+    return calls
+
+
 class TestOracleValidation:
     def test_one_emission_per_scan(self, monkeypatch):
-        calls = collections.Counter()
-
-        def counted(name):
-            original = getattr(oracle, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(oracle, name, wrapper)
-
-        counted("observation_log_likelihood_batch")
-        counted("exact_queue_posterior")
-        harness.run_oracle_validation(tiny_cfg(seeds=2))
+        calls = count_oracle_calls(monkeypatch, ["observation_log_likelihood_batch", "exact_queue_posterior"])
         # tiny.cfg's plan has 14 steps: 13 scans and 13 filter steps per seed
         assert calls == {"observation_log_likelihood_batch": 26, "exact_queue_posterior": 26}
+
+    def test_one_binning_per_filter_step(self, monkeypatch):
+        # the whole window is binned at once, not one marginal per offset
+        assert count_oracle_calls(monkeypatch, ["bin_belief"]) == {"bin_belief": 26}
+
+    def test_window_that_is_not_the_exact_posteriors_rejected(self, monkeypatch):
+        # the rows of the binned window are matched to the exact offsets by position
+        exact = oracle.exact_queue_posterior
+        monkeypatch.setattr(oracle, "exact_queue_posterior", lambda *a: {**exact(*a), 3: None})
+        with pytest.raises(RuntimeError, match="queue window"):
+            harness.run_oracle_validation(tiny_cfg(seeds=1))
 
     def test_compare_t_past_horizon_rejected(self):
         with pytest.raises(harness.ConfigError, match="oracle.compare_t"):
