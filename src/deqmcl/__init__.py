@@ -20,8 +20,8 @@ from .filters import (
     mcl_step,
     systematic_resample,
 )
-from .gridmap import MapFormatError, OccupancyGrid, Point2, dump_grid, load_grid
-from .metrics import StepError, TrialMetrics, belief_entropy, belief_variance, step_error, trial_rmse
+from .gridmap import MapFormatError, OccupancyGrid, Point2, load_grid
+from .metrics import TrialMetrics, belief_entropy, belief_variance, error_from_mean, mean_state, trial_rmse
 from .worldsim import (
     Action,
     ActionPlan,

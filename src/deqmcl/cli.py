@@ -2,11 +2,12 @@
 render trace snapshots, and audit plan rollouts.
 
 Exit status: 0 on success; 1 when a trial failed or the plan collides;
-2 on a bad config or command line, reported in one line."""
+2 on a bad config, map or trace file or command line, reported in one line."""
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 from pathlib import Path
@@ -73,8 +74,14 @@ def cmd_oracle(args) -> int:
 def cmd_render(args) -> int:
     cfg = harness.load_config(args.config)
     grid = harness.load_experiment_grid(cfg)
+    try:
+        records = [json.loads(line) for line in Path(args.trace).read_text().splitlines()]
+    except OSError as exc:
+        raise harness.ConfigError(f"trace {args.trace}: cannot read: {exc.strerror}") from None
+    except ValueError as exc:  # not UTF-8, or a line that is not JSON
+        raise harness.ConfigError(f"trace {args.trace}: not a JSON-lines trace: {exc}") from None
     out = harness.resolve_output_dir(cfg, args.out) / "snapshots"
-    written = render.render_trace_file(Path(args.trace), grid, out)
+    written = render.render_records(records, grid, out)
     print(f"wrote {len(written)} snapshot(s) to {out}")
     return 0
 

@@ -96,10 +96,8 @@ class FilterConfig:
 
 @dataclass(frozen=True)
 class BeliefSnapshot:
-    """Weighted particle cloud for the pose at ``time + offset``."""
+    """Weighted particle cloud of one pose of the window."""
 
-    time: int
-    offset: int
     poses: np.ndarray    # (n, 3)
     weights: np.ndarray  # (n,), sums to 1
 
@@ -157,12 +155,7 @@ class QueueState:
             raise ValueError(
                 f"offset {offset} outside queue span [-{self.n_past}, +{self.n_future}]"
             )
-        return BeliefSnapshot(
-            time=self.t,
-            offset=offset,
-            poses=self.poses[:, self.n_past + offset].copy(),
-            weights=self.weights(),
-        )
+        return BeliefSnapshot(self.poses[:, self.n_past + offset].copy(), self.weights())
 
 
 # ---------------------------------------------------------------------------

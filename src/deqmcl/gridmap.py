@@ -157,8 +157,8 @@ class OccupancyGrid:
         endpoint counts 2: it gets the two samples ``t = 0, 1``, and both are
         non-finite, hence occupied.
 
-        Sample ``j`` of a segment with ``k`` intervals lies at
-        ``a + t*(b - a)``, ``t = min(j, k)/max(k, 1)``.  Each step of that
+        Sample ``j = 0 .. k`` of a segment with ``k`` intervals lies at
+        ``a + t*(b - a)``, ``t = j/max(k, 1)``.  Each step of that
         arithmetic and the floor to a cell are monotone in ``j``, so along
         each axis a sample's cell lies between the cells of the samples
         ``t = 0`` (``a``) and ``t = 1`` (``a + (b - a)``, since ``1.0*(b - a)``
@@ -186,15 +186,14 @@ class OccupancyGrid:
         # 1e-9 slack so that e.g. a length-10 segment at step 1 yields exactly
         # 10 intervals despite float noise; one interval at non-finite length.
         k = np.where(np.isfinite(dist), np.ceil(dist / step - 1e-9), 1.0).astype(np.int64)
-        j = np.arange(int(k.max()) + 1)
-        denom = np.maximum(k, 1)[:, None]
-        t = np.minimum(j[None, :], k[:, None]) / denom
+        n = k + 1  # samples j = 0 .. k of each segment, one segment after the other
+        seg = np.repeat(np.arange(k.size), n)
+        j = np.arange(seg.size) - np.repeat(np.cumsum(n) - n, n)
+        t = j / np.maximum(k, 1)[seg]
         with np.errstate(invalid="ignore"):  # 0 * inf
-            px = ax[:, None] + t * dx[:, None]
-            py = ay[:, None] + t * dy[:, None]
-        occ = self.occupied_xy(px.ravel(), py.ravel()).reshape(px.shape)
-        valid = j[None, :] <= k[:, None]
-        counts[sampled] = (occ & valid).sum(axis=1)
+            px = ax[seg] + t * dx[seg]
+            py = ay[seg] + t * dy[seg]
+        counts[sampled] = np.bincount(seg, weights=self.occupied_xy(px, py), minlength=k.size)
         return counts
 
     def raycast_batch(self, x, y, theta, max_range: float, step: float) -> np.ndarray:
@@ -386,11 +385,3 @@ def load_grid(text: str) -> OccupancyGrid:
         raise MapFormatError(f"line {height + 2}: trailing content after {height} map rows")
     return OccupancyGrid(width=width, height=height, resolution=resolution, cells=cells)
 
-
-def dump_grid(grid: OccupancyGrid) -> str:
-    """Serialize a grid back to the map text format (inverse of `load_grid`)."""
-    out = [f"{grid.width} {grid.height} {grid.resolution!r}"]
-    for r in range(grid.height):
-        row = grid.cells[grid.height - 1 - r]
-        out.append("".join("#" if c else "." for c in row))
-    return "\n".join(out) + "\n"

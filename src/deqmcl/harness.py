@@ -303,7 +303,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
     cfg_path = resolve_config_path(path)
     try:
         raw = yaml.safe_load(cfg_path.read_text())
-    except yaml.YAMLError as exc:
+    except OSError as exc:
+        raise ConfigError(f"{cfg_path}: cannot read: {exc.strerror}") from None
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{cfg_path}: not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{cfg_path}: top level must be a mapping")
@@ -389,7 +391,13 @@ def derive_rng(master_seed: int, trial: int, stream: int, method: str | None = N
 
 
 def load_experiment_grid(cfg: ExperimentConfig) -> OccupancyGrid:
-    return load_grid(cfg.map_path.read_text())
+    """The config's map; a `ConfigError` naming ``map`` when it cannot be read or parsed."""
+    try:
+        return load_grid(cfg.map_path.read_text())
+    except OSError as exc:
+        raise ConfigError(f"map: {cfg.map_path}: cannot read: {exc.strerror}") from None
+    except ValueError as exc:  # MapFormatError, or text that is not UTF-8
+        raise ConfigError(f"map: {cfg.map_path}: {exc}") from None
 
 
 def build_plan(cfg: ExperimentConfig, grid: OccupancyGrid) -> ActionPlan:
@@ -600,7 +608,9 @@ def run_experiment(
     master seed) override the config; ``methods`` is checked as the config
     key is, before anything runs.  Filter-degenerate trials are recorded in
     failures.txt and skipped in the aggregates; the run continues, and a
-    method whose trials all failed gets a row of NaN.
+    method whose trials all failed gets a row of NaN.  In a reused output
+    directory, an old failures.txt and the old trace of a failed (method,
+    trial) are removed.
     """
     if seed is not None:
         cfg = dataclasses.replace(cfg, master_seed=seed)
@@ -619,19 +629,20 @@ def run_experiment(
     for method in methods:
         per_trial: list[metrics.TrialMetrics] = []
         for trial in range(cfg.n_trials):
+            trace_path = traces_dir / f"{method}_trial{trial:02d}.jsonl"
             try:
                 tm, records = run_trial(
                     cfg, method, trial, grid=grid, plan=plan, truth_scans=truths[trial]
                 )
             except FilterDegeneracyError as exc:
                 failures.append((method, trial, str(exc)))
+                trace_path.unlink(missing_ok=True)
                 continue
             per_trial.append(tm)
             metric_rows.append(
                 f"{method},{trial},{tm.rmse!r},{tm.entropy!r},"
                 + ",".join(repr(float(v)) for v in tm.variance)
             )
-            trace_path = traces_dir / f"{method}_trial{trial:02d}.jsonl"
             with trace_path.open("w") as fh:
                 for rec in records:
                     fh.write(json.dumps(rec) + "\n")
@@ -657,6 +668,8 @@ def run_experiment(
         with (out / "failures.txt").open("w") as fh:
             for method, trial, msg in failures:
                 fh.write(f"{method} trial {trial}: {msg}\n")
+    else:
+        (out / "failures.txt").unlink(missing_ok=True)
     return {"summary": summary_rows, "out_dir": out, "failures": failures}
 
 

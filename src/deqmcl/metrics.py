@@ -20,14 +20,6 @@ TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
-class StepError:
-    """Estimation error e_t for one time step (mixed world-unit/cos-sin units)."""
-
-    t: int
-    value: float
-
-
-@dataclass(frozen=True)
 class TrialMetrics:
     """Per-trial aggregates of one (method, trial) run."""
 
@@ -50,26 +42,22 @@ def mean_state(belief: BeliefSnapshot) -> np.ndarray:
 
 
 def error_from_mean(mean: np.ndarray, truth: Pose) -> float:
-    """Euclidean distance between a 4-vector state mean and the true state."""
+    """e_t: Euclidean distance between a 4-vector state mean (`mean_state`)
+    and the true state."""
     ref = np.array([truth.x, truth.y, math.cos(truth.theta), math.sin(truth.theta)])
     return float(np.sqrt(np.sum((np.asarray(mean, float) - ref) ** 2)))
-
-
-def step_error(belief: BeliefSnapshot, truth: Pose) -> StepError:
-    """e_t: distance between the belief's mean state and the true state."""
-    return StepError(t=belief.time + belief.offset, value=error_from_mean(mean_state(belief), truth))
 
 
 def trial_rmse(errors) -> float:
     """Aggregate per-step errors over a trial: the mean of e_t, each e_t
     already being a root of summed squares."""
-    values = np.array([e.value if isinstance(e, StepError) else float(e) for e in errors])
+    values = np.asarray(errors, dtype=float)
     if values.size == 0:
         raise ValueError("no step errors to aggregate")
     return float(values.mean())
 
 
-def belief_entropy(belief: BeliefSnapshot, cell: float = 5.0, n_heading_bins: int = 36) -> float:
+def belief_entropy(belief: BeliefSnapshot, cell: float, n_heading_bins: int) -> float:
     """Plug-in histogram entropy (nats) of the belief over (x, y, theta) bins."""
     if cell <= 0 or n_heading_bins < 1:
         raise ValueError("cell must be positive and n_heading_bins >= 1")

@@ -49,7 +49,6 @@ class DiscreteHmm:
     nx: int
     ny: int
     centers: np.ndarray  # (S, 3)
-    free: np.ndarray     # (S,) bool
     weighted_transitions: dict[Action, np.ndarray]
     sensor_sigma: float
     initial: np.ndarray  # (S,)
@@ -169,7 +168,6 @@ def discretize(
         nx=nx,
         ny=ny,
         centers=centers,
-        free=free,
         weighted_transitions=weighted,
         sensor_sigma=cfg.sensor_sigma,
         initial=initial,

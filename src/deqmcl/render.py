@@ -28,7 +28,7 @@ def _obstacle_rects(grid: OccupancyGrid) -> list[tuple[float, float, float, floa
     return rects
 
 
-def render_snapshot(record: dict, grid: OccupancyGrid, point_radius: float = 1.0) -> str:
+def render_snapshot(record: dict, grid: OccupancyGrid) -> str:
     """Render one cloud-carrying trace record as an SVG document string.
 
     The gray circle marks the true pose at the record's estimated time
@@ -60,7 +60,7 @@ def render_snapshot(record: dict, grid: OccupancyGrid, point_radius: float = 1.0
     for off in offsets:
         color = _CLOUD_COLORS[0 if off == 0 else (1 if off > 0 else -1)]
         for x, y, weight in clouds[str(off)]:
-            r = point_radius * (0.5 + min(1.5, weight * len(clouds[str(off)])))
+            r = 0.5 + min(1.5, weight * len(clouds[str(off)]))
             parts.append(
                 f'<circle cx="{x:.2f}" cy="{sy(y):.2f}" r="{r:.2f}" '
                 f'fill="{color}" fill-opacity="0.7"/>'
@@ -68,7 +68,7 @@ def render_snapshot(record: dict, grid: OccupancyGrid, point_radius: float = 1.0
 
     tx, ty, _ = record["truth"]
     parts.append(
-        f'<circle cx="{tx:.2f}" cy="{sy(ty):.2f}" r="{3 * point_radius:.2f}" '
+        f'<circle cx="{tx:.2f}" cy="{sy(ty):.2f}" r="3.00" '
         f'fill="gray" stroke="black" stroke-width="0.5"/>'
     )
     step = record.get("cloud_t", record["t"])
@@ -80,20 +80,16 @@ def render_snapshot(record: dict, grid: OccupancyGrid, point_radius: float = 1.0
     return "\n".join(parts)
 
 
-def render_trace_file(trace_path: Path, grid: OccupancyGrid, out_dir: Path) -> list[Path]:
-    """Render every cloud-carrying record of a JSONL trace file; returns written paths."""
-    import json
-
+def render_records(records: list[dict], grid: OccupancyGrid, out_dir: Path) -> list[Path]:
+    """Render every cloud-carrying trace record into ``out_dir``; returns written paths."""
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    with Path(trace_path).open() as fh:
-        for line in fh:
-            record = json.loads(line)
-            if not record.get("clouds"):
-                continue
-            svg = render_snapshot(record, grid)
-            name = f"{record['method']}_trial{record['trial']:02d}_t{record['t']:04d}.svg"
-            path = out_dir / name
-            path.write_text(svg)
-            written.append(path)
+    for record in records:
+        if not record.get("clouds"):
+            continue
+        svg = render_snapshot(record, grid)
+        name = f"{record['method']}_trial{record['trial']:02d}_t{record['t']:04d}.svg"
+        path = out_dir / name
+        path.write_text(svg)
+        written.append(path)
     return written

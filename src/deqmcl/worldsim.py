@@ -49,9 +49,6 @@ class Pose:
             raise ValueError(f"pose fields must be finite, got {(self.x, self.y, self.theta)}")
         object.__setattr__(self, "theta", normalize_angle(self.theta))
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.theta])
-
 
 @dataclass(frozen=True)
 class Action:

@@ -12,6 +12,11 @@ settings.register_profile("derandomized", derandomize=True, database=None)
 settings.load_profile("derandomized")
 
 
+def pose_array(pose) -> np.ndarray:
+    """A `Pose` as one (x, y, theta) row of the filters' pose arrays."""
+    return np.array([pose.x, pose.y, pose.theta])
+
+
 def make_room(width=60, height=60, wall=1, resolution=1.0) -> OccupancyGrid:
     """Rectangular room: solid border of ``wall`` cells, free interior."""
     cells = np.zeros((height, width), dtype=bool)

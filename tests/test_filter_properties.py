@@ -20,6 +20,8 @@ from deqmcl.gridmap import OccupancyGrid
 from deqmcl.harness import simulate_truth
 from deqmcl.worldsim import Action, ActionPlan, BeamConfig, NoiseParams, Pose
 
+from conftest import pose_array
+
 
 @st.composite
 def worlds(draw):
@@ -67,7 +69,7 @@ def filter_configs(lag):
 def near(start):
     """Initial particles in the start's free cell (the start is its centre)."""
     def sampler(rng, n):
-        return start.as_array() + rng.uniform(-0.49, 0.49, (n, 3)) * [1.0, 1.0, 0.2]
+        return pose_array(start) + rng.uniform(-0.49, 0.49, (n, 3)) * [1.0, 1.0, 0.2]
     return sampler
 
 

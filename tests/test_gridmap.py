@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from deqmcl.gridmap import MapFormatError, OccupancyGrid, Point2, dump_grid, load_grid
+from deqmcl.gridmap import MapFormatError, OccupancyGrid, Point2, load_grid
 from deqmcl.harness import packaged_config_dir
 
 from conftest import make_room
@@ -69,13 +69,6 @@ class TestLoadGrid:
     def test_missing_rows(self):
         with pytest.raises(MapFormatError):
             load_grid("3 2 1.0\n###\n")
-
-    def test_dump_round_trip(self):
-        text = "4 3 0.5\n####\n#..#\n####\n"
-        grid = load_grid(text)
-        assert dump_grid(grid) == text
-        again = load_grid(dump_grid(grid))
-        assert np.array_equal(again.cells, grid.cells)
 
     def test_invalid_dimensions_rejected(self):
         with pytest.raises(ValueError):
@@ -151,6 +144,25 @@ class TestSegmentCollisionCount:
         for i in range(50):
             expected = segment_count(room, Point2(ax[i], ay[i]), Point2(bx[i], by[i]), 0.7)
             assert counts[i] == expected
+
+    def test_mixed_lengths_look_up_each_lattice_once(self, room, monkeypatch):
+        # every segment starts off the grid, so none is proven free; one of
+        # k intervals is looked up at exactly its k + 1 samples, however long
+        # the batch's longest
+        k = np.array([0, 1, 7, 2, 30, 3])
+        ax, ay = np.full(k.size, -0.25), np.arange(k.size) + 2.5
+        points = []
+        lookup = OccupancyGrid.occupied_xy
+
+        def counted(grid, x, y):
+            points.append(np.size(x))
+            return lookup(grid, x, y)
+
+        monkeypatch.setattr(OccupancyGrid, "occupied_xy", counted)
+        counts = room.segment_collision_counts(ax, ay, ax + 0.5 * k, ay, 0.5)
+        assert sum(points) == (k + 1).sum()
+        # the samples at x = -0.25, 0.25 and 0.75 lie off the grid or in its wall
+        np.testing.assert_array_equal(counts, np.minimum(k + 1, 3))
 
     @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
     def test_step_must_be_positive_and_finite(self, step):

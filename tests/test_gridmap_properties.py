@@ -724,9 +724,8 @@ class TestSegmentCountsMatchReference:
     )
     def test_batch_independent(self, grid, step, sizes, special_share, zero_share, seed):
         # a segment's count does not depend on the batch it is counted in:
-        # one long segment's samples, padded to the batch's longest and
-        # masked, must not reach the others' counts; `filters._roll_out`
-        # groups whole transitions into one call on this
+        # one segment's samples must not reach its neighbours' counts;
+        # `filters._roll_out` groups whole transitions into one call on this
         rng = np.random.default_rng(seed)
         m = sum(sizes)
         reach = rng.choice([1.0, max(grid.world_width, grid.world_height)], m)

@@ -486,6 +486,21 @@ class TestFailedTrials:
         ]
         assert sorted(p.name for p in (out / "traces").iterdir()) == [f"deq_mcl_trial{t:02d}.jsonl" for t in range(3)]
 
+    def test_reused_output_directory_keeps_nothing_stale(self, tmp_path, monkeypatch):
+        cfg_path = write_mini_config(tmp_path, methods="mcl, deq_mcl", count=4, lag=2, n_trials=3)
+        out = tmp_path / "out"
+        assert self.run_cli(cfg_path, out) == 0
+        traces = sorted(p.name for p in (out / "traces").iterdir())
+        with monkeypatch.context() as m:
+            fail_mcl_steps(m, lambda i: i == 4)  # the first step of trial 1
+            assert self.run_cli(cfg_path, out) == 1
+        # the clean run's trace of the failed trial is gone, the others stay
+        assert sorted(p.name for p in (out / "traces").iterdir()) == [t for t in traces if t != "mcl_trial01.jsonl"]
+        assert (out / "failures.txt").exists()
+        assert self.run_cli(cfg_path, out) == 0
+        assert not (out / "failures.txt").exists()
+        assert sorted(p.name for p in (out / "traces").iterdir()) == traces
+
 
 class TestPaperPathDigest:
     # sha256 of summary.csv + metrics.csv from paper.cfg, deq_mcl and
@@ -644,11 +659,25 @@ class TestCli:
 
     def test_config_error_is_one_line_for_every_subcommand(self, tmp_path, capsys):
         cfg_path = write_mini_config(tmp_path)
-        cfg_path.write_text(cfg_path.read_text().replace("y: 6.0, ", ""))
-        for argv in (["run"], ["oracle"], ["render", "--trace", "t.jsonl"], ["map-check"]):
-            assert cli.main([argv[0], "--config", str(cfg_path), *argv[1:]]) == 2
-            captured = capsys.readouterr()
-            assert captured.err == "deqmcl: missing key 'y' in start\n" and captured.out == ""
+        text = cfg_path.read_text() + "oracle: {cell: 1.0, heading_bins: 1, seeds: 1, compare_t: 4}\n"
+        map_path, cfg_dir = tmp_path / "mini_map.txt", tmp_path / "cfg_dir"
+        cfg_dir.mkdir()
+
+        def assert_one_line(config, message):
+            for argv in (["run"], ["oracle"], ["render", "--trace", "t.jsonl"], ["map-check"]):
+                assert cli.main([argv[0], "--config", str(config), *argv[1:]]) == 2
+                captured = capsys.readouterr()
+                assert captured.err == f"deqmcl: {message}\n" and captured.out == ""
+
+        cfg_path.write_text(text.replace("y: 6.0, ", ""))
+        assert_one_line(cfg_path, "missing key 'y' in start")
+        assert_one_line(cfg_dir, f"{cfg_dir}: cannot read: Is a directory")
+        cfg_path.write_text(text)
+        map_path.write_text("3 2 1.0\n###\n#x#\n")
+        assert_one_line(cfg_path, f"map: {map_path}: line 3: invalid characters ['x']")
+        map_path.unlink()
+        map_path.mkdir()
+        assert_one_line(cfg_path, f"map: {map_path}: cannot read: Is a directory")
 
     def test_colliding_plan_is_one_line_for_run_and_oracle(self, tmp_path, capsys):
         cfg_path = write_mini_config(tmp_path, count=40)  # from x = 6 past the wall at x = 29
@@ -680,3 +709,20 @@ class TestCli:
         assert rc == 0
         snaps = list((tmp_path / "ro" / "snapshots").glob("*.svg"))
         assert snaps
+
+    def test_render_bad_trace_is_one_line(self, tmp_path, capsys):
+        cfg_path = write_mini_config(tmp_path)
+        (tmp_path / "not_json.csv").write_text("method,trial\nmcl,0\n")
+        (tmp_path / "a_dir").mkdir()
+        for name, reason in [
+            ("missing.jsonl", "cannot read: No such file or directory"),
+            ("a_dir", "cannot read: Is a directory"),
+            ("not_json.csv", "not a JSON-lines trace: "),
+        ]:
+            trace = tmp_path / name
+            rc = cli.main(["render", "--config", str(cfg_path), "--trace", str(trace), "--out", str(tmp_path / "ro")])
+            assert rc == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"deqmcl: trace {trace}: {reason}") and captured.err.count("\n") == 1
+            assert captured.out == ""
+        assert not (tmp_path / "ro").exists()

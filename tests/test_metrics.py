@@ -5,41 +5,42 @@ import pytest
 
 from deqmcl.filters import BeliefSnapshot
 from deqmcl.metrics import (
-    StepError,
     belief_entropy,
     belief_variance,
-    step_error,
+    error_from_mean,
+    mean_state,
     trial_rmse,
 )
 from deqmcl.worldsim import Pose
 
 
-def snap(poses, weights=None, time=1, offset=0):
+def snap(poses, weights=None):
     poses = np.asarray(poses, dtype=float)
     if weights is None:
         weights = np.full(poses.shape[0], 1.0 / poses.shape[0])
-    return BeliefSnapshot(time=time, offset=offset, poses=poses, weights=np.asarray(weights, float))
+    return BeliefSnapshot(poses, np.asarray(weights, float))
+
+
+def step_error(belief, truth) -> float:
+    """e_t as `harness.run_trial` records it."""
+    return error_from_mean(mean_state(belief), truth)
 
 
 class TestStepError:
     def test_exact_belief_zero_error(self):
         truth = Pose(3.0, 4.0, 0.7)
         belief = snap([[3.0, 4.0, 0.7]] * 5)
-        assert step_error(belief, truth).value == pytest.approx(0.0, abs=1e-12)
+        assert step_error(belief, truth) == pytest.approx(0.0, abs=1e-12)
 
     def test_three_four_five(self):
         truth = Pose(0.0, 0.0, 1.2)
         belief = snap([[3.0, 4.0, 1.2]])
-        assert step_error(belief, truth).value == pytest.approx(5.0, abs=1e-12)
+        assert step_error(belief, truth) == pytest.approx(5.0, abs=1e-12)
 
     def test_opposite_heading_costs_two(self):
         truth = Pose(1.0, 2.0, 0.0)
         belief = snap([[1.0, 2.0, math.pi]])
-        assert step_error(belief, truth).value == pytest.approx(2.0, abs=1e-12)
-
-    def test_time_index_includes_offset(self):
-        belief = snap([[0.0, 0.0, 0.0]], time=30, offset=-5)
-        assert step_error(belief, Pose(0, 0, 0)).t == 25
+        assert step_error(belief, truth) == pytest.approx(2.0, abs=1e-12)
 
     def test_invariant_under_permutation(self):
         rng = np.random.default_rng(0)
@@ -48,8 +49,8 @@ class TestStepError:
         w /= w.sum()
         truth = Pose(1.0, -2.0, 0.3)
         perm = rng.permutation(20)
-        a = step_error(snap(poses, w), truth).value
-        b = step_error(snap(poses[perm], w[perm]), truth).value
+        a = step_error(snap(poses, w), truth)
+        b = step_error(snap(poses[perm], w[perm]), truth)
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_invariant_under_particle_split(self):
@@ -58,8 +59,8 @@ class TestStepError:
         split_poses = np.array([[1.0, 2.0, 0.5], [1.0, 2.0, 0.5], [3.0, -1.0, -0.4]])
         split_w = np.array([0.3, 0.3, 0.4])
         truth = Pose(0, 0, 0)
-        assert step_error(snap(poses, w), truth).value == pytest.approx(
-            step_error(snap(split_poses, split_w), truth).value, abs=1e-12
+        assert step_error(snap(poses, w), truth) == pytest.approx(
+            step_error(snap(split_poses, split_w), truth), abs=1e-12
         )
 
     def test_error_bound(self):
@@ -71,7 +72,7 @@ class TestStepError:
                 [rng.uniform(0, dx, 10), rng.uniform(0, dy, 10), rng.uniform(-math.pi, math.pi, 10)]
             )
             truth = Pose(rng.uniform(0, dx), rng.uniform(0, dy), rng.uniform(-math.pi, math.pi))
-            assert step_error(snap(poses), truth).value <= bound
+            assert step_error(snap(poses), truth) <= bound
 
     def test_empty_belief_rejected(self):
         with pytest.raises(ValueError):
@@ -80,11 +81,11 @@ class TestStepError:
 
 class TestTrialRmse:
     def test_constant_errors(self):
-        errors = [StepError(t, 5.0) for t in range(1, 101)]
+        errors = [5.0] * 100
         assert trial_rmse(errors) == 5.0
 
     def test_arithmetic_mean(self):
-        assert trial_rmse([StepError(1, 0.0), StepError(2, 10.0)]) == 5.0
+        assert trial_rmse([0.0, 10.0]) == 5.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -124,7 +125,7 @@ class TestBeliefEntropy:
     def test_nonnegative(self):
         rng = np.random.default_rng(3)
         poses = np.column_stack([rng.uniform(0, 9, 30), rng.uniform(0, 9, 30), rng.uniform(-3, 3, 30)])
-        assert belief_entropy(snap(poses)) >= 0.0
+        assert belief_entropy(snap(poses), cell=5.0, n_heading_bins=36) >= 0.0
 
     def test_heading_wrap_binning(self):
         # theta = pi sits in the last bin, just below the wrap point

@@ -106,8 +106,9 @@ class TestDiscretize:
         scan = sense(grid, Pose(4.0, 4.0, 0.0), beams, NoiseParams(0, 0, 0.3),
                      np.random.default_rng(0))
         log_e = hmm.log_emission(scan)
-        assert np.all(log_e[~hmm.free] == -np.inf)
-        assert np.all(np.isfinite(log_e[hmm.free]))
+        free = ~grid.occupied_xy(hmm.centers[:, 0], hmm.centers[:, 1])
+        assert np.all(log_e[~free] == -np.inf)
+        assert np.all(np.isfinite(log_e[free]))
 
 
 def weights(hmm, scans):
@@ -303,7 +304,7 @@ class TestBinBelief:
         got = bin_belief(hmm, poses, weights)
         assert got.shape == (n_columns, hmm.n_states)
         for j in range(n_columns):
-            snap = BeliefSnapshot(time=1, offset=j, poses=poses[:, j].copy(), weights=weights)
+            snap = BeliefSnapshot(poses[:, j].copy(), weights)
             np.testing.assert_array_equal(got[j], reference_bin_belief(hmm, snap))
             assert got[j].sum() > 0
 
