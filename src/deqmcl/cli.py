@@ -80,6 +80,12 @@ def cmd_render(args) -> int:
         raise harness.ConfigError(f"trace {args.trace}: cannot read: {exc.strerror}") from None
     except ValueError as exc:  # not UTF-8, or a line that is not JSON
         raise harness.ConfigError(f"trace {args.trace}: not a JSON-lines trace: {exc}") from None
+    for line, record in enumerate(records, 1):
+        if not isinstance(record, dict):
+            raise harness.ConfigError(f"trace {args.trace}: line {line} is not a trace record")
+        missing = [key for key in render.SNAPSHOT_KEYS if key not in record]
+        if record.get("clouds") and missing:
+            raise harness.ConfigError(f"trace {args.trace}: line {line} has clouds but no {', '.join(missing)}")
     out = harness.resolve_output_dir(cfg, args.out) / "snapshots"
     written = render.render_records(records, grid, out)
     print(f"wrote {len(written)} snapshot(s) to {out}")

@@ -515,8 +515,9 @@ def run_trial(
     Emits exactly one record per time step t, containing the method's final
     estimate of the state at t, the matching error e_t, and (every
     ``cloud_stride`` steps) the particle clouds at offsets -lag/0/+lag of the
-    queue from which the estimate was extracted.  ``method`` is checked as
-    the ``methods`` config key is, before anything runs.
+    queue from which the estimate was extracted; the per-trial metrics
+    aggregate the records' ``e_t``, ``entropy`` and ``var``.  ``method``
+    is checked as the ``methods`` config key is, before anything runs.
     """
     check_methods((method,))
     if grid is None:
@@ -536,29 +537,20 @@ def run_trial(
     mp = cfg.metric_params
 
     records: list[dict] = []
-    errors: list[float] = []
-    entropies: list[float] = []
-    variances: list[np.ndarray] = []
 
     def emit(j: int, state: QueueState, tau: int) -> None:
         snap = state.marginal(j - tau)
         mean = metrics.mean_state(snap)
-        e = metrics.error_from_mean(mean, truth[j])
-        entropy = metrics.belief_entropy(snap, mp.entropy_cell, mp.entropy_heading_bins)
-        var = metrics.belief_variance(snap)
-        errors.append(e)
-        entropies.append(entropy)
-        variances.append(var)
         rec = {
             "method": method,
             "trial": trial,
             "t": j,
             "truth": [truth[j].x, truth[j].y, truth[j].theta],
             "current_mean": [float(v) for v in mean],
-            "e_t": e,
+            "e_t": metrics.error_from_mean(mean, truth[j]),
             "ess": filters.effective_sample_size(state.log_weights),
-            "entropy": entropy,
-            "var": [float(v) for v in var],
+            "entropy": metrics.belief_entropy(snap, mp.entropy_cell, mp.entropy_heading_bins),
+            "var": [float(v) for v in metrics.belief_variance(snap)],
         }
         if cfg.cloud_stride and tau % cfg.cloud_stride == 0:
             clouds = {}
@@ -580,9 +572,9 @@ def run_trial(
         emit(j, state, horizon)
 
     trial_metrics = metrics.TrialMetrics(
-        rmse=metrics.trial_rmse(errors),
-        entropy=float(np.mean(entropies)),
-        variance=np.mean(np.stack(variances), axis=0),
+        rmse=metrics.trial_rmse([rec["e_t"] for rec in records]),
+        entropy=float(np.mean([rec["entropy"] for rec in records])),
+        variance=np.mean([rec["var"] for rec in records], axis=0),
     )
     return trial_metrics, records
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .filters import FilterConfig, observation_log_likelihood_batch
 from .gridmap import OccupancyGrid
-from .worldsim import Action, DepthScan, Pose, normalize_angle, normalize_angles
+from .worldsim import Action, DepthScan, Pose, normalize_angles
 
 TWO_PI = 2.0 * math.pi
 MAX_LATTICE_STATES = 10_000  # largest lattice `discretize` builds
@@ -37,9 +37,10 @@ class ImpossibleEvidenceError(RuntimeError):
 class DiscreteHmm:
     """Pose-lattice HMM mirroring the continuous localization model.
 
-    ``weighted_transitions`` holds one motion matrix per action, each entry
-    weighted by the traversability prior exp(-beta * C) of its
-    center-to-center segment: the rows are stochastic at beta 0 and
+    State ``(iy * nx + ix) * n_heading_bins + ib`` is cell (ix, iy) at
+    heading bin ib.  ``weighted_transitions`` holds one motion matrix per
+    action, each entry weighted by the traversability prior exp(-beta * C)
+    of its center-to-center segment: the rows are stochastic at beta 0 and
     sub-stochastic near obstacles otherwise.
     """
 
@@ -60,6 +61,22 @@ class DiscreteHmm:
     def log_emission(self, scan: DepthScan) -> np.ndarray:
         return observation_log_likelihood_batch(scan, self.centers, self.grid, self.sensor_sigma)
 
+    def heading_bin(self, theta: np.ndarray) -> np.ndarray:
+        """The heading bin of each angle, after wrapping it into (-pi, pi]."""
+        if self.n_heading_bins == 1:  # every heading is in bin 0
+            return np.zeros(np.shape(theta), dtype=np.int64)
+        ib = ((normalize_angles(theta) + math.pi) / (TWO_PI / self.n_heading_bins)).astype(np.int64)
+        return np.minimum(ib, self.n_heading_bins - 1)
+
+    def state_index(self, x: np.ndarray, y: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The lattice state of each pose, meaningless off the lattice, and
+        whether the pose lies on it; the arguments broadcast."""
+        ix = np.floor(x / self.cell).astype(np.int64)
+        iy = np.floor(y / self.cell).astype(np.int64)
+        # a negative index reads as a huge unsigned one
+        on_lattice = (ix.view(np.uint64) < self.nx) & (iy.view(np.uint64) < self.ny)
+        return (iy * self.nx + ix) * self.n_heading_bins + self.heading_bin(theta), on_lattice
+
 
 def discretize(
     grid: OccupancyGrid,
@@ -73,8 +90,9 @@ def discretize(
     Transition rows are built by composite-midpoint integration of the motion
     kernel: the heading noise is evaluated at destination-bin centers and the
     forward noise on a midpoint grid over +/- 6 sigma, each node mapped to
-    the cell it lands in.  Rows are renormalized so they sum to exactly 1,
-    then each nonzero entry is weighted by the traversability prior.
+    the state it lands in by `DiscreteHmm.state_index`.  Rows are
+    renormalized so they sum to exactly 1, then each nonzero entry is
+    weighted by the traversability prior.
     """
     if cell <= 0:
         raise ValueError(f"cell must be positive, got {cell}")
@@ -90,35 +108,26 @@ def discretize(
     ixs, iys = np.meshgrid(np.arange(nx), np.arange(ny))
     cell_x = (ixs.ravel() + 0.5) * cell
     cell_y = (iys.ravel() + 0.5) * cell
-    bin_width = TWO_PI / n_heading_bins
-    bin_centers = -math.pi + (np.arange(n_heading_bins) + 0.5) * bin_width
-
-    centers = np.empty((n_states, 3))
-    for ib in range(n_heading_bins):
-        idx = np.arange(nx * ny) * n_heading_bins + ib
-        centers[idx, 0] = cell_x
-        centers[idx, 1] = cell_y
-        centers[idx, 2] = bin_centers[ib]
-    free = ~grid.occupied_xy(centers[:, 0], centers[:, 1])
+    bin_centers = -math.pi + (np.arange(n_heading_bins) + 0.5) * (TWO_PI / n_heading_bins)
+    centers = np.column_stack([
+        np.repeat(cell_x, n_heading_bins), np.repeat(cell_y, n_heading_bins), np.tile(bin_centers, nx * ny)
+    ])
+    initial = (~grid.occupied_xy(centers[:, 0], centers[:, 1])).astype(float)
+    initial /= initial.sum()
+    hmm = DiscreteHmm(grid, cell, n_heading_bins, nx, ny, centers, {}, cfg.sensor_sigma, initial)
 
     noise = cfg.motion_noise
-    weighted: dict[Action, np.ndarray] = {}
-    n_cells = nx * ny
-    cell_state_base = np.arange(n_cells) * n_heading_bins
-
+    cos_b, sin_b = np.cos(bin_centers)[:, None], np.sin(bin_centers)[:, None]
+    cell_states = np.arange(nx * ny) * n_heading_bins
     for action in actions:
-        # heading bins: midpoint density at destination-bin centers
-        head = np.zeros((n_heading_bins, n_heading_bins))
-        for ib in range(n_heading_bins):
-            target = bin_centers[ib] + action.omega
-            if noise.sigma_omega == 0:
-                width = TWO_PI / n_heading_bins
-                bt = min(int((normalize_angle(target) + math.pi) / width), n_heading_bins - 1)
-                head[ib, bt] = 1.0
-            else:
-                diff = np.array([normalize_angle(c - target) for c in bin_centers])
-                dens = np.exp(-0.5 * (diff / noise.sigma_omega) ** 2)
-                head[ib] = dens / dens.sum()
+        target = bin_centers + action.omega
+        if noise.sigma_omega == 0:
+            head = np.zeros((n_heading_bins, n_heading_bins))
+            head[np.arange(n_heading_bins), hmm.heading_bin(target)] = 1.0
+        else:  # midpoint density at destination-bin centers
+            diff = normalize_angles(bin_centers - target[:, None])
+            dens = np.exp(-0.5 * (diff / noise.sigma_omega) ** 2)
+            head = dens / dens.sum(axis=1, keepdims=True)
 
         # forward displacement: midpoint quadrature over +/- 6 sigma
         if noise.sigma_v == 0:
@@ -130,20 +139,22 @@ def discretize(
             s_weights = np.exp(-0.5 * z * z)
             s_weights = s_weights / s_weights.sum()
 
-        trans = np.zeros((n_states, n_states))
-        for ib in range(n_heading_bins):
-            src = cell_state_base + ib
-            for bt in range(n_heading_bins):
-                hw = head[ib, bt]
-                if hw == 0.0:
-                    continue
-                ct, st = math.cos(bin_centers[bt]), math.sin(bin_centers[bt])
-                for s_val, s_w in zip(s_nodes, s_weights):
-                    dst_ix = np.floor((cell_x + s_val * ct) / cell).astype(np.int64)
-                    dst_iy = np.floor((cell_y + s_val * st) / cell).astype(np.int64)
-                    ok = (dst_ix >= 0) & (dst_ix < nx) & (dst_iy >= 0) & (dst_iy < ny)
-                    dst = (dst_iy[ok] * nx + dst_ix[ok]) * n_heading_bins + bt
-                    np.add.at(trans, (src[ok], dst), hw * s_w)
+        # the state every (destination bin, node, source cell) lands in; each
+        # nonzero (source bin, destination bin) weight, row-major, then adds its
+        # nodes' mass, so an entry sums the nodes of one bin pair in node order
+        dst, on_lattice = hmm.state_index(
+            cell_x + (cos_b * s_nodes)[:, :, None],
+            cell_y + (sin_b * s_nodes)[:, :, None],
+            bin_centers[:, None, None],
+        )
+        ib, bt = np.nonzero(head)
+        src = cell_states + ib[:, None, None]
+        keep = on_lattice[bt]
+        trans = np.bincount(
+            (src * n_states + dst[bt])[keep],
+            weights=np.broadcast_to((head[ib, bt][:, None] * s_weights)[:, :, None], keep.shape)[keep],
+            minlength=n_states * n_states,
+        ).reshape(n_states, n_states)
         row_sums = trans.sum(axis=1)
         dead = row_sums == 0
         trans[dead, np.arange(n_states)[dead]] = 1.0  # all mass off-lattice: hold state
@@ -157,21 +168,8 @@ def discretize(
             cfg.collision_step,
         )
         trans[src_idx, dst_idx] *= np.exp(-cfg.beta * counts)
-        weighted[action] = trans
-
-    initial = free.astype(float)
-    initial /= initial.sum()
-    return DiscreteHmm(
-        grid=grid,
-        cell=cell,
-        n_heading_bins=n_heading_bins,
-        nx=nx,
-        ny=ny,
-        centers=centers,
-        weighted_transitions=weighted,
-        sensor_sigma=cfg.sensor_sigma,
-        initial=initial,
-    )
+        hmm.weighted_transitions[action] = trans
+    return hmm
 
 
 def emission_weights(hmm: DiscreteHmm, scan: DepthScan) -> np.ndarray:
@@ -303,21 +301,9 @@ def bin_belief(hmm: DiscreteHmm, poses: np.ndarray, weights: np.ndarray) -> np.n
     its column alone would.
     """
     k = poses.shape[1]
-    cols = poses.transpose(2, 1, 0)  # (3, k, n): the particles of each column in order
-    cells = np.divide(cols[:2], hmm.cell, order="C")
-    ix, iy = np.floor(cells, out=cells).astype(np.int64)
-    idx = iy * hmm.nx
-    idx += ix
-    if hmm.n_heading_bins > 1:  # a one-bin lattice puts every heading in bin 0
-        width = TWO_PI / hmm.n_heading_bins
-        theta = normalize_angles(cols[2])
-        ib = np.minimum(((theta + math.pi) / width).astype(np.int64), hmm.n_heading_bins - 1)
-        idx *= hmm.n_heading_bins
-        idx += ib
+    idx, on_lattice = hmm.state_index(*poses.transpose(2, 1, 0))  # (k, n): each column's particles in order
     idx += np.arange(0, k * hmm.n_states, hmm.n_states)[:, None]
-    # a negative index reads as a huge unsigned one
-    off = (ix.view(np.uint64) >= hmm.nx) | (iy.view(np.uint64) >= hmm.ny)
-    idx[off] = k * hmm.n_states  # one bin past every column's, cut off below
+    idx[~on_lattice] = k * hmm.n_states  # one bin past every column's, cut off below
     sums = np.bincount(idx.ravel(), weights=np.tile(weights, k), minlength=k * hmm.n_states + 1)
     return sums[:-1].reshape(k, hmm.n_states)
 
@@ -333,11 +319,12 @@ def uniform_box_initial(hmm: DiscreteHmm, box: tuple[float, float, float, float,
 
     ox = overlap(xmin, xmax, hmm.centers[:, 0], hmm.cell)
     oy = overlap(ymin, ymax, hmm.centers[:, 1], hmm.cell)
-    if thmax > thmin:
-        oth = overlap(thmin, thmax, hmm.centers[:, 2], TWO_PI / hmm.n_heading_bins)
-    else:  # degenerate box: a single heading value
+    if thmax > thmin:  # headings wrap, as the filter's sampler wraps them: every turn of a bin counts
+        turns = np.arange(math.floor((thmin - math.pi) / TWO_PI), math.ceil((thmax + math.pi) / TWO_PI) + 1)
         width = TWO_PI / hmm.n_heading_bins
-        oth = (np.abs(hmm.centers[:, 2] - thmin) <= width / 2).astype(float)
+        oth = overlap(thmin, thmax, hmm.centers[:, 2, None] + TWO_PI * turns, width).sum(axis=1)
+    else:  # degenerate box: the bin of its one heading
+        oth = (np.arange(hmm.n_states) % hmm.n_heading_bins == hmm.heading_bin(thmin)).astype(float)
     mass = ox * oy * oth
     total = mass.sum()
     if total <= 0:
@@ -357,7 +344,7 @@ def gaussian_initial(
     cx, cy, cth = hmm.centers[:, 0], hmm.centers[:, 1], hmm.centers[:, 2]
     px = cdf((cx + half - mean.x) / sigma_xy) - cdf((cx - half - mean.x) / sigma_xy)
     py = cdf((cy + half - mean.y) / sigma_xy) - cdf((cy - half - mean.y) / sigma_xy)
-    diff = np.array([normalize_angle(c - mean.theta) for c in cth])
+    diff = normalize_angles(cth - mean.theta)
     pth = np.exp(-0.5 * (diff / sigma_theta) ** 2)
     mass = px * py * pth
     total = mass.sum()

@@ -14,6 +14,7 @@ import numpy as np
 from .gridmap import OccupancyGrid
 
 _CLOUD_COLORS = {-1: "pink", 0: "orange", 1: "lightblue"}
+SNAPSHOT_KEYS = ("method", "trial", "t", "truth")  # what a cloud-carrying record must hold
 
 
 def _obstacle_rects(grid: OccupancyGrid) -> list[tuple[float, float, float, float]]:

@@ -710,6 +710,21 @@ class TestCli:
         snaps = list((tmp_path / "ro" / "snapshots").glob("*.svg"))
         assert snaps
 
+    @pytest.mark.parametrize("line, reason", [
+        ("[1, 2]", "line 2 is not a trace record"),
+        ('{"clouds": {"0": [[1, 2, 0.5]]}, "t": 3}', "line 2 has clouds but no method, trial, truth"),
+    ], ids=["list", "clouds_without_truth"])
+    def test_render_line_that_is_not_a_record_is_one_line(self, tmp_path, capsys, line, reason):
+        cfg_path = write_mini_config(tmp_path)
+        trace = tmp_path / "odd.jsonl"
+        trace.write_text('{"t": 1}\n' + line + "\n")  # a record without clouds is skipped, not refused
+        rc = cli.main(["render", "--config", str(cfg_path), "--trace", str(trace), "--out", str(tmp_path / "ro")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"deqmcl: trace {trace}: {reason}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "ro").exists()
+
     def test_render_bad_trace_is_one_line(self, tmp_path, capsys):
         cfg_path = write_mini_config(tmp_path)
         (tmp_path / "not_json.csv").write_text("method,trial\nmcl,0\n")

@@ -22,7 +22,7 @@ from deqmcl.oracle import (
     tv_distance,
     uniform_box_initial,
 )
-from deqmcl.worldsim import Action, BeamConfig, NoiseParams, Pose, sense
+from deqmcl.worldsim import Action, BeamConfig, NoiseParams, Pose, normalize_angle, normalize_angles, sense
 
 from conftest import make_room
 
@@ -52,6 +52,81 @@ def strip_scan(grid, x, rng_seed=0, sigma_range=0.3):
                  np.random.default_rng(rng_seed))
 
 
+def reference_discretize(grid, cfg, actions, cell, n_heading_bins):
+    """`discretize`'s lattice as a loop of `np.add.at` calls, one per (source
+    heading bin, destination heading bin, forward node): (centers, initial,
+    kernels, number of rows whose mass all left the lattice)."""
+    nx = math.ceil(grid.world_width / cell - 1e-9)
+    ny = math.ceil(grid.world_height / cell - 1e-9)
+    n_states = nx * ny * n_heading_bins
+    ixs, iys = np.meshgrid(np.arange(nx), np.arange(ny))
+    cell_x = (ixs.ravel() + 0.5) * cell
+    cell_y = (iys.ravel() + 0.5) * cell
+    bin_width = 2.0 * math.pi / n_heading_bins
+    bin_centers = -math.pi + (np.arange(n_heading_bins) + 0.5) * bin_width
+
+    centers = np.empty((n_states, 3))
+    for ib in range(n_heading_bins):
+        idx = np.arange(nx * ny) * n_heading_bins + ib
+        centers[idx, 0] = cell_x
+        centers[idx, 1] = cell_y
+        centers[idx, 2] = bin_centers[ib]
+    initial = (~grid.occupied_xy(centers[:, 0], centers[:, 1])).astype(float)
+    initial /= initial.sum()
+
+    noise = cfg.motion_noise
+    kernels, n_dead = {}, 0
+    cell_state_base = np.arange(nx * ny) * n_heading_bins
+    for action in actions:
+        head = np.zeros((n_heading_bins, n_heading_bins))
+        for ib in range(n_heading_bins):
+            target = bin_centers[ib] + action.omega
+            if noise.sigma_omega == 0:
+                bt = min(int((normalize_angle(target) + math.pi) / bin_width), n_heading_bins - 1)
+                head[ib, bt] = 1.0
+            else:
+                diff = np.array([normalize_angle(c - target) for c in bin_centers])
+                dens = np.exp(-0.5 * (diff / noise.sigma_omega) ** 2)
+                head[ib] = dens / dens.sum()
+        if noise.sigma_v == 0:
+            s_nodes, s_weights = np.array([action.v]), np.array([1.0])
+        else:
+            z = -6.0 + (np.arange(oracle.QUAD_POINTS) + 0.5) * 12.0 / oracle.QUAD_POINTS
+            s_nodes = action.v + noise.sigma_v * z
+            s_weights = np.exp(-0.5 * z * z)
+            s_weights = s_weights / s_weights.sum()
+
+        trans = np.zeros((n_states, n_states))
+        for ib in range(n_heading_bins):
+            src = cell_state_base + ib
+            for bt in range(n_heading_bins):
+                hw = head[ib, bt]
+                if hw == 0.0:
+                    continue
+                ct, st = math.cos(bin_centers[bt]), math.sin(bin_centers[bt])
+                for s_val, s_w in zip(s_nodes, s_weights):
+                    dst_ix = np.floor((cell_x + s_val * ct) / cell).astype(np.int64)
+                    dst_iy = np.floor((cell_y + s_val * st) / cell).astype(np.int64)
+                    ok = (dst_ix >= 0) & (dst_ix < nx) & (dst_iy >= 0) & (dst_iy < ny)
+                    dst = (dst_iy[ok] * nx + dst_ix[ok]) * n_heading_bins + bt
+                    np.add.at(trans, (src[ok], dst), hw * s_w)
+        row_sums = trans.sum(axis=1)
+        dead = row_sums == 0
+        n_dead += dead.sum()
+        trans[dead, np.arange(n_states)[dead]] = 1.0
+        row_sums[dead] = 1.0
+        trans /= row_sums[:, None]
+
+        src_idx, dst_idx = np.nonzero(trans)
+        counts = grid.segment_collision_counts(
+            centers[src_idx, 0], centers[src_idx, 1], centers[dst_idx, 0], centers[dst_idx, 1],
+            cfg.collision_step,
+        )
+        trans[src_idx, dst_idx] *= np.exp(-cfg.beta * counts)
+        kernels[action] = trans
+    return centers, initial, kernels, n_dead
+
+
 class TestDiscretize:
     def test_zero_noise_unit_mass_on_successor(self):
         grid, cfg, _ = strip_hmm()
@@ -63,6 +138,29 @@ class TestDiscretize:
         for i in range(5):  # interior states step one cell right
             assert trans[i, i + 1] == 1.0
             assert trans[i].sum() == 1.0
+
+    @pytest.mark.parametrize("beta", [0.0, 1.5])
+    @pytest.mark.parametrize("sigma_v, sigma_omega", [(0.4, 0.3), (0.4, 0.0), (0.0, 0.3), (0.0, 0.0)])
+    @pytest.mark.parametrize("n_heading_bins", [1, 5, 12])
+    def test_kernels_match_reference_loop(self, n_heading_bins, sigma_v, sigma_omega, beta):
+        # a 7 x 5 room with a one-cell pillar on a lattice of 0.7-unit cells;
+        # a step of 4.5 leaves the lattice from the middle cells at every
+        # heading, so without forward noise their rows hold their state
+        grid = make_room(7, 5)
+        grid.cells[2, 3] = True
+        cfg = FilterConfig(n_particles=10, lag=1, beta=beta, motion_noise=NoiseParams(sigma_v, sigma_omega, 0.5),
+                           sensor_sigma=1.0, collision_step=0.3)
+        actions = [Action(1.0, 0.0), Action(4.5, 0.7), Action(-0.8, -2.0)]
+        hmm = discretize(grid, cfg, actions, cell=0.7, n_heading_bins=n_heading_bins)
+        centers, initial, kernels, n_dead = reference_discretize(grid, cfg, actions, 0.7, n_heading_bins)
+        assert n_dead > 0 or sigma_v > 0
+        np.testing.assert_array_equal(hmm.centers.view(np.int64), centers.view(np.int64))
+        np.testing.assert_array_equal(hmm.initial.view(np.int64), initial.view(np.int64))
+        assert list(hmm.weighted_transitions) == actions
+        for action in actions:
+            np.testing.assert_array_equal(
+                hmm.weighted_transitions[action].view(np.int64), kernels[action].view(np.int64)
+            )
 
     def test_rows_sum_to_one(self):
         _, _, hmm = strip_hmm(sigma_v=0.7)
@@ -242,6 +340,33 @@ class TestValidationPlumbing:
         assert init.sum() == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(init[1:3], 0.5, atol=1e-12)
         assert init[0] == 0.0 and init[3:].sum() == 0.0
+
+    def test_uniform_box_initial_wraps_headings_as_the_sampler(self):
+        # a 170-190 degree box on 12 bins: the sampler's wrapped headings fall
+        # in bins 0 and 11 alike, and the lattice splits the mass between them
+        grid = strip_grid(2)
+        cfg = FilterConfig(n_particles=10, motion_noise=NoiseParams(0.0, 0.0, 0.5))
+        hmm = discretize(grid, cfg, [Action(1.0, 0.0)], cell=1.0, n_heading_bins=12)
+        box = (0.0, 2.0, 0.0, 1.0, math.radians(170.0), math.radians(190.0))
+        init = uniform_box_initial(hmm, box)
+        per_bin = init.reshape(2, 12).sum(axis=0)
+        np.testing.assert_allclose(per_bin[[0, 11]], 0.5, atol=1e-12)
+        assert per_bin[1:11].sum() == 0.0
+        cfg = harness.load_config("tiny.cfg")  # a uniform box
+        sampler = harness.make_init_sampler(dataclasses.replace(cfg, init=dataclasses.replace(cfg.init, box=box)))
+        theta = normalize_angles(sampler(np.random.default_rng(0), 20_000)[:, 2])
+        sampled = np.bincount(hmm.heading_bin(theta), minlength=12) / theta.size
+        np.testing.assert_allclose(sampled, per_bin, atol=0.01)
+
+    def test_uniform_box_initial_degenerate_heading_past_pi(self):
+        # 190 degrees wraps to -170, the middle of bin 0 of 12
+        grid = strip_grid(2)
+        cfg = FilterConfig(n_particles=10, motion_noise=NoiseParams(0.0, 0.0, 0.5))
+        hmm = discretize(grid, cfg, [Action(1.0, 0.0)], cell=1.0, n_heading_bins=12)
+        theta = math.radians(190.0)
+        init = uniform_box_initial(hmm, (0.0, 2.0, 0.0, 1.0, theta, theta))
+        np.testing.assert_array_equal(init.reshape(2, 12)[:, 0], 0.5)
+        assert init.reshape(2, 12)[:, 1:].sum() == 0.0
 
     def test_gaussian_initial_normalized_and_centered(self):
         _, _, hmm = strip_hmm(n_cells=9)
