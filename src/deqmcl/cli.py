@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_run(args) -> int:
     cfg = harness.load_config(args.config)
-    methods = [m.strip() for m in args.methods.split(",")] if args.methods else None
+    methods = [m.strip() for m in args.methods.split(",")] if args.methods is not None else None
     result = harness.run_experiment(cfg, out_dir=args.out, methods=methods, seed=args.seed)
     out = result["out_dir"]
     print((out / "report.txt").read_text())
@@ -59,7 +59,7 @@ def cmd_run(args) -> int:
 
 def cmd_oracle(args) -> int:
     cfg = harness.load_config(args.config)
-    out = harness.resolve_output_dir(cfg, args.out)
+    out = harness.make_output_dir(cfg, args.out)
     rows = harness.run_oracle_validation(cfg, out_dir=str(out))
     by_offset: dict[int, list[float]] = {}
     for r in rows:
@@ -86,7 +86,7 @@ def cmd_render(args) -> int:
         missing = [key for key in render.SNAPSHOT_KEYS if key not in record]
         if record.get("clouds") and missing:
             raise harness.ConfigError(f"trace {args.trace}: line {line} has clouds but no {', '.join(missing)}")
-    out = harness.resolve_output_dir(cfg, args.out) / "snapshots"
+    out = harness.make_output_dir(cfg, args.out, "snapshots")
     written = render.render_records(records, grid, out)
     print(f"wrote {len(written)} snapshot(s) to {out}")
     return 0

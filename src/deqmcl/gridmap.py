@@ -21,9 +21,11 @@ import numpy as np
 # 88 rays 0.77 / 0.52, 130 rays 1.13 / 0.58, 200 rays 1.78 / 0.63;
 # `paper_map.txt`, 200-sample rays: 82 rays 0.33 / 0.60, 130 rays
 # 0.43 / 0.55, 164 rays 0.53 / 0.59, 200 rays 0.63 / 0.61, 327 rays
-# 1.86 / 0.85.  The limit lies between the two crossings; sending the
-# oracle's 88-ray emission batches to the search instead (a limit of 16,384)
-# left a whole `tiny.cfg` oracle call as fast as before.  A larger batch
+# 1.86 / 0.85.  The limit lies between the two crossings.  The pipeline's
+# batches below it stay dense; median of 15 replays in ms, dense / march from
+# sample 0 / search and march: one 5-seed `tiny.cfg` oracle call's 130
+# batches of 88 or 1 rays 15.4 / 17.7 / 21.7, `paper.cfg`'s 126 one-ray
+# truth batches 2.8 / 3.4 / 14.8.  A larger batch
 # first searches each ray over the summed-area table, then marches from
 # there in blocks of at most `_MARCH_BLOCK` points, but at least one sample
 # per ray.  One pass of the march costs about as much interpreter time as

@@ -20,12 +20,13 @@ import os
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 import yaml
 
 from . import filters, metrics, oracle
-from .filters import FilterConfig, FilterDegeneracyError, QueueState
+from .filters import BeliefSnapshot, FilterConfig, FilterDegeneracyError, QueueState
 from .gridmap import OccupancyGrid, Point2, load_grid
 from .worldsim import (
     Action,
@@ -66,6 +67,8 @@ METHODS = tuple(METHOD_TABLE)
 OUTPUT_DIR_ENV = "DEQMCL_OUT"
 
 MAX_TRUTH_RETRIES = 100  # rejected truth draws before the robot holds its pose
+
+_TRACE_ENCODER = json.JSONEncoder(check_circular=False)  # records hold no cycles; bytes as json.dumps
 
 _STREAM_TRUTH = 0
 _STREAM_SENSOR = 1
@@ -506,18 +509,18 @@ def run_trial(
     grid: OccupancyGrid | None = None,
     plan: ActionPlan | None = None,
     truth_scans: tuple[list[Pose], list[DepthScan | None]] | None = None,
-) -> tuple[metrics.TrialMetrics, list[dict]]:
-    """Run one (method, trial) pair; returns per-trial metrics and trace records.
+    trace: TextIO | None = None,
+) -> metrics.TrialMetrics:
+    """Run one (method, trial) pair and return its per-trial metrics.
 
     ``truth_scans`` is the trial's `trial_truth`; it is simulated here when
-    not given.
-
-    Emits exactly one record per time step t, containing the method's final
+    not given.  Each time step t makes one record: the method's final
     estimate of the state at t, the matching error e_t, and (every
     ``cloud_stride`` steps) the particle clouds at offsets -lag/0/+lag of the
-    queue from which the estimate was extracted; the per-trial metrics
-    aggregate the records' ``e_t``, ``entropy`` and ``var``.  ``method``
-    is checked as the ``methods`` config key is, before anything runs.
+    queue the estimate came from.  It is written to the text stream ``trace``
+    as one JSON line as soon as it is made (``None`` writes nothing); only
+    its ``e_t``, ``entropy`` and ``var`` are kept, for the metrics.
+    ``method`` is checked as the ``methods`` config key is, before anything runs.
     """
     check_methods((method,))
     if grid is None:
@@ -535,11 +538,12 @@ def run_trial(
     init, step, lagged = METHOD_TABLE[method]
     lag = fcfg.lag if lagged else 0
     mp = cfg.metric_params
-
-    records: list[dict] = []
+    kept: list[tuple] = []  # (e_t, entropy, var) of every record
 
     def emit(j: int, state: QueueState, tau: int) -> None:
-        snap = state.marginal(j - tau)
+        # the window's columns are read in place; every offset shares one weight vector
+        weights = state.weights()
+        snap = BeliefSnapshot(state.poses[:, state.n_past + j - tau], weights)
         mean = metrics.mean_state(snap)
         rec = {
             "method": method,
@@ -552,17 +556,16 @@ def run_trial(
             "entropy": metrics.belief_entropy(snap, mp.entropy_cell, mp.entropy_heading_bins),
             "var": [float(v) for v in metrics.belief_variance(snap)],
         }
+        kept.append((rec["e_t"], rec["entropy"], rec["var"]))
+        if trace is None:
+            return
         if cfg.cloud_stride and tau % cfg.cloud_stride == 0:
-            clouds = {}
-            for off in sorted({-lag, 0, lag}):
-                if -state.n_past <= off <= state.n_future:
-                    cloud = state.marginal(off)
-                    clouds[str(off)] = np.column_stack(
-                        [cloud.poses[:, 0], cloud.poses[:, 1], cloud.weights]
-                    ).tolist()
-            rec["clouds"] = clouds
+            rec["clouds"] = {
+                str(off): np.column_stack([state.poses[:, state.n_past + off, :2], weights]).tolist()
+                for off in sorted({-lag, 0, lag}) if -state.n_past <= off <= state.n_future
+            }
             rec["cloud_t"] = tau
-        records.append(rec)
+        trace.write(_TRACE_ENCODER.encode(rec) + "\n")
 
     states = _filter_states(fcfg, rng_filter, make_init_sampler(cfg), init, step, plan, grid, scans)
     for tau, state in states:
@@ -571,21 +574,19 @@ def run_trial(
     for j in range(max(1, horizon - lag + 1), horizon + 1):
         emit(j, state, horizon)
 
-    trial_metrics = metrics.TrialMetrics(
-        rmse=metrics.trial_rmse([rec["e_t"] for rec in records]),
-        entropy=float(np.mean([rec["entropy"] for rec in records])),
-        variance=np.mean([rec["var"] for rec in records], axis=0),
-    )
-    return trial_metrics, records
+    errors, entropies, variances = zip(*kept)
+    return metrics.TrialMetrics(metrics.trial_rmse(errors), float(np.mean(entropies)), np.mean(variances, axis=0))
 
 
-def resolve_output_dir(cfg: ExperimentConfig, out_dir: str | None = None) -> Path:
-    if out_dir is not None:
-        return Path(out_dir)
-    env = os.environ.get(OUTPUT_DIR_ENV)
-    if env:
-        return Path(env)
-    return Path(cfg.outputs)
+def make_output_dir(cfg: ExperimentConfig, out_dir: str | None = None, *parts: str) -> Path:
+    """The output directory (``out_dir``, else $DEQMCL_OUT, else ``outputs``) joined
+    with ``parts`` and made; a `ConfigError` naming it when it cannot be made."""
+    path = Path(out_dir if out_dir is not None else os.environ.get(OUTPUT_DIR_ENV) or cfg.outputs, *parts)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {path}: cannot create: {exc.strerror}") from None
+    return path
 
 
 def run_experiment(
@@ -597,22 +598,21 @@ def run_experiment(
     """Run the full (method x trial) battery and write summary, report and traces.
 
     ``methods`` (default: the config's) and ``seed`` (default: the config's
-    master seed) override the config; ``methods`` is checked as the config
-    key is, before anything runs.  Filter-degenerate trials are recorded in
-    failures.txt and skipped in the aggregates; the run continues, and a
-    method whose trials all failed gets a row of NaN.  In a reused output
-    directory, an old failures.txt and the old trace of a failed (method,
-    trial) are removed.
+    master seed) override the config and are checked as its keys are, before
+    anything runs.  A trace is written to ``<name>.part`` as its trial runs
+    and renamed when the trial ends, so a trace on disk is a whole trial.
+    Filter-degenerate trials are recorded in failures.txt and skipped in the
+    aggregates; the run continues, and a method whose trials all failed gets
+    a row of NaN.  In a reused output directory, an old failures.txt and the
+    old trace of a failed (method, trial) are removed.
     """
     if seed is not None:
-        cfg = dataclasses.replace(cfg, master_seed=seed)
+        cfg = dataclasses.replace(cfg, master_seed=_integer(seed, "seed", 0))
     methods = check_methods(methods) if methods is not None else cfg.methods
-    out = resolve_output_dir(cfg, out_dir)
-    traces_dir = out / "traces"
-    traces_dir.mkdir(parents=True, exist_ok=True)
-
     grid = load_experiment_grid(cfg)
     plan = build_plan(cfg, grid)
+    out = make_output_dir(cfg, out_dir)
+    traces_dir = make_output_dir(cfg, out_dir, "traces")
     truths = [trial_truth(cfg, trial, grid, plan) for trial in range(cfg.n_trials)]
 
     summary_rows: list[dict] = []
@@ -622,22 +622,22 @@ def run_experiment(
         per_trial: list[metrics.TrialMetrics] = []
         for trial in range(cfg.n_trials):
             trace_path = traces_dir / f"{method}_trial{trial:02d}.jsonl"
+            part = trace_path.with_name(trace_path.name + ".part")
             try:
-                tm, records = run_trial(
-                    cfg, method, trial, grid=grid, plan=plan, truth_scans=truths[trial]
-                )
+                with part.open("w") as fh:
+                    tm = run_trial(cfg, method, trial, grid=grid, plan=plan, truth_scans=truths[trial], trace=fh)
+                part.replace(trace_path)
             except FilterDegeneracyError as exc:
                 failures.append((method, trial, str(exc)))
                 trace_path.unlink(missing_ok=True)
                 continue
+            finally:
+                part.unlink(missing_ok=True)
             per_trial.append(tm)
             metric_rows.append(
                 f"{method},{trial},{tm.rmse!r},{tm.entropy!r},"
                 + ",".join(repr(float(v)) for v in tm.variance)
             )
-            with trace_path.open("w") as fh:
-                for rec in records:
-                    fh.write(json.dumps(rec) + "\n")
         if per_trial:
             rmses = np.array([tm.rmse for tm in per_trial])
             values = [
@@ -726,8 +726,8 @@ def run_oracle_validation(cfg: ExperimentConfig, out_dir: str | None = None) -> 
     Runs the queue filter on ``cfg.oracle_params.seeds`` independent trials
     and records, for every step and queue offset, the total-variation
     distance between the binned particle marginal and the exact posterior of
-    the discretized model.  Returns the rows and, when ``out_dir`` is given,
-    writes them to oracle_tv.csv.
+    the discretized model.  Returns the rows and, when the existing
+    directory ``out_dir`` is given, writes them to oracle_tv.csv there.
     """
     if cfg.oracle_params is None:
         raise ConfigError("config has no 'oracle' section")
@@ -767,9 +767,7 @@ def run_oracle_validation(cfg: ExperimentConfig, out_dir: str | None = None) -> 
                 for binned, (offset, dist) in zip(oracle.bin_belief(hmm, state.poses, state.weights()), exact.items())
             ]
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        with (out / "oracle_tv.csv").open("w") as fh:
+        with (Path(out_dir) / "oracle_tv.csv").open("w") as fh:
             fh.write("seed,t,offset,tv\n")
             for r in rows:
                 fh.write(f"{r['seed']},{r['t']},{r['offset']},{r['tv']!r}\n")

@@ -82,8 +82,7 @@ def render_snapshot(record: dict, grid: OccupancyGrid) -> str:
 
 
 def render_records(records: list[dict], grid: OccupancyGrid, out_dir: Path) -> list[Path]:
-    """Render every cloud-carrying trace record into ``out_dir``; returns written paths."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Render every cloud-carrying trace record into the existing directory ``out_dir``; returns written paths."""
     written = []
     for record in records:
         if not record.get("clouds"):

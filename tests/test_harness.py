@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -49,6 +50,13 @@ def write_mini_config(tmp_path, methods="mcl", count=5, n_trials=1, lag=0,
                         cloud_stride=cloud_stride, outputs=str(tmp_path / outputs))
     )
     return cfg_path
+
+
+def trial_records(cfg, method, trial=0):
+    """`run_trial`'s metrics and the records it wrote, read back from its stream."""
+    stream = io.StringIO()
+    tm = run_trial(cfg, method, trial, trace=stream)
+    return tm, [json.loads(line) for line in stream.getvalue().splitlines()]
 
 
 class TestLoadConfig:
@@ -253,8 +261,8 @@ class TestLoadConfig:
 class TestRunTrial:
     def test_deterministic_repeat(self, tmp_path):
         cfg = load_config(write_mini_config(tmp_path, methods="deq_mcl", lag=3, count=8))
-        a = run_trial(cfg, "deq_mcl", 0)
-        b = run_trial(cfg, "deq_mcl", 0)
+        a = trial_records(cfg, "deq_mcl", 0)
+        b = trial_records(cfg, "deq_mcl", 0)
         assert a[0].rmse == b[0].rmse
         assert json.dumps(a[1]) == json.dumps(b[1])
 
@@ -263,7 +271,7 @@ class TestRunTrial:
                                             count=8, lag=2))
         truths = {}
         for method in cfg.methods:
-            _, records = run_trial(cfg, method, 0)
+            _, records = trial_records(cfg, method, 0)
             truths[method] = {r["t"]: r["truth"] for r in records}
         assert truths["mcl"] == truths["mcl_map_motion"] == truths["deq_mcl"]
 
@@ -287,7 +295,7 @@ class TestRunTrial:
                 for m in cfg.methods
             ]
             assert truths[0] == truths[1]
-            _, records = run_trial(cfg, "mcl", trial)
+            _, records = trial_records(cfg, "mcl", trial)
             assert [r["truth"] for r in records] == truths[0]
         assert steps[cfg.n_trials:] == [cfg.filter_base.collision_step] * cfg.n_trials
 
@@ -298,12 +306,12 @@ class TestRunTrial:
 
     def test_one_record_per_step(self, tmp_path):
         cfg = load_config(write_mini_config(tmp_path, methods="mcl_smoother", count=9, lag=3))
-        _, records = run_trial(cfg, "mcl_smoother", 0)
+        _, records = trial_records(cfg, "mcl_smoother", 0)
         assert [r["t"] for r in records] == list(range(1, 11))  # horizon = count + 1
 
     def test_trace_error_consistent_with_mean(self, tmp_path):
         cfg = load_config(write_mini_config(tmp_path, methods="deq_mcl", count=8, lag=2))
-        _, records = run_trial(cfg, "deq_mcl", 0)
+        _, records = trial_records(cfg, "deq_mcl", 0)
         for r in records:
             recomputed = error_from_mean(np.array(r["current_mean"]), Pose(*r["truth"]))
             assert abs(recomputed - r["e_t"]) < 1e-9
@@ -311,15 +319,26 @@ class TestRunTrial:
     def test_lagged_method_reports_smoothed_estimates(self, tmp_path):
         cfg = load_config(write_mini_config(tmp_path, methods="mcl_smoother, mcl",
                                             count=12, lag=4))
-        _, rec_s = run_trial(cfg, "mcl_smoother", 0)
-        _, rec_m = run_trial(cfg, "mcl", 0)
+        _, rec_s = trial_records(cfg, "mcl_smoother", 0)
+        _, rec_m = trial_records(cfg, "mcl", 0)
         # same truth stream but different reporting conventions and streams
         assert [r["t"] for r in rec_s] == [r["t"] for r in rec_m]
+
+    def test_stream_equals_written_trace(self, tmp_path):
+        cfg = load_config(write_mini_config(tmp_path, methods="deq_mcl", count=12, lag=2, n_trials=2,
+                                            cloud_stride=4))
+        out = run_experiment(cfg, out_dir=str(tmp_path / "run"))["out_dir"]
+        for trial in range(cfg.n_trials):
+            stream = io.StringIO()
+            tm = run_trial(cfg, "deq_mcl", trial, trace=stream)
+            assert stream.getvalue().encode() == (out / "traces" / f"deq_mcl_trial{trial:02d}.jsonl").read_bytes()
+            assert '"clouds"' in stream.getvalue()
+            assert (out / "metrics.csv").read_text().splitlines()[1 + trial].startswith(f"deq_mcl,{trial},{tm.rmse!r},")
 
     def test_clouds_every_stride(self, tmp_path):
         cfg = load_config(write_mini_config(tmp_path, methods="deq_mcl", count=12, lag=2,
                                             cloud_stride=4))
-        _, records = run_trial(cfg, "deq_mcl", 0)
+        _, records = trial_records(cfg, "deq_mcl", 0)
         with_clouds = [r for r in records if "clouds" in r]
         assert with_clouds
         for r in with_clouds:
@@ -486,6 +505,26 @@ class TestFailedTrials:
         ]
         assert sorted(p.name for p in (out / "traces").iterdir()) == [f"deq_mcl_trial{t:02d}.jsonl" for t in range(3)]
 
+    def test_no_part_file_survives_a_failed_trial(self, tmp_path, monkeypatch):
+        cfg_path = write_mini_config(tmp_path, methods="mcl", count=4, n_trials=2)
+        fail_mcl_steps(monkeypatch, lambda i: i == 4)  # the first step of trial 1
+        assert self.run_cli(cfg_path, tmp_path / "out") == 1
+        assert sorted(p.name for p in (tmp_path / "out" / "traces").iterdir()) == ["mcl_trial00.jsonl"]
+
+    def test_trial_stopped_by_another_error_leaves_no_trace(self, tmp_path, monkeypatch):
+        cfg = load_config(write_mini_config(tmp_path, methods="mcl", count=4, n_trials=2))
+        original, calls = filters.mcl_step, itertools.count()
+
+        def step(*args, **kwargs):
+            if next(calls) == 6:  # mid-way through trial 1
+                raise RuntimeError("stopped (forced)")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(filters, "mcl_step", step)
+        with pytest.raises(RuntimeError, match="stopped"):
+            run_experiment(cfg, out_dir=str(tmp_path / "out"))
+        assert sorted(p.name for p in (tmp_path / "out" / "traces").iterdir()) == ["mcl_trial00.jsonl"]
+
     def test_reused_output_directory_keeps_nothing_stale(self, tmp_path, monkeypatch):
         cfg_path = write_mini_config(tmp_path, methods="mcl, deq_mcl", count=4, lag=2, n_trials=3)
         out = tmp_path / "out"
@@ -579,7 +618,7 @@ class TestRender:
     def _record_with_clouds(self, tmp_path, stride=4):
         cfg = load_config(write_mini_config(tmp_path, methods="deq_mcl", count=12, lag=2,
                                             cloud_stride=stride))
-        _, records = run_trial(cfg, "deq_mcl", 0)
+        _, records = trial_records(cfg, "deq_mcl", 0)
         grid = harness.load_experiment_grid(cfg)
         return grid, [r for r in records if "clouds" in r]
 
@@ -594,7 +633,7 @@ class TestRender:
 
     def test_mcl_record_renders_current_cloud_only(self, tmp_path):
         cfg = load_config(write_mini_config(tmp_path, methods="mcl", count=8, cloud_stride=4))
-        _, records = run_trial(cfg, "mcl", 0)
+        _, records = trial_records(cfg, "mcl", 0)
         grid = harness.load_experiment_grid(cfg)
         rec = next(r for r in records if "clouds" in r)
         svg = render.render_snapshot(rec, grid)
@@ -648,7 +687,7 @@ class TestCli:
         run = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "sub")]
         with monkeypatch.context() as m:
             m.setattr(harness, "simulate_truth", lambda *a, **k: pytest.fail("truth simulated"))
-            for methods in ("warp_drive", "mcl,mcl", "mcl,", "mcl;deq_mcl"):
+            for methods in ("warp_drive", "mcl,mcl", "mcl,", "mcl;deq_mcl", ""):
                 assert cli.main([*run, "--methods", methods]) == 2
                 err = capsys.readouterr().err
                 assert err.startswith("deqmcl: methods must be") and err.count("\n") == 1
@@ -656,6 +695,36 @@ class TestCli:
         cli.main([*run, "--methods", " deq_mcl , mcl"])  # spaces around the names
         summary = harness.read_summary_csv(tmp_path / "sub" / "summary.csv")
         assert [r["method"] for r in summary] == ["deq_mcl", "mcl"]
+
+    def test_bad_seed_is_one_line(self, tmp_path, monkeypatch, capsys):
+        cfg_path = write_mini_config(tmp_path)
+        monkeypatch.setattr(harness, "simulate_truth", lambda *a, **k: pytest.fail("truth simulated"))
+        assert cli.main(["run", "--config", str(cfg_path), "--seed", "-3"]) == 2
+        assert capsys.readouterr().err == "deqmcl: seed must be an integer >= 0, got -3\n"
+        for seed in (2.5, True):
+            with pytest.raises(ConfigError, match=f"^seed must be an integer >= 0, got {seed!r}$"):
+                run_experiment(load_config(cfg_path), seed=seed)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "oracle", "render"])
+    @pytest.mark.parametrize("source", ["--out", "DEQMCL_OUT", "outputs"])
+    def test_output_directory_that_is_a_file_is_one_line(self, tmp_path, monkeypatch, capsys, command, source):
+        cfg_path = write_mini_config(tmp_path, count=4, outputs="taken" if source == "outputs" else "out")
+        cfg_path.write_text(cfg_path.read_text() + "oracle: {cell: 1.0, heading_bins: 1, seeds: 1, compare_t: 4}\n")
+        taken, trace = tmp_path / "taken", tmp_path / "t.jsonl"
+        taken.write_text("a file\n")
+        trace.write_text('{"t": 1}\n')
+        monkeypatch.delenv(harness.OUTPUT_DIR_ENV, raising=False)
+        if source == "DEQMCL_OUT":
+            monkeypatch.setenv(harness.OUTPUT_DIR_ENV, str(taken))
+        argv = [command, "--config", str(cfg_path), *(["--out", str(taken)] if source == "--out" else []),
+                *(["--trace", str(trace)] if command == "render" else [])]
+        before = sorted(tmp_path.iterdir())
+        monkeypatch.setattr(harness, "simulate_truth", lambda *a, **k: pytest.fail("truth simulated"))
+        assert cli.main(argv) == 2
+        reason = "/snapshots: cannot create: Not a directory" if command == "render" else ": cannot create: File exists"
+        assert capsys.readouterr() == ("", f"deqmcl: output directory {taken}{reason}\n")
+        assert sorted(tmp_path.iterdir()) == before and taken.read_text() == "a file\n"
 
     def test_config_error_is_one_line_for_every_subcommand(self, tmp_path, capsys):
         cfg_path = write_mini_config(tmp_path)
