@@ -16,21 +16,24 @@ import numpy as np
 # `OccupancyGrid.raycast_batch` tests a batch of at most `_MARCH_POINTS`
 # points as one dense block, without the free-prefix search.  Where the two
 # cross depends on the map.  Median ms per batch, dense / search, on 2 cores
-# with numpy 2.4.6, rays from random free points at random headings:
-# `tiny_map.txt`, 300-sample rays: 44 rays 0.37 / 0.44, 66 rays 0.56 / 0.49,
-# 88 rays 0.77 / 0.52, 130 rays 1.13 / 0.58, 200 rays 1.78 / 0.63;
-# `paper_map.txt`, 200-sample rays: 82 rays 0.33 / 0.60, 130 rays
-# 0.43 / 0.55, 164 rays 0.53 / 0.59, 200 rays 0.63 / 0.61, 327 rays
-# 1.86 / 0.85.  The limit lies between the two crossings.  The pipeline's
-# batches below it stay dense; median of 15 replays in ms, dense / march from
-# sample 0 / search and march: one 5-seed `tiny.cfg` oracle call's 130
-# batches of 88 or 1 rays 15.4 / 17.7 / 21.7, `paper.cfg`'s 126 one-ray
-# truth batches 2.8 / 3.4 / 14.8.  A larger batch
-# first searches each ray over the summed-area table, then marches from
-# there in blocks of at most `_MARCH_BLOCK` points, but at least one sample
-# per ray.  One pass of the march costs about as much interpreter time as
-# testing a few thousand points: narrower blocks pay in passes, wider ones
-# test samples past the first hit.
+# with numpy 2.4.6, rays from random free points at random headings, timed
+# with the branch-free lifting of `_free_prefix` (`BENCH_freeprefix.json`):
+# `tiny_map.txt`, 300-sample rays: 44 rays 0.12 / 0.18, 66 rays 0.17 / 0.20,
+# 77 rays 0.33 / 0.20, 88 rays 0.39 / 0.22, 130 rays 0.58 / 0.23;
+# `paper_map.txt`, 200-sample rays: 82 rays 0.15 / 0.23, 130 rays
+# 0.21 / 0.25, 147 rays 0.27 / 0.27, 164 rays 0.30 / 0.29, 200 rays
+# 0.61 / 0.29.  The crossings lie near 20,000-23,000 and 29,000-33,000
+# points, and the limit at the upper one.  The pipeline's batches, replayed,
+# median of 15 in ms, dense / march from sample 0 / search and march: one
+# 5-seed `tiny.cfg` oracle call's 65 one-ray truth batches 1.75 / 2.35 /
+# 9.91 and its 65 batches of 88 rays (26,400 points, between the crossings:
+# a tie) 13.13 / 16.14 / 13.74, `paper.cfg`'s 126 one-ray truth batches
+# 2.90 / 4.17 / 16.05.  A batch over the limit first searches each ray over
+# the summed-area table, then marches from there in blocks of at most
+# `_MARCH_BLOCK` points, but at least one sample per ray.  One pass of the
+# march costs about as much interpreter time as testing a few thousand
+# points: narrower blocks pay in passes, wider ones test samples past the
+# first hit.
 _MARCH_POINTS = 1 << 15
 _MARCH_BLOCK = 1 << 12
 
@@ -221,17 +224,17 @@ class OccupancyGrid:
         cell (sample 0), so that samples ``1 .. j`` are all free.  The search
         is binary lifting, at most ``n_samples.bit_length()`` probes of three
         corner sums each: starting from ``j = 0``, each power of two from the
-        highest down is added to ``j`` where the sample that far on still
-        spans a free rectangle, and the result is clamped to ``n_samples``.
-        No more probes are made than a ray inside the grid needs to cross it.
-        A ray whose
-        ``j`` is the last sample ends at ``max_range``.  The others march in
-        blocks, each from its own ``j``: a block takes each of the ``active``
-        rays that have not hit yet ``max(1, _MARCH_BLOCK // active)`` samples
-        further, never past the last sample, tests all of those points with
-        one lookup, records each ray's first hit in the block and drops the
-        rays that hit.  A ray that goes on starts its next block after its
-        last tested sample.
+        highest down is added to ``j`` (as the product of the probe's bool
+        and the power, with no masked update) where the sample that far on
+        still spans a free rectangle, and the result is clamped to
+        ``n_samples``.  No more probes are made than a ray inside the grid
+        needs to cross it.  A ray whose ``j`` is the last sample ends at
+        ``max_range``.  The others march in blocks, each from its own ``j``:
+        a block takes each of the ``active`` rays that have not hit yet
+        ``max(1, _MARCH_BLOCK // active)`` samples further, never past the
+        last sample, tests all of those points with one lookup, records each
+        ray's first hit in the block and drops the rays that hit.  A ray
+        that goes on starts its next block after its last tested sample.
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -298,7 +301,8 @@ class OccupancyGrid:
         the grid's diagonal of the origin (a cell more covers rounding).
         Binary lifting finds the end in ``reach.bit_length()`` probes: from
         ``j = 0``, each power of two ``b`` from the highest down is added to
-        ``j`` where sample ``j + b`` passes.  That finds the end over
+        ``j`` where sample ``j + b`` passes, as ``j += free * b``: a product,
+        with no branch per ray.  That finds the end over
         ``[0, 2 * b_max - 1]``, which can reach past ``n_samples``; the
         samples there sit at ``max_range`` (the distance is still monotone
         in ``k``), so the rectangles still nest, and the end clamped to
@@ -323,7 +327,7 @@ class OccupancyGrid:
         for b in reversed(range(probes)):
             m = self._sample_corners(rays, sample_dist[1 << b :].take(j), shift)
             free = s.take(m[1] + m[0]) - s.take(fixed[1] + m[0]) - s.take(m[1] + fixed[0]) + base == 0
-            np.add(j, 1 << b, out=j, where=free)
+            j += free * (1 << b)
         return np.minimum(j, n_samples, out=j)
 
 

@@ -33,7 +33,8 @@ def normalize_angle(theta: float) -> float:
 def normalize_angles(theta: np.ndarray) -> np.ndarray:
     t = np.fmod(theta, TWO_PI)
     t += (t < 0) * TWO_PI  # numpy's remainder rule, as `np.mod`; -0.0 + 0.0 is +0.0
-    return np.where(t > math.pi, t - TWO_PI, t)
+    t -= (t > math.pi) * TWO_PI  # t - 0.0 is t, -0.0 included
+    return t
 
 
 @dataclass(frozen=True)
