@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -106,6 +107,18 @@ class BeliefSnapshot:
             raise ValueError(f"poses must have shape (n, 3), got {self.poses.shape}")
         if self.weights.shape != (self.poses.shape[0],):
             raise ValueError("weights must match the particle count")
+
+    @cached_property
+    def features(self) -> np.ndarray:
+        """The (n, 4) matrix of (x, y, cos theta, sin theta), one row per
+        particle, built once per snapshot: `metrics.mean_state` and
+        `metrics.belief_variance` both read it.  `cached_property` stores it
+        in the instance ``__dict__`` directly, which a frozen dataclass
+        without ``__slots__`` allows."""
+        if self.poses.shape[0] == 0:
+            raise ValueError("belief holds no particles")
+        theta = self.poses[:, 2]
+        return np.column_stack([self.poses[:, 0], self.poses[:, 1], np.cos(theta), np.sin(theta)])
 
 
 @dataclass

@@ -18,6 +18,17 @@ from .worldsim import Pose
 
 TWO_PI = 2.0 * math.pi
 
+# `belief_entropy` sums each bin's weight with one `bincount` over the raveled
+# (ix, iy, ib) key while the key space holds at most this many bins, and
+# through `np.unique`'s inverse above it.  Measured per call, keys to
+# `p[p > 0]` (2 cores, numpy 2.4.6): at 1,000 particles the `np.unique` path
+# costs 22 us whatever the spread, and the direct bincount 4 / 18 / 32 us at
+# 1,000 / 32,000 / 64,000 bins; at 10,000 particles 171-200 us against
+# 142 / 198 / 254 us at 40,000 / 80,000 / 160,000 bins.  On paper.cfg (3
+# trials at seed 1) the key space has median 4,579 bins and p99 39,989, so
+# 2.3% of its records take the `np.unique` path.
+_ENTROPY_BINS = 1 << 15
+
 
 @dataclass(frozen=True)
 class TrialMetrics:
@@ -28,17 +39,9 @@ class TrialMetrics:
     variance: np.ndarray  # (var_x, var_y, var_cos, var_sin)
 
 
-def _features(belief: BeliefSnapshot) -> np.ndarray:
-    """The (n, 4) matrix of (x, y, cos theta, sin theta), one row per particle."""
-    if belief.poses.shape[0] == 0:
-        raise ValueError("belief holds no particles")
-    theta = belief.poses[:, 2]
-    return np.column_stack([belief.poses[:, 0], belief.poses[:, 1], np.cos(theta), np.sin(theta)])
-
-
 def mean_state(belief: BeliefSnapshot) -> np.ndarray:
     """Weighted mean of (x, y, cos theta, sin theta) over the particles."""
-    return _features(belief).T @ belief.weights
+    return belief.features.T @ belief.weights
 
 
 def error_from_mean(mean: np.ndarray, truth: Pose) -> float:
@@ -59,8 +62,11 @@ def trial_rmse(errors) -> float:
 
 def belief_entropy(belief: BeliefSnapshot, cell: float, n_heading_bins: int) -> float:
     """Plug-in histogram entropy (nats) of the belief over (x, y, theta) bins."""
-    if cell <= 0 or n_heading_bins < 1:
-        raise ValueError("cell must be positive and n_heading_bins >= 1")
+    if not (cell > 0 and math.isfinite(cell)):
+        raise ValueError(f"cell must be positive and finite, got {cell}")
+    if (isinstance(n_heading_bins, bool) or not isinstance(n_heading_bins, (int, np.integer))
+            or not n_heading_bins >= 1):
+        raise ValueError(f"n_heading_bins must be an integer >= 1, got {n_heading_bins!r}")
     if belief.poses.shape[0] == 0:
         raise ValueError("belief holds no particles")
     ix = np.floor(belief.poses[:, 0] / cell).astype(np.int64)
@@ -69,13 +75,18 @@ def belief_entropy(belief: BeliefSnapshot, cell: float, n_heading_bins: int) -> 
     ib = np.minimum(
         ((belief.poses[:, 2] + math.pi) / width).astype(np.int64), n_heading_bins - 1
     )
-    # One int64 key per (ix, iy, ib) bin, in lexicographic bin order, so the
-    # bins come out of `np.unique` in the order a row sort gives them;
-    # `ravel_multi_index` raises where the key space would overflow.
+    # One int64 key per (ix, iy, ib) bin, in lexicographic bin order;
+    # `ravel_multi_index` raises where the key space would overflow.  Either
+    # path below sums each bin's weights in particle order and lists the bins
+    # in key order, so `p` has the same bits whichever runs: the bincount over
+    # the keys themselves leaves empty bins as zeros, which `p > 0` drops, and
+    # `np.unique`'s inverse numbers only the occupied bins, in key order.
     bins = [b - b.min() for b in (ix, iy, ib)]
-    keys = np.ravel_multi_index(bins, [int(b.max()) + 1 for b in bins])
-    _, inverse = np.unique(keys, return_inverse=True)
-    p = np.bincount(inverse, weights=belief.weights)
+    shape = [int(b.max()) + 1 for b in bins]
+    keys = np.ravel_multi_index(bins, shape)
+    if math.prod(shape) > _ENTROPY_BINS:
+        _, keys = np.unique(keys, return_inverse=True)
+    p = np.bincount(keys, weights=belief.weights)
     p = p[p > 0]
     p = p / p.sum()
     return float(-(p * np.log(p)).sum())
@@ -83,7 +94,7 @@ def belief_entropy(belief: BeliefSnapshot, cell: float, n_heading_bins: int) -> 
 
 def belief_variance(belief: BeliefSnapshot) -> np.ndarray:
     """Weighted variance of each of x, y, cos theta, sin theta."""
-    feats = _features(belief)
+    feats = belief.features
     w = belief.weights
     mean = feats.T @ w
     return ((feats - mean) ** 2).T @ w

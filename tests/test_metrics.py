@@ -5,6 +5,7 @@ import pytest
 
 from deqmcl.filters import BeliefSnapshot
 from deqmcl.metrics import (
+    _ENTROPY_BINS,
     belief_entropy,
     belief_variance,
     error_from_mean,
@@ -19,6 +20,51 @@ def snap(poses, weights=None):
     if weights is None:
         weights = np.full(poses.shape[0], 1.0 / poses.shape[0])
     return BeliefSnapshot(poses, np.asarray(weights, float))
+
+
+def reference_bins(belief, cell, n_heading_bins):
+    """The (ix, iy, ib) bin of every particle, each axis shifted to start at 0."""
+    ix = np.floor(belief.poses[:, 0] / cell).astype(np.int64)
+    iy = np.floor(belief.poses[:, 1] / cell).astype(np.int64)
+    width = 2.0 * math.pi / n_heading_bins
+    ib = np.minimum(((belief.poses[:, 2] + math.pi) / width).astype(np.int64), n_heading_bins - 1)
+    return [b - b.min() for b in (ix, iy, ib)]
+
+
+def key_space(belief, cell, n_heading_bins) -> int:
+    """Bins in the box that `belief_entropy` keys the cloud in."""
+    return math.prod(int(b.max()) + 1 for b in reference_bins(belief, cell, n_heading_bins))
+
+
+def reference_belief_entropy(belief, cell, n_heading_bins) -> float:
+    """`belief_entropy` with every cloud's bins numbered by `np.unique`'s
+    inverse, whatever the size of the key space."""
+    bins = reference_bins(belief, cell, n_heading_bins)
+    keys = np.ravel_multi_index(bins, [int(b.max()) + 1 for b in bins])
+    _, inverse = np.unique(keys, return_inverse=True)
+    p = np.bincount(inverse, weights=belief.weights)
+    p = p[p > 0]
+    p = p / p.sum()
+    return float(-(p * np.log(p)).sum())
+
+
+def random_cloud(rng, n, spread):
+    """A weighted cloud with resampled duplicates, some zero weights,
+    headings of exactly +-pi and negative coordinates."""
+    distinct = max(1, n // 3)
+    base = np.column_stack([
+        rng.uniform(-spread, spread, distinct),
+        rng.uniform(-spread, spread, distinct),
+        rng.uniform(-math.pi, math.pi, distinct),
+    ])
+    base[rng.random(distinct) < 0.1, 2] = math.pi
+    base[rng.random(distinct) < 0.1, 2] = -math.pi
+    poses = base[rng.integers(0, distinct, n)]
+    w = rng.random(n)
+    w[rng.random(n) < 0.2] = 0.0
+    if w.sum() == 0:
+        w[0] = 1.0
+    return snap(poses, w / w.sum())
 
 
 def step_error(belief, truth) -> float:
@@ -132,6 +178,47 @@ class TestBeliefEntropy:
         belief = snap([[0.0, 0.0, math.pi], [0.0, 0.0, -math.pi + 1e-9]])
         assert belief_entropy(belief, cell=5.0, n_heading_bins=4) == pytest.approx(math.log(2))
 
+    @pytest.mark.parametrize("cell", [math.nan, math.inf, -math.inf, 0.0, -5.0])
+    def test_cell_must_be_positive_and_finite(self, cell):
+        belief = random_cloud(np.random.default_rng(5), 100, 20.0)
+        with pytest.raises(ValueError, match="cell"):
+            belief_entropy(belief, cell=cell, n_heading_bins=36)
+
+    @pytest.mark.parametrize("n_heading_bins", [2.5, 36.0, 0, -3, True, "36"])
+    def test_heading_bins_must_be_a_positive_integer(self, n_heading_bins):
+        belief = random_cloud(np.random.default_rng(6), 100, 20.0)
+        with pytest.raises(ValueError, match="n_heading_bins"):
+            belief_entropy(belief, cell=5.0, n_heading_bins=n_heading_bins)
+
+    def test_numpy_integer_heading_bins_accepted(self):
+        belief = random_cloud(np.random.default_rng(7), 100, 20.0)
+        assert belief_entropy(belief, 5.0, np.int64(36)) == belief_entropy(belief, 5.0, 36)
+
+    def test_matches_unique_reference_on_both_sides_of_bound(self):
+        rng = np.random.default_rng(8)
+        sides = {False: 0, True: 0}
+        for trial in range(300):
+            n = int(rng.choice([1, 2, 50, 1000, 3000]))
+            spread = float(rng.choice([0.5, 10.0, 60.0, 200.0, 2000.0]))
+            cell, n_bins = float(rng.choice([0.5, 2.5, 5.0])), int(rng.choice([1, 4, 36]))
+            belief = random_cloud(rng, n, spread)
+            got = belief_entropy(belief, cell, n_bins)
+            want = reference_belief_entropy(belief, cell, n_bins)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), trial
+            sides[key_space(belief, cell, n_bins) > _ENTROPY_BINS] += 1
+        assert min(sides.values()) >= 50, sides
+
+    def test_single_bin_clouds_match_reference(self):
+        rng = np.random.default_rng(9)
+        for n in (1, 7, 1000):
+            poses = np.column_stack([
+                rng.uniform(-4.9, -0.1, n), rng.uniform(0.1, 4.9, n), rng.uniform(0.02, 0.08, n)
+            ])
+            w = rng.random(n)
+            belief = snap(poses, w / w.sum())
+            assert key_space(belief, 5.0, 36) == 1
+            assert belief_entropy(belief, 5.0, 36) == reference_belief_entropy(belief, 5.0, 36) == 0.0
+
 
 class TestBeliefVariance:
     def test_single_particle_all_zero(self):
@@ -159,3 +246,26 @@ class TestBeliefVariance:
         v = belief_variance(belief)
         assert v[0] == 0.0 and v[2] == 0.0 and v[3] == 0.0
         assert v[1] > 0.0
+
+
+class TestSharedFeatures:
+    def test_features_built_once_per_snapshot(self):
+        belief = random_cloud(np.random.default_rng(10), 200, 30.0)
+        assert belief.features is belief.features
+        mean_state(belief)
+        belief_variance(belief)
+        assert belief.__dict__["features"] is belief.features
+
+    def test_empty_belief_has_no_features(self):
+        with pytest.raises(ValueError):
+            BeliefSnapshot(np.empty((0, 3)), np.empty(0)).features
+
+    def test_mean_and_variance_match_column_stack_reference(self):
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 50, 1000):
+            belief = random_cloud(rng, n, 40.0)
+            poses, w = belief.poses, belief.weights
+            feats = np.column_stack([poses[:, 0], poses[:, 1], np.cos(poses[:, 2]), np.sin(poses[:, 2])])
+            mean = feats.T @ w
+            assert mean_state(belief).tobytes() == mean.tobytes()
+            assert belief_variance(belief).tobytes() == (((feats - mean) ** 2).T @ w).tobytes()
