@@ -85,14 +85,14 @@ class FilterConfig:
             raise ValueError(f"n_particles must be >= 1, got {self.n_particles}")
         if not self.lag >= 0:
             raise ValueError(f"lag must be >= 0, got {self.lag}")
-        if not self.beta >= 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if not self.sensor_sigma > 0:
-            raise ValueError(f"sensor_sigma must be > 0, got {self.sensor_sigma}")
+        if not (self.beta >= 0 and math.isfinite(self.beta)):
+            raise ValueError(f"beta must be >= 0 and finite, got {self.beta}")
+        if not (self.sensor_sigma > 0 and math.isfinite(self.sensor_sigma)):
+            raise ValueError(f"sensor_sigma must be > 0 and finite, got {self.sensor_sigma}")
         if not 0.0 <= self.resample_threshold <= 1.0:
             raise ValueError(f"resample_threshold must be in [0, 1], got {self.resample_threshold}")
-        if not self.collision_step > 0:
-            raise ValueError(f"collision_step must be > 0, got {self.collision_step}")
+        if not (self.collision_step > 0 and math.isfinite(self.collision_step)):
+            raise ValueError(f"collision_step must be > 0 and finite, got {self.collision_step}")
 
 
 @dataclass(frozen=True)
@@ -203,8 +203,8 @@ def observation_log_likelihood_batch(
     std ``sensor_sigma``, with the prediction raycast from the pose using the
     scan's own sensor geometry.  Poses inside obstacles get -inf.
     """
-    if sensor_sigma <= 0:
-        raise ValueError(f"sensor_sigma must be > 0, got {sensor_sigma}")
+    if not (sensor_sigma > 0 and math.isfinite(sensor_sigma)):  # written so that NaN fails
+        raise ValueError(f"sensor_sigma must be > 0 and finite, got {sensor_sigma}")
     n = poses.shape[0]
     out = np.full(n, -np.inf)
     free = ~grid.occupied_xy(poses[:, 0], poses[:, 1])
@@ -227,6 +227,8 @@ def traversability_log_prior_batch(
     grid: OccupancyGrid, prev: np.ndarray, nxt: np.ndarray, beta: float, step: float
 ) -> np.ndarray:
     """log exp(-beta * C) for each motion segment, C = collision sample count."""
+    if not (beta >= 0 and math.isfinite(beta)):  # written so that NaN fails
+        raise ValueError(f"beta must be >= 0 and finite, got {beta}")
     counts = grid.segment_collision_counts(prev[:, 0], prev[:, 1], nxt[:, 0], nxt[:, 1], step)
     return -(beta * counts)
 

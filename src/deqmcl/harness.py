@@ -93,7 +93,7 @@ class PlanSpec:
     kind: str  # "waypoints" | "constant"
     v_step: float
     omega_step: float
-    waypoints: tuple[Point2, ...]
+    waypoints: tuple[Point2, ...] | None  # waypoint plans only
     v: float
     omega: float
     count: int | None  # constant plans only
@@ -104,7 +104,7 @@ class InitSpec:
     kind: str  # "gaussian" | "uniform_box"
     sigma_xy: float
     sigma_theta: float
-    box: tuple[float, float, float, float, float, float]
+    box: tuple[float, float, float, float, float, float] | None  # uniform_box only
 
 
 @dataclass(frozen=True)
@@ -156,56 +156,6 @@ def resolve_config_path(name: str | Path) -> Path:
 
 _REQUIRED = object()  # default of a key that must be given
 
-# Every config key: section -> key -> (type, default, bound), section "" being
-# the top level.  A float must be finite, and its bound ("positive",
-# "non-negative" or None) narrows it; an int's bound is its minimum and a
-# str's the tuple of its allowed values.  `load_config` reads the ``object``
-# keys itself.  A float key ending in ``_deg`` is given in degrees and stored
-# in radians; every key is stored without that suffix.
-_CONFIG_KEYS = {
-    "": {
-        "map": (str, _REQUIRED, None), "n_trials": (int, 1, 1), "master_seed": (int, 0, 0),
-        "methods": (object, METHODS, None), "filter": (object, None, None), "outputs": (str, "out", None),
-    },
-    "start": {
-        "x": (float, _REQUIRED, None), "y": (float, _REQUIRED, None), "theta_deg": (float, 0.0, None),
-    },
-    "plan": {
-        "kind": (str, "waypoints", ("waypoints", "constant")), "waypoints": (object, None, None),
-        "v_step": (float, 5.0, "positive"), "omega_step_deg": (float, 22.5, "positive"),
-        "v": (float, 1.0, None), "omega_deg": (float, 0.0, None), "count": (int, None, 1),
-    },
-    "noise": {
-        "sigma_v": (float, 0.5, "non-negative"), "sigma_omega_deg": (float, 2.9, "non-negative"),
-        "sigma_range": (float, 2.0, "non-negative"),
-    },
-    # an absent key keeps the world noise: the filters model it exactly
-    "filter_noise": {
-        "sigma_v": (float, None, "non-negative"), "sigma_omega_deg": (float, None, "non-negative"),
-    },
-    "beams": {
-        "headings_deg": (object, (-60, -30, 0, 30, 60), None),
-        "max_range": (float, 100.0, "positive"), "ray_step": (float, 0.5, "positive"),
-    },
-    "init": {
-        "kind": (str, "gaussian", ("gaussian", "uniform_box")),
-        "sigma_xy": (float, 10.0, "non-negative"), "sigma_theta_deg": (float, 11.5, "non-negative"),
-        "box": (object, None, None),
-    },
-    "metrics": {
-        "entropy_cell": (float, 5.0, "positive"), "entropy_heading_bins": (int, 36, 1),
-    },
-    "trace": {"cloud_stride": (int, 0, 0)},
-    # oracle rows start at t = 2, the first filter step
-    "oracle": {
-        "cell": (float, 1.0, "positive"), "heading_bins": (int, 1, 1), "seeds": (int, 20, 1),
-        "compare_t": (int, 9, 2),
-    },
-}
-
-# the `filter` section sets every FilterConfig field but the motion noise
-_FILTER_KEYS = tuple(f.name for f in dataclasses.fields(FilterConfig) if f.name != "motion_noise")
-
 
 def _required(value, key: str, where: str):
     if value is None:
@@ -233,55 +183,49 @@ def _integer(value, where: str, minimum: int) -> int:
 
 
 def _float(value, where: str, bound: str | None = None) -> float:
-    """``value`` as a finite float, positive or non-negative as ``bound`` says."""
+    """``value`` as a finite float, positive, non-negative or in [0, 1] as ``bound`` says."""
     try:
         if isinstance(value, bool):
             raise TypeError
         x = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{where} must be a number, got {value!r}") from None
-    if not (math.isfinite(x) and {"positive": x > 0, "non-negative": x >= 0}.get(bound, True)):
+    bounds = {"positive": x > 0, "non-negative": x >= 0, "in [0, 1]": 0 <= x <= 1}
+    if not (math.isfinite(x) and bounds.get(bound, True)):
         raise ConfigError(f"{where} must be {bound + ' and ' if bound else ''}finite, got {x!r}")
     return x
 
 
-def _numbers(value, where: str, count: int) -> tuple[float, ...]:
-    """``value`` as a list of ``count`` finite floats."""
-    if not isinstance(value, (list, tuple)) or len(value) != count:
-        raise ConfigError(f"{where} must be a list of {count} numbers, got {value!r}")
+def _choice(value, where: str, choices: tuple[str, ...] | None) -> str:
+    """``value`` as a string, one of ``choices`` unless that is None."""
+    if choices and str(value) not in choices:
+        raise ConfigError(f"{where} must be one of {', '.join(choices)}, got {value!r}")
+    return str(value)
+
+
+def _numbers(value, where: str, count: int | None) -> tuple[float, ...]:
+    """``value`` as a list of ``count`` finite floats, or of one or more when ``count`` is None."""
+    if not (isinstance(value, (list, tuple)) and (len(value) == count if count else len(value) > 0)):
+        raise ConfigError(f"{where} must be a list of {count or 'one or more'} numbers, got {value!r}")
     return tuple(_float(v, where) for v in value)
 
 
-def _read_keys(raw: dict) -> dict[str, dict]:
-    """Every key of `_CONFIG_KEYS`, checked, by section; a key absent from
-    the table raises a `ConfigError` naming it."""
-    known = [*_CONFIG_KEYS[""], *list(_CONFIG_KEYS)[1:]]
-    for key in raw:
-        if key not in known:
-            raise ConfigError(f"unknown top-level key {key!r}; known: {', '.join(known)}")
-    values = {}
-    for section, rows in _CONFIG_KEYS.items():
-        given = _section(raw.get(section), section, rows) if section else raw
-        where = f"{section}: " if section else ""
-        out = values[section] = {}
-        for key, (kind, default, bound) in rows.items():
-            value = given.get(key, default)
-            if value is _REQUIRED:
-                raise ConfigError(f"missing key {key!r} in {section or 'config'}")
-            name = key.removesuffix("_deg")
-            if kind is object or (value is None and key not in given):
-                out[name] = value
-            elif kind is int:
-                out[name] = _integer(value, where + key, bound)
-            elif kind is str:
-                out[name] = str(value)
-                if bound and out[name] not in bound:
-                    raise ConfigError(f"{where}{key} must be one of {', '.join(bound)}, got {value!r}")
-            else:
-                out[name] = _float(value, where + key, bound)
-                if name != key:
-                    out[name] = math.radians(out[name])
-    return values
+def _waypoints(value, where: str, _) -> tuple[Point2, ...]:
+    """``value`` as a list of [x, y] pairs."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list of [x, y] pairs, got {value!r}")
+    return tuple(Point2(*_numbers(w, where, 2)) for w in value)
+
+
+def _box(value, where: str, _) -> tuple[float, ...]:
+    """``value`` as [xmin, xmax, ymin, ymax, thmin_deg, thmax_deg], each min <= max,
+    with the heading range in radians."""
+    b = _numbers(value, where, 6)
+    if not (b[0] <= b[1] and b[2] <= b[3] and b[4] <= b[5]):
+        raise ConfigError(
+            f"{where} must be [xmin, xmax, ymin, ymax, thmin_deg, thmax_deg] with each min <= max, got {list(b)!r}"
+        )
+    return b[:4] + (math.radians(b[4]), math.radians(b[5]))
 
 
 def check_methods(value) -> tuple[str, ...]:
@@ -294,6 +238,86 @@ def check_methods(value) -> tuple[str, ...]:
     if not names or len(set(names)) != len(names):
         raise ConfigError(f"methods must be a non-empty list of distinct method names, got {value!r}")
     return names
+
+
+# Every config key: section -> key -> (reader, default, bound), section "" being
+# the top level.  `_read_keys` calls ``reader(value, "<section>: <key>", bound)``
+# on each given key and on each default but None, which stands for an absent
+# key: an absent filter key keeps FilterConfig's default, an absent
+# filter_noise key the world noise.  A key ending in ``_deg`` is given in
+# degrees and stored in radians, a list of them element by element; every key
+# is stored without that suffix.
+_CONFIG_KEYS = {
+    "": {
+        "map": (_choice, _REQUIRED, None), "n_trials": (_integer, 1, 1), "master_seed": (_integer, 0, 0),
+        "methods": (lambda value, where, _: check_methods(value), METHODS, None),
+        "outputs": (_choice, "out", None),
+    },
+    "start": {
+        "x": (_float, _REQUIRED, None), "y": (_float, _REQUIRED, None), "theta_deg": (_float, 0.0, None),
+    },
+    "plan": {
+        "kind": (_choice, "waypoints", ("waypoints", "constant")), "waypoints": (_waypoints, None, None),
+        "v_step": (_float, 5.0, "positive"), "omega_step_deg": (_float, 22.5, "positive"),
+        "v": (_float, 1.0, None), "omega_deg": (_float, 0.0, None), "count": (_integer, None, 1),
+    },
+    "noise": {
+        "sigma_v": (_float, 0.5, "non-negative"), "sigma_omega_deg": (_float, 2.9, "non-negative"),
+        "sigma_range": (_float, 2.0, "non-negative"),
+    },
+    "filter_noise": {
+        "sigma_v": (_float, None, "non-negative"), "sigma_omega_deg": (_float, None, "non-negative"),
+    },
+    # every FilterConfig field but the motion noise
+    "filter": {
+        "n_particles": (_integer, None, 1), "lag": (_integer, None, 0),
+        "beta": (_float, None, "non-negative"), "sensor_sigma": (_float, None, "positive"),
+        "resample_threshold": (_float, None, "in [0, 1]"), "collision_step": (_float, None, "positive"),
+    },
+    "beams": {
+        "headings_deg": (_numbers, (-60, -30, 0, 30, 60), None),
+        "max_range": (_float, 100.0, "positive"), "ray_step": (_float, 0.5, "positive"),
+    },
+    "init": {
+        "kind": (_choice, "gaussian", ("gaussian", "uniform_box")),
+        "sigma_xy": (_float, 10.0, "non-negative"), "sigma_theta_deg": (_float, 11.5, "non-negative"),
+        "box": (_box, None, None),
+    },
+    "metrics": {
+        "entropy_cell": (_float, 5.0, "positive"), "entropy_heading_bins": (_integer, 36, 1),
+    },
+    "trace": {"cloud_stride": (_integer, 0, 0)},
+    # oracle rows start at t = 2, the first filter step
+    "oracle": {
+        "cell": (_float, 1.0, "positive"), "heading_bins": (_integer, 1, 1), "seeds": (_integer, 20, 1),
+        "compare_t": (_integer, 9, 2),
+    },
+}
+
+
+def _read_keys(raw: dict) -> dict[str, dict]:
+    """Every key of `_CONFIG_KEYS`, read, by section; a key absent from
+    the table raises a `ConfigError` naming it."""
+    known = [*_CONFIG_KEYS[""], *list(_CONFIG_KEYS)[1:]]
+    for key in raw:
+        if key not in known:
+            raise ConfigError(f"unknown top-level key {key!r}; known: {', '.join(known)}")
+    values = {}
+    for section, rows in _CONFIG_KEYS.items():
+        given = _section(raw.get(section), section, rows) if section else raw
+        where = f"{section}: " if section else ""
+        out = values[section] = {}
+        for key, (reader, default, bound) in rows.items():
+            value = given.get(key, default)
+            if value is _REQUIRED:
+                raise ConfigError(f"missing key {key!r} in {section or 'config'}")
+            name = key.removesuffix("_deg")
+            if key in given or value is not None:
+                value = reader(value, where + key, bound)
+                if name != key:
+                    value = math.radians(value) if isinstance(value, float) else tuple(map(math.radians, value))
+            out[name] = value
+    return values
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -313,67 +337,35 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{cfg_path}: top level must be a mapping")
     v = _read_keys(raw)
-    top, plan = v[""], v["plan"]
+    top, plan, init = v[""], v["plan"], v["init"]
 
     map_path = (cfg_path.parent / top["map"]).resolve()
     if not map_path.exists():
         raise ConfigError(f"map file {map_path} does not exist")
-
-    waypoints = plan.pop("waypoints")
     if plan["kind"] == "waypoints":
-        if not isinstance(_required(waypoints, "waypoints", "plan"), list):
-            raise ConfigError(f"plan: waypoints must be a list of [x, y] pairs, got {waypoints!r}")
-        waypoints = tuple(Point2(*_numbers(w, "plan: waypoints", 2)) for w in waypoints)
+        _required(plan["waypoints"], "waypoints", "plan")
     else:
         _required(plan["count"], "count", "plan")
-        waypoints = ()
-    methods = check_methods(top["methods"])
+    if init["kind"] == "uniform_box":
+        _required(init["box"], "box", "init")
+
+    def given(section: str) -> dict:  # the keys of ``section`` that the config sets
+        return {k: x for k, x in v[section].items() if x is not None}
 
     noise = NoiseParams(**v["noise"])
-    filter_noise = dataclasses.replace(
-        noise, **{k: x for k, x in v["filter_noise"].items() if x is not None}
-    )
-
-    headings = v["beams"].pop("headings")
-    if not isinstance(headings, (list, tuple)):
-        raise ConfigError(f"beams: headings_deg must be a list of numbers, got {headings!r}")
-    headings = tuple(math.radians(_float(h, "beams: headings_deg")) for h in headings)
-    try:
-        beams = BeamConfig(headings=headings, **v["beams"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"beams: {exc}") from None
-
-    try:
-        filter_base = FilterConfig(
-            motion_noise=filter_noise, **_section(top["filter"], "filter", _FILTER_KEYS)
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"filter: {exc}") from None
-
-    init = v["init"]
-    box = init.pop("box")
-    if init["kind"] == "uniform_box":
-        b = _numbers(_required(box, "box", "init"), "init: box", 6)
-        if not (b[0] <= b[1] and b[2] <= b[3] and b[4] <= b[5]):
-            raise ConfigError(
-                f"init: box must be [xmin, xmax, ymin, ymax, thmin_deg, thmax_deg] with each min <= max, "
-                f"got {list(b)!r}"
-            )
-        box = b[:4] + (math.radians(b[4]), math.radians(b[5]))
-    else:
-        box = (0.0,) * 6
-
     return ExperimentConfig(
         map_path=map_path,
         start=Pose(**v["start"]),
-        plan=PlanSpec(waypoints=waypoints, **plan),
+        plan=PlanSpec(**plan),
         n_trials=top["n_trials"],
         master_seed=top["master_seed"],
-        methods=methods,
+        methods=top["methods"],
         noise=noise,
-        beams=beams,
-        filter_base=filter_base,
-        init=InitSpec(box=box, **init),
+        beams=BeamConfig(**v["beams"]),
+        filter_base=FilterConfig(
+            motion_noise=dataclasses.replace(noise, **given("filter_noise")), **given("filter")
+        ),
+        init=InitSpec(**init),
         metric_params=MetricParams(**v["metrics"]),
         cloud_stride=v["trace"]["cloud_stride"],
         outputs=top["outputs"],

@@ -3,14 +3,11 @@
 Used as ground truth for the particle filters: the continuous model is
 discretized onto a pose lattice (cells x heading bins), the queue posterior
 is computed exactly by forward-backward message passing over the window, and
-filter marginals are compared against it in total-variation distance.  A
-full-joint enumerator doubles as an independent check on the message passing
-itself for very small instances.
+filter marginals are compared against it in total-variation distance.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -94,8 +91,8 @@ def discretize(
     renormalized so they sum to exactly 1, then each nonzero entry is
     weighted by the traversability prior.
     """
-    if cell <= 0:
-        raise ValueError(f"cell must be positive, got {cell}")
+    if not (cell > 0 and math.isfinite(cell)):  # written so that NaN fails
+        raise ValueError(f"cell must be positive and finite, got {cell}")
     nx = math.ceil(grid.world_width / cell - 1e-9)
     ny = math.ceil(grid.world_height / cell - 1e-9)
     n_states = nx * ny * n_heading_bins
@@ -239,46 +236,6 @@ def exact_queue_posterior(
             raise ImpossibleEvidenceError(f"zero-probability marginal at offset {k}")
         out[k] = m / total
     return out
-
-
-def enumerate_queue_posterior(
-    hmm: DiscreteHmm,
-    actions: list[Action],
-    emissions: list[np.ndarray],
-    lag: int,
-    max_tuples: int = 2_000_000,
-) -> dict[int, np.ndarray]:
-    """Brute-force joint enumeration over full trajectories, for tiny instances.
-
-    Takes `exact_queue_posterior`'s arguments and returns its marginals,
-    summed over every trajectory of the window instead of by message
-    passing, so that it guards the oracle itself.
-    """
-    t, n_past, n_future = _window(actions, emissions, lag)
-    steps = t + n_future
-    n_states = hmm.n_states
-    if n_states ** steps > max_tuples:
-        raise LatticeSizeError(f"{n_states}^{steps} trajectories exceed {max_tuples}")
-
-    kernels = [hmm.weighted_transitions[a] for a in actions]
-    marginals = {k: np.zeros(n_states) for k in range(-n_past, n_future + 1)}
-    total = 0.0
-    for traj in itertools.product(range(n_states), repeat=steps):
-        w = hmm.initial[traj[0]]
-        for j in range(2, steps + 1):
-            if w == 0.0:
-                break
-            w *= kernels[j - 2][traj[j - 2], traj[j - 1]]
-            if j <= t:
-                w *= emissions[j - 2][traj[j - 1]]
-        else:
-            if w > 0.0:
-                total += w
-                for k in range(-n_past, n_future + 1):
-                    marginals[k][traj[t + k - 1]] += w
-    if total <= 0:
-        raise ImpossibleEvidenceError("evidence has zero probability under enumeration")
-    return {k: m / total for k, m in marginals.items()}
 
 
 # ---------------------------------------------------------------------------

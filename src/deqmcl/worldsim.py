@@ -98,8 +98,9 @@ class NoiseParams:
 
     def __post_init__(self):
         for name in ("sigma_v", "sigma_omega", "sigma_range"):
-            if not getattr(self, name) >= 0:  # written so that NaN fails the check
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (value >= 0 and math.isfinite(value)):  # written so that NaN fails the check
+                raise ValueError(f"{name} must be >= 0 and finite, got {value}")
 
 
 @dataclass(frozen=True)

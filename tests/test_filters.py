@@ -189,11 +189,37 @@ class TestNonFiniteGuards:
         with pytest.raises(FilterDegeneracyError, match="non-finite"):
             _normalize_log_weights(np.array([-1.0, bad, -2.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("key", ["n_particles", "lag", "beta", "sensor_sigma",
                                      "resample_threshold", "collision_step"])
-    def test_nan_setting_rejected(self, key):
+    def test_nan_setting_rejected(self, key, bad):
         with pytest.raises(ValueError, match=key):
-            FilterConfig(**{key: math.nan})
+            FilterConfig(**{key: bad})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_observation_kernel_rejects_bad_sensor_sigma(self, room, bad):
+        scan = sense(room, Pose(30, 30, 0), BeamConfig(), NoiseParams(0, 0, 0), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="sensor_sigma"):
+            observation_log_likelihood_batch(scan, pose_array(Pose(30, 30, 0))[None, :], room, bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_prior_kernel_rejects_bad_beta(self, room, bad):
+        ends = np.array([[10.0, 10.0, 0.0]])
+        with pytest.raises(ValueError, match="beta"):
+            traversability_log_prior_batch(room, ends, ends + [1.0, 0.0, 0.0], bad, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("key", ["sigma_v", "sigma_omega", "sigma_range"])
+    def test_noise_setting_rejected(self, key, bad):
+        with pytest.raises(ValueError, match=key):
+            NoiseParams(**{key: bad})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+    def test_lattice_rejects_bad_cell(self, room, bad):
+        from deqmcl.oracle import discretize
+
+        with pytest.raises(ValueError, match="cell must be positive and finite"):
+            discretize(room, FilterConfig(), [Action(1.0, 0.0)], bad, 1)
 
 
 class TestEffectiveSampleSize:

@@ -41,6 +41,11 @@ outputs: {outputs}
 """
 
 
+# the `filter` section of the mini config, key by key
+FILTER_SETTINGS = {"n_particles": "80", "lag": "0", "beta": "5.0", "sensor_sigma": "1.5",
+                   "resample_threshold": "0.5", "collision_step": "1.0"}
+
+
 def write_mini_config(tmp_path, methods="mcl", count=5, n_trials=1, lag=0,
                       cloud_stride=0, outputs="out"):
     (tmp_path / "mini_map.txt").write_text(MINI_MAP)
@@ -235,6 +240,14 @@ class TestLoadConfig:
         ("methods: [mcl]", "methods: [mcl, mcl]", "methods"),
         ("methods: [mcl]", "methods: [mcl, warp_drive]", "methods"),
         ("methods: [mcl]", "methods: [[mcl]]", "methods"),
+        *[(f"{key}: {value}", f"{key}: {bad}", f"filter: {key}") for key, value in FILTER_SETTINGS.items()
+          for bad in (".inf", ".nan")],
+        ("resample_threshold: 0.5", "resample_threshold: 1.5", "filter: resample_threshold"),
+        ("n_particles: 80", "n_particles: 0", "filter: n_particles"),
+        ("headings_deg: [0.0]", "headings_deg: []", "beams: headings_deg"),
+        # every given key is read, whether or not the plan or init kind uses it
+        ("kind: gaussian", "kind: gaussian, box: [6, 2, 1, 2, 0, 0]", "init: box"),
+        ("count: 5", "count: 5, waypoints: [[1]]", "plan: waypoints"),
     ])
     def test_out_of_range_rejected(self, tmp_path, old, new, where):
         cfg_path = write_mini_config(tmp_path)
@@ -656,6 +669,10 @@ class TestRender:
             render.render_snapshot({"t": 1, "truth": [1, 1, 0]}, grid)
 
 
+# a cloud-carrying trace record that `deqmcl render` draws
+CLOUD_RECORD = '{"method": "mcl", "trial": 0, "t": 3, "truth": [3, 4, 0], "clouds": {"0": [[1, 2, 0.5]]}}'
+
+
 class TestCli:
     def test_map_check(self, capsys):
         rc = cli.main(["map-check", "--config", "paper.cfg"])
@@ -740,6 +757,8 @@ class TestCli:
 
         cfg_path.write_text(text.replace("y: 6.0, ", ""))
         assert_one_line(cfg_path, "missing key 'y' in start")
+        cfg_path.write_text(text.replace("collision_step: 1.0", "collision_step: .inf"))
+        assert_one_line(cfg_path, "filter: collision_step must be positive and finite, got inf")
         assert_one_line(cfg_dir, f"{cfg_dir}: cannot read: Is a directory")
         cfg_path.write_text(text)
         map_path.write_text("3 2 1.0\n###\n#x#\n")
@@ -778,11 +797,27 @@ class TestCli:
         assert rc == 0
         snaps = list((tmp_path / "ro" / "snapshots").glob("*.svg"))
         assert snaps
+        # the record the malformed cases below are made from is drawn
+        (tmp_path / "one.jsonl").write_text(CLOUD_RECORD + "\n")
+        assert cli.main(["render", "--config", str(cfg_path), "--trace", str(tmp_path / "one.jsonl"),
+                         "--out", str(tmp_path / "one")]) == 0
+        assert [p.name for p in (tmp_path / "one" / "snapshots").iterdir()] == ["mcl_trial00_t0003.svg"]
 
     @pytest.mark.parametrize("line, reason", [
         ("[1, 2]", "line 2 is not a trace record"),
         ('{"clouds": {"0": [[1, 2, 0.5]]}, "t": 3}', "line 2 has clouds but no method, trial, truth"),
-    ], ids=["list", "clouds_without_truth"])
+        (CLOUD_RECORD.replace("[[1, 2, 0.5]]", "[[1, 2]]"),
+         "line 2: clouds must map integer offsets to lists of [x, y, w] number triples"),
+        (CLOUD_RECORD.replace("[3, 4, 0]", "[3, 4]"), "line 2: truth must be 3 numbers, got [3, 4]"),
+        (CLOUD_RECORD.replace('"trial": 0', '"trial": "0"'), "line 2: trial must be an integer, got '0'"),
+        (CLOUD_RECORD.replace('"0":', '"zero":'),
+         "line 2: clouds must map integer offsets to lists of [x, y, w] number triples"),
+        (CLOUD_RECORD.replace('{"0": [[1, 2, 0.5]]}', "[[1, 2, 0.5]]"),
+         "line 2: clouds must map integer offsets to lists of [x, y, w] number triples"),
+        (CLOUD_RECORD.replace('"mcl"', '"no/such"'),
+         "line 2: method must be one of deq_mcl, mcl_smoother, mcl_map_motion, mcl, got 'no/such'"),
+    ], ids=["list", "clouds_without_truth", "point_of_two", "truth_of_two", "string_trial", "offset_not_integer",
+            "clouds_list", "unknown_method"])
     def test_render_line_that_is_not_a_record_is_one_line(self, tmp_path, capsys, line, reason):
         cfg_path = write_mini_config(tmp_path)
         trace = tmp_path / "odd.jsonl"

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -16,7 +17,6 @@ from deqmcl.oracle import (
     LatticeSizeError,
     discretize,
     emission_weights,
-    enumerate_queue_posterior,
     exact_queue_posterior,
     gaussian_initial,
     tv_distance,
@@ -50,6 +50,40 @@ def strip_scan(grid, x, rng_seed=0, sigma_range=0.3):
     beams = BeamConfig(headings=(0.0,), max_range=10.0, ray_step=0.1)
     return sense(grid, Pose(x, 0.5, 0.0), beams, NoiseParams(0, 0, sigma_range),
                  np.random.default_rng(rng_seed))
+
+
+def enumerate_queue_posterior(hmm, actions, emissions, lag, max_tuples=2_000_000):
+    """Brute-force joint enumeration over full trajectories, for tiny instances.
+
+    Takes `exact_queue_posterior`'s arguments and returns its marginals,
+    summed over every trajectory of the window instead of by message
+    passing, so that it guards the oracle itself.
+    """
+    t, n_past, n_future = oracle._window(actions, emissions, lag)
+    steps = t + n_future
+    n_states = hmm.n_states
+    if n_states ** steps > max_tuples:
+        raise LatticeSizeError(f"{n_states}^{steps} trajectories exceed {max_tuples}")
+
+    kernels = [hmm.weighted_transitions[a] for a in actions]
+    marginals = {k: np.zeros(n_states) for k in range(-n_past, n_future + 1)}
+    total = 0.0
+    for traj in itertools.product(range(n_states), repeat=steps):
+        w = hmm.initial[traj[0]]
+        for j in range(2, steps + 1):
+            if w == 0.0:
+                break
+            w *= kernels[j - 2][traj[j - 2], traj[j - 1]]
+            if j <= t:
+                w *= emissions[j - 2][traj[j - 1]]
+        else:
+            if w > 0.0:
+                total += w
+                for k in range(-n_past, n_future + 1):
+                    marginals[k][traj[t + k - 1]] += w
+    if total <= 0:
+        raise ImpossibleEvidenceError("evidence has zero probability under enumeration")
+    return {k: m / total for k, m in marginals.items()}
 
 
 def reference_discretize(grid, cfg, actions, cell, n_heading_bins):
