@@ -71,35 +71,6 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_offset(key: str) -> bool:
-    try:
-        return str(int(key)) == key
-    except ValueError:
-        return False
-
-
-def _cloud_record_fault(record: dict) -> str | None:
-    """What keeps a cloud-carrying trace record from being drawn, or None."""
-    if record["method"] not in harness.METHODS:  # it names the snapshot file
-        return f"method must be one of {', '.join(harness.METHODS)}, got {record['method']!r}"
-    for key in ("trial", "t"):
-        if not (_is_number(record[key]) and isinstance(record[key], int)):
-            return f"{key} must be an integer, got {record[key]!r}"
-    truth, clouds = record["truth"], record["clouds"]
-    if not (isinstance(truth, list) and len(truth) == 3 and all(map(_is_number, truth))):
-        return f"truth must be 3 numbers, got {truth!r}"
-    triples = isinstance(clouds, dict) and all(
-        _is_offset(key) and isinstance(points, list)
-        and all(isinstance(p, list) and len(p) == 3 and all(map(_is_number, p)) for p in points)
-        for key, points in clouds.items()
-    )
-    return None if triples else "clouds must map integer offsets to lists of [x, y, w] number triples"
-
-
 def cmd_render(args) -> int:
     cfg = harness.load_config(args.config)
     grid = harness.load_experiment_grid(cfg)
@@ -114,12 +85,9 @@ def cmd_render(args) -> int:
             raise harness.ConfigError(f"trace {args.trace}: line {line} is not a trace record")
         if not record.get("clouds"):
             continue
-        missing = [key for key in render.SNAPSHOT_KEYS if key not in record]
-        if missing:
-            raise harness.ConfigError(f"trace {args.trace}: line {line} has clouds but no {', '.join(missing)}")
-        fault = _cloud_record_fault(record)
+        fault = render.record_fault(record)
         if fault:
-            raise harness.ConfigError(f"trace {args.trace}: line {line}: {fault}")
+            raise harness.ConfigError(f"trace {args.trace}: line {line}{fault}")
     out = harness.make_output_dir(cfg, args.out, "snapshots")
     written = render.render_records(records, grid, out)
     print(f"wrote {len(written)} snapshot(s) to {out}")

@@ -211,9 +211,9 @@ def _numbers(value, where: str, count: int | None) -> tuple[float, ...]:
 
 
 def _waypoints(value, where: str, _) -> tuple[Point2, ...]:
-    """``value`` as a list of [x, y] pairs."""
-    if not isinstance(value, list):
-        raise ConfigError(f"{where} must be a list of [x, y] pairs, got {value!r}")
+    """``value`` as a list of one or more [x, y] pairs."""
+    if not (isinstance(value, list) and value):
+        raise ConfigError(f"{where} must be a list of one or more [x, y] pairs, got {value!r}")
     return tuple(Point2(*_numbers(w, where, 2)) for w in value)
 
 

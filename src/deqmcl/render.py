@@ -12,9 +12,43 @@ from pathlib import Path
 import numpy as np
 
 from .gridmap import OccupancyGrid
+from .harness import METHODS
 
 _CLOUD_COLORS = {-1: "pink", 0: "orange", 1: "lightblue"}
 SNAPSHOT_KEYS = ("method", "trial", "t", "truth")  # what a cloud-carrying record must hold
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_offset(key: str) -> bool:
+    try:
+        return str(int(key)) == key
+    except ValueError:
+        return False
+
+
+def record_fault(record: dict) -> str | None:
+    """What keeps a cloud-carrying trace record from being drawn, or None; the
+    text follows "line <n>" in an error message, so it starts with " " or ": "."""
+    missing = [key for key in SNAPSHOT_KEYS if key not in record]
+    if missing:
+        return f" has clouds but no {', '.join(missing)}"
+    if record["method"] not in METHODS:  # it names the snapshot file
+        return f": method must be one of {', '.join(METHODS)}, got {record['method']!r}"
+    for key in ("trial", "t"):
+        if not (isinstance(record[key], int) and not isinstance(record[key], bool)):
+            return f": {key} must be an integer, got {record[key]!r}"
+    truth, clouds = record["truth"], record["clouds"]
+    if not (isinstance(truth, list) and len(truth) == 3 and all(map(_is_number, truth))):
+        return f": truth must be 3 numbers, got {truth!r}"
+    triples = isinstance(clouds, dict) and all(
+        _is_offset(key) and isinstance(points, list)
+        and all(isinstance(p, list) and len(p) == 3 and all(map(_is_number, p)) for p in points)
+        for key, points in clouds.items()
+    )
+    return None if triples else ": clouds must map integer offsets to lists of [x, y, w] number triples"
 
 
 def _obstacle_rects(grid: OccupancyGrid) -> list[tuple[float, float, float, float]]:

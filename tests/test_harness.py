@@ -224,6 +224,7 @@ class TestLoadConfig:
         ("v: 1.0", "v: .inf", "plan: v"),
         ("kind: constant, v: 1.0", "kind: waypoints, v_step: 0, waypoints: [[1, 2]]", "plan: v_step"),
         ("kind: constant, v: 1.0", "kind: waypoints, waypoints: [[1, .nan]]", "plan: waypoints"),
+        ("kind: constant, v: 1.0", "kind: waypoints, waypoints: []", "plan: waypoints"),
         ("headings_deg: [0.0]", "headings_deg: [.inf]", "beams: headings_deg"),
         ("", "oracle: {cell: 0}", "oracle: cell"),
         ("sigma_xy: 2.0", "sigma_xy: -3", "init: sigma_xy"),
