@@ -3,7 +3,9 @@
 The grid is a plain boolean array over square cells.  World coordinates use
 x rightward, y upward, with the origin at the bottom-left map corner; any
 point outside ``[0, width*resolution) x [0, height*resolution)`` counts as
-occupied, so the map boundary behaves like a solid wall.
+occupied, so the map boundary behaves like a solid wall.  A point's cell is
+its coordinates divided by the resolution and floored; at resolution 1.0,
+that of both shipped maps, no division is made, since ``x / 1.0`` is ``x``.
 """
 
 from __future__ import annotations
@@ -17,23 +19,24 @@ import numpy as np
 # points as one dense block, without the free-prefix search.  Where the two
 # cross depends on the map.  Median ms per batch, dense / search, on 2 cores
 # with numpy 2.4.6, rays from random free points at random headings, timed
-# with the branch-free lifting of `_free_prefix` (`BENCH_freeprefix.json`):
-# `tiny_map.txt`, 300-sample rays: 44 rays 0.12 / 0.18, 66 rays 0.17 / 0.20,
-# 77 rays 0.33 / 0.20, 88 rays 0.39 / 0.22, 130 rays 0.58 / 0.23;
-# `paper_map.txt`, 200-sample rays: 82 rays 0.15 / 0.23, 130 rays
-# 0.21 / 0.25, 147 rays 0.27 / 0.27, 164 rays 0.30 / 0.29, 200 rays
-# 0.61 / 0.29.  The crossings lie near 20,000-23,000 and 29,000-33,000
-# points, and the limit at the upper one.  The pipeline's batches, replayed,
-# median of 15 in ms, dense / march from sample 0 / search and march: one
-# 5-seed `tiny.cfg` oracle call's 65 one-ray truth batches 1.75 / 2.35 /
-# 9.91 and its 65 batches of 88 rays (26,400 points, between the crossings:
-# a tie) 13.13 / 16.14 / 13.74, `paper.cfg`'s 126 one-ray truth batches
-# 2.90 / 4.17 / 16.05.  A batch over the limit first searches each ray over
-# the summed-area table, then marches from there in blocks of at most
-# `_MARCH_BLOCK` points, but at least one sample per ray.  One pass of the
-# march costs about as much interpreter time as testing a few thousand
-# points: narrower blocks pay in passes, wider ones test samples past the
-# first hit.
+# with the whole-range first probe of `_free_prefix` (`BENCH_gridpasses.json`):
+# `tiny_map.txt`, 300-sample rays, which never make the first probe: 44 rays
+# 0.079 / 0.149, 88 rays 0.139 / 0.155, 100 rays 0.155 / 0.157, 130 rays
+# 0.203 / 0.163; `paper_map.txt`, 200-sample rays: 82 rays 0.093 / 0.189,
+# 164 rays 0.169 / 0.208, 200 rays 0.205 / 0.207, 250 rays 0.259 / 0.211.
+# The crossings lie near 30,000 and 40,000 points, and the limit between
+# them.  The pipeline's batches, replayed, median of 15 in ms, dense / march
+# from sample 0 / search and march: one 5-seed `tiny.cfg` oracle call's 65
+# one-ray truth batches 1.28 / 1.75 / 7.70, `paper.cfg`'s 126 one-ray truth
+# batches 2.31 / 3.11 / 5.71.  The oracle call's 65 batches of 88 rays
+# (26,400 points) replay at 19.1 / 12.1 / 10.1 beside that call's other
+# arrays, but alone at 10.3 dense and 10.1 searched, and end to end a limit
+# that searches them ties this one: no pipeline batch changes sides.  A
+# batch over the limit first searches each ray over the summed-area table,
+# then marches from there in blocks of at most `_MARCH_BLOCK` points, but at
+# least one sample per ray.  One pass of the march costs about as much
+# interpreter time as testing a few thousand points: narrower blocks pay in
+# passes, wider ones test samples past the first hit.
 _MARCH_POINTS = 1 << 15
 _MARCH_BLOCK = 1 << 12
 
@@ -59,8 +62,10 @@ class OccupancyGrid:
     """Boolean occupancy grid with solid outer boundary.
 
     ``cells[iy, ix]`` is True where the cell is an obstacle.  Row 0 is the
-    bottom (y = 0) row of the world.  Instances are treated as immutable and
-    may be shared freely across concurrent trial runners.
+    bottom (y = 0) row of the world.  Every query finds a point's cell
+    through `_to_cells`, which makes no division at resolution 1.0.
+    Instances are treated as immutable and may be shared freely across
+    concurrent trial runners.
     """
 
     width: int
@@ -105,12 +110,20 @@ class OccupancyGrid:
         y = np.asarray(y, dtype=float)
         if x.shape != y.shape:
             x, y = np.broadcast_arrays(x, y)
-        cell = np.stack([x, y])
-        # a finite coordinate near the float maximum may overflow to infinity
-        # in the division, which puts it outside the grid as it should
-        with np.errstate(over="ignore"):
-            cell /= self.resolution
-        return np.asarray(self._occupied_at(np.floor(cell, out=cell)))
+        return np.asarray(self._occupied_at(self._to_cells(np.stack([x, y]))))
+
+    def _to_cells(self, xy: np.ndarray) -> np.ndarray:
+        """Float cell indices of the world coordinates ``xy``, computed in place.
+
+        At resolution 1.0 the division is skipped: IEEE ``x / 1.0`` is ``x``
+        bit for bit, NaN, infinities and -0.0 included.  Otherwise a finite
+        coordinate near the float maximum may overflow to infinity in the
+        division, which puts it outside the grid as it should.
+        """
+        if self.resolution != 1.0:
+            with np.errstate(over="ignore"):
+                xy /= self.resolution
+        return np.floor(xy, out=xy)
 
     def _clamp_cells(self, cell: np.ndarray) -> np.ndarray:
         """Clamp stacked float cell indices in place to [-1, width] x [-1, height].
@@ -177,11 +190,9 @@ class OccupancyGrid:
         ay = np.asarray(ay, dtype=float)
         bx = np.asarray(bx, dtype=float)
         by = np.asarray(by, dtype=float)
-        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf; see `occupied_xy`
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, and far-off points
             dx, dy = bx - ax, by - ay
-            ends = np.stack([ax, ay, ax + dx, ay + dy])
-            ends /= self.resolution
-            start, end = np.floor(ends, out=ends).reshape((2, 2) + ax.shape)
+            start, end = self._to_cells(np.stack([ax, ay, ax + dx, ay + dy])).reshape((2, 2) + ax.shape)
             sampled = ~self._rectangle_free(start, end)
         counts = np.zeros(sampled.shape, dtype=np.intp)
         if not sampled.any():
@@ -221,14 +232,15 @@ class OccupancyGrid:
         its samples are tested with one lookup.  In a larger batch each ray
         first searches for the last sample it can skip (`_free_prefix`): the
         largest ``j`` whose cell spans a free rectangle with the origin's
-        cell (sample 0), so that samples ``1 .. j`` are all free.  The search
-        is binary lifting, at most ``n_samples.bit_length()`` probes of three
-        corner sums each: starting from ``j = 0``, each power of two from the
-        highest down is added to ``j`` (as the product of the probe's bool
-        and the power, with no masked update) where the sample that far on
-        still spans a free rectangle, and the result is clamped to
-        ``n_samples``.  No more probes are made than a ray inside the grid
-        needs to cross it.  A ray whose ``j`` is the last sample ends at
+        cell (sample 0), so that samples ``1 .. j`` are all free.  Each probe
+        reads three corner sums.  When the grid's diagonal reaches past the
+        last sample, a first probe there ends every ray it proves free, and
+        only the others search on.  The search is binary lifting: starting
+        from ``j = 0``, each power of two from the highest down is added to
+        ``j`` (as the product of the probe's bool and the power, with no
+        masked update) where the sample that far on still spans a free
+        rectangle.  No more probes are made than a ray inside the grid needs
+        to cross it.  A ray whose ``j`` is the last sample ends at
         ``max_range``.  The others march in blocks, each from its own ``j``:
         a block takes each of the ``active`` rays that have not hit yet
         ``max(1, _MARCH_BLOCK // active)`` samples further, never past the
@@ -248,7 +260,7 @@ class OccupancyGrid:
         rays = np.stack([x, y, np.cos(theta), np.sin(theta)])
         idx = np.arange(m)
         dense = m * n_samples <= _MARCH_POINTS
-        with np.errstate(over="ignore"):  # far-off points, see `occupied_xy`
+        with np.errstate(over="ignore"):  # far-off points
             # samples 1..k of each ray are done: 0 for the dense block, else one per ray
             # (`compress` and `take` pick the columns and rows of a 2-D array
             # several times faster than boolean or fancy indexing does)
@@ -264,8 +276,7 @@ class OccupancyGrid:
                 block = np.minimum(ks * step, max_range)
                 cell = block * rays[2:4, :, None]
                 cell += rays[0:2, :, None]
-                cell /= self.resolution
-                hit = self._occupied_at(np.floor(cell, out=cell))
+                hit = self._occupied_at(self._to_cells(cell))
                 done = hit.any(axis=1)
                 rows = np.flatnonzero(done)
                 if rows.size:
@@ -286,8 +297,7 @@ class OccupancyGrid:
         """`_sum_offsets` of the clamped cell of each ray's sample at distance ``d``, by the arithmetic of a block."""
         cell = rays[2:4] * d
         cell += rays[0:2]
-        cell /= self.resolution
-        return self._sum_offsets(self._clamp_cells(np.floor(cell, out=cell)), shift)
+        return self._sum_offsets(self._clamp_cells(self._to_cells(cell)), shift)
 
     def _free_prefix(self, rays, n_samples: int, max_range: float, step: float) -> np.ndarray:
         """Largest ``j`` in [0, n_samples] per ray whose sample's cell and the
@@ -299,15 +309,13 @@ class OccupancyGrid:
         is true for a prefix of ``j``, which ends at most ``reach`` samples
         on: a free rectangle lies on the grid, so its far sample lies within
         the grid's diagonal of the origin (a cell more covers rounding).
-        Binary lifting finds the end in ``reach.bit_length()`` probes: from
-        ``j = 0``, each power of two ``b`` from the highest down is added to
-        ``j`` where sample ``j + b`` passes, as ``j += free * b``: a product,
-        with no branch per ray.  That finds the end over
-        ``[0, 2 * b_max - 1]``, which can reach past ``n_samples``; the
-        samples there sit at ``max_range`` (the distance is still monotone
-        in ``k``), so the rectangles still nest, and the end clamped to
-        ``n_samples`` is the end over ``[0, n_samples]``.  Every sample
-        ``1 .. j`` lies in the rectangle: it is free.
+        Every sample ``1 .. j`` lies in the rectangle: it is free.
+
+        When ``reach`` is ``n_samples``, a first probe at sample ``n_samples``
+        gives each ray that passes ``n_samples`` (on ``paper.cfg`` about 70%
+        of the filter's rays), and only the others are lifted (`_lift`): their
+        end lies before ``n_samples``.  Else every ray is lifted, and its end
+        lies at or before ``reach``, before ``n_samples``.
 
         Along an axis whose direction is not ``< 0`` the origin's cell is the
         low corner, else the high one; its corner sum is read once.  Swapped
@@ -316,19 +324,42 @@ class OccupancyGrid:
         """
         back = rays[2:4] < 0  # per axis: every sample's cell is at or before the origin's
         fixed = self._sample_corners(rays, 0.0, 1.0 + back)
-        s = self._occupied_sums.ravel()
-        base = s.take(fixed[1] + fixed[0])
+        # per ray: direction and origin, origin corner, its corner sum, far-corner shift
+        cols = (rays, fixed, self._occupied_sums.ravel().take(fixed[1] + fixed[0]), 2.0 - back)
         diagonal = math.hypot(self.world_width, self.world_height)
         reach = min(n_samples, int((diagonal + self.resolution) / step) + 1)
-        probes = reach.bit_length()
-        sample_dist = np.minimum(np.arange(1 << probes) * step, max_range)  # distance of sample k
-        shift = 2.0 - back
+        sample_dist = np.minimum(np.arange(1 << reach.bit_length()) * step, max_range)  # distance of sample k
+        if reach < n_samples:
+            return self._lift(sample_dist, *cols)
+        whole = self._spans_free(sample_dist[n_samples], *cols)
+        j = whole * np.intp(n_samples)
+        rest = np.flatnonzero(~whole)
+        if rest.size:
+            j[rest] = self._lift(sample_dist, *(c.take(rest, axis=-1) for c in cols))
+        return j
+
+    def _lift(self, sample_dist, rays, fixed, base, shift) -> np.ndarray:
+        """The end of each ray's free prefix (`_free_prefix`) over samples
+        ``[0, 2**p - 1]``, by binary lifting in ``p`` probes, where
+        ``sample_dist`` holds the ``2**p`` sample distances.
+
+        From ``j = 0``, each power of two ``b`` from the highest down is added
+        to ``j`` where sample ``j + b`` passes, as ``j += free * b``: a
+        product, with no branch per ray.  Samples past ``n_samples`` sit at
+        ``max_range`` (the distance is still monotone in ``k``), so the
+        rectangles nest over the whole range.
+        """
         j = np.zeros(rays.shape[1], dtype=np.intp)  # proven free, or 0
-        for b in reversed(range(probes)):
-            m = self._sample_corners(rays, sample_dist[1 << b :].take(j), shift)
-            free = s.take(m[1] + m[0]) - s.take(fixed[1] + m[0]) - s.take(m[1] + fixed[0]) + base == 0
-            j += free * (1 << b)
-        return np.minimum(j, n_samples, out=j)
+        for b in reversed(range(sample_dist.size.bit_length() - 1)):
+            j += self._spans_free(sample_dist[1 << b :].take(j), rays, fixed, base, shift) * (1 << b)
+        return j
+
+    def _spans_free(self, d, rays, fixed, base, shift) -> np.ndarray:
+        """Whether each ray's sample at distance ``d`` (one, or one per ray) and
+        its origin span a free rectangle: three corner sums and ``base``."""
+        m = self._sample_corners(rays, d, shift)
+        s = self._occupied_sums.ravel()
+        return s.take(m[1] + m[0]) - s.take(fixed[1] + m[0]) - s.take(m[1] + fixed[0]) + base == 0
 
 
 def _summed_area(ringed: np.ndarray) -> np.ndarray:

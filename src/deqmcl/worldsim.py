@@ -242,7 +242,8 @@ def build_loop_plan(
     then forward actions (v = v_step) until within v_step of it; the aim is
     re-checked every step so long legs stay on course.  The returned plan
     starts with a zero action (the start step, never executed) and its
-    noise-free rollout passes `check_rollout`.
+    noise-free rollout passes `check_rollout`.  Waypoints that leave it no
+    executed step, all within v_step of the start, are a `PlanError`.
     """
     if v_step <= 0 or omega_step <= 0:
         raise PlanError(f"v_step and omega_step must be positive, got {v_step}, {omega_step}")
@@ -267,6 +268,11 @@ def build_loop_plan(
             if len(actions) > MAX_PLAN_ACTIONS:
                 raise PlanError(f"plan did not converge within {MAX_PLAN_ACTIONS} actions")
 
+    if len(actions) == 1:
+        raise PlanError(
+            f"waypoint plan has no executed step: every waypoint lies within v_step {v_step} "
+            f"of the start ({start.x}, {start.y})"
+        )
     plan = ActionPlan(tuple(actions))
     check_rollout(grid, start, plan, collision_step)
     return plan

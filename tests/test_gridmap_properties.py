@@ -518,6 +518,56 @@ class TestFreePrefix:
         assert len(probes) == 1 + reach.bit_length() < 1 + n_samples.bit_length()
         assert got[-4:].min() >= int(14.0 / step)  # the corner rays cross most of the grid
 
+    @pytest.mark.parametrize("blocked", [False, True])
+    def test_whole_range_probe_comes_first(self, monkeypatch, blocked):
+        # on this grid reach == n_samples: after the origin's corners, one
+        # probe at the last sample; rays that pass it are done, and only the
+        # others are lifted, in reach.bit_length() probes
+        cells = np.pad(np.zeros((38, 38), dtype=bool), 1, constant_values=True)
+        if blocked:
+            cells[10:30, 20] = True
+        grid = OccupancyGrid(40, 40, 1.0, cells)
+        rng = np.random.default_rng(5)
+        x, y = rng.uniform(12.0, 28.0, (2, 400))
+        rays = ray_rows(x, y, mixed_headings(rng, 400))
+        max_range, step = 5.0, 0.5
+        n_samples = int(math.floor(max_range / step + 1e-9))
+        reach = min(n_samples, int((math.hypot(40.0, 40.0) + 1.0) / step) + 1)
+        assert reach == n_samples
+        probes = []
+        sample_corners = OccupancyGrid._sample_corners
+        monkeypatch.setattr(OccupancyGrid, "_sample_corners", lambda self, *a: probes.append(1) or sample_corners(self, *a))
+        got = grid._free_prefix(rays, n_samples, max_range, step)
+        np.testing.assert_array_equal(got, reference_free_prefix(grid, rays, n_samples, max_range, step))
+        nan = np.isnan(rays[2])
+        assert (got[nan] == 0).all() and (got[~nan] == n_samples).any()
+        if blocked:
+            assert (got[~nan] < n_samples).any()
+            assert len(probes) == 2 + reach.bit_length()
+        else:
+            probes.clear()
+            assert (grid._free_prefix(rays[:, ~nan], n_samples, max_range, step) == n_samples).all()
+            assert len(probes) == 2
+
+    def test_march_batch_mixes_rays_free_to_the_end_with_blocked_ones(self):
+        # a batch over `_MARCH_POINTS` points where reach == n_samples: the
+        # probe proves some rays free to the end, the rest are lifted and march
+        cells = np.random.default_rng(8).random((60, 60)) < 0.02
+        grid = OccupancyGrid(60, 60, 1.0, np.pad(cells[1:-1, 1:-1], 1, constant_values=True))
+        max_range, step = 8.0, 0.25
+        n_samples = int(math.floor(max_range / step + 1e-9))
+        n = _MARCH_POINTS // n_samples + 100
+        rng = np.random.default_rng(n)
+        x, y = free_origins(grid, rng, n)
+        theta = mixed_headings(rng, n)
+        rays = ray_rows(x, y, theta)
+        got = grid._free_prefix(rays, n_samples, max_range, step)
+        np.testing.assert_array_equal(got, reference_free_prefix(grid, rays, n_samples, max_range, step))
+        assert (got == n_samples).any() and (got < n_samples).any()
+        dist = grid.raycast_batch(x, y, theta, max_range, step)
+        np.testing.assert_array_equal(dist, reference_raycast(grid, x, y, theta, max_range, step))
+        assert (dist == max_range).any() and (dist < max_range).any()
+
     def test_blocked_first_rectangle(self):
         # origins in a wall, off the grid, or on a wall's face with the ray
         # heading into it, and NaN rays: nothing is skipped
@@ -832,6 +882,34 @@ class TestOccupiedMatchesReference:
             got = grid.occupied_xy(x, y)
             want = reference_occupied_xy(grid, x, y)
         assert got.all() and want.all()
+
+    def test_unit_resolution_special_values(self):
+        # at resolution 1.0 no division is made: NaN, infinite, far-off and
+        # -0.0 coordinates are looked up as the references look them up, the
+        # non-finite and far-off ones as occupied, with no warning
+        cells = np.zeros((4, 6), dtype=bool)
+        cells[0, 0] = True
+        cells[3, 5] = True
+        grid = OccupancyGrid(6, 4, 1.0, cells)
+        specials = np.array([np.nan, np.inf, -np.inf, 1e308, -1e308, -0.0, 0.0, 0.5, 2.5, 3.999, 5.999, 6.0])
+        far = ~np.isfinite(specials) | (np.abs(specials) > 10.0)
+        xs, ys = np.meshgrid(specials, specials)
+        ax, ay = xs.ravel(), ys.ravel()
+        # short segments, and mirrored ones: +-1e308 to -+1e308 is of infinite length
+        bx, by = np.concatenate([ax + 0.75, -ax]), np.concatenate([ay - 1.25, ay])
+        theta = np.resize([0.0, -0.0, math.pi / 2, -math.pi, 1.0, np.nan], ax.size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = grid.occupied_xy(xs, ys)
+            np.testing.assert_array_equal(got, reference_occupied_xy(grid, xs, ys))
+            ends = np.tile(ax, 2), np.tile(ay, 2), bx, by
+            counts = grid.segment_collision_counts(*ends, 0.5)
+            np.testing.assert_array_equal(counts, reference_segment_counts(grid, *ends, 0.5))
+            for max_range, step in [(3.0, 0.5), (6.0, 6.0 / (_MARCH_POINTS // ax.size + 1))]:
+                dist = grid.raycast_batch(ax, ay, theta, max_range, step)
+                np.testing.assert_array_equal(dist, reference_raycast(grid, ax, ay, theta, max_range, step))
+        assert got[far[:, None] | far[None, :]].all()
+        assert not grid.occupied_xy(-0.0, 1.5) and not grid.occupied_xy(1.5, -0.0)
 
     @pytest.mark.parametrize("x, y", [(0.2, 0.2), (1.2, 0.7), (np.nan, 0.7), (-0.0, -0.0), (3.0, 0.2)])
     def test_scalar_input_gives_0d_result(self, x, y):

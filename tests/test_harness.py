@@ -777,6 +777,19 @@ class TestCli:
             assert err.startswith("deqmcl: ") and "noise-free rollout collides on step" in err
             assert err.count("\n") == 1
 
+    def test_plan_with_no_executed_step_is_one_line(self, tmp_path, capsys):
+        # the one waypoint lies within v_step of the start (6, 6): no step would run
+        cfg_path = write_mini_config(tmp_path)
+        text = cfg_path.read_text().replace("kind: constant, v: 1.0, omega_deg: 0.0, count: 5",
+                                            "kind: waypoints, v_step: 2.0, waypoints: [[7.0, 6.5]]")
+        cfg_path.write_text(text + "oracle: {cell: 1.0, heading_bins: 1, seeds: 1, compare_t: 4}\n")
+        message = "waypoint plan has no executed step: every waypoint lies within v_step 2.0 of the start (6.0, 6.0)"
+        assert cli.main(["map-check", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().out.splitlines()[1:] == [f"plan: {message}"]
+        for command in ("run", "oracle"):
+            assert cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path / command)]) == 1
+            assert capsys.readouterr().err == f"deqmcl: {message}\n"
+
     def test_oracle_subcommand(self, tmp_path, capsys):
         cfg_path = write_mini_config(tmp_path, methods="deq_mcl", count=6, lag=2)
         text = cfg_path.read_text() + "oracle: {cell: 1.0, heading_bins: 1, seeds: 1, compare_t: 4}\n"

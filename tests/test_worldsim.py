@@ -277,10 +277,13 @@ class TestBuildLoopPlan:
         assert plan.action(1) == Action(0.0, 0.0)
 
     def test_single_waypoint_at_start(self):
+        # the plan would hold the start placeholder alone, and a run would
+        # score the initial belief; so would waypoints all within v_step
         grid = make_room(100, 100)
-        start = Pose(50, 50, 0)
-        plan = build_loop_plan(grid, start, [Point2(50, 50)], 5.0, math.pi / 8)
-        assert plan.horizon == 1  # just the start placeholder
+        with pytest.raises(PlanError, match=r"no executed step: every waypoint lies within v_step 5\.0 of the start \(50, 50\)"):
+            build_loop_plan(grid, Pose(50, 50, 0), [Point2(50, 50)], 5.0, math.pi / 8)
+        with pytest.raises(PlanError, match="no executed step"):
+            build_loop_plan(grid, Pose(50, 50, 0), [Point2(53, 51), Point2(48, 47)], 5.0, math.pi / 8)
 
     def test_waypoint_in_wall_rejected(self, room):
         with pytest.raises(PlanError, match="waypoint"):
