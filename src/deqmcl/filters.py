@@ -212,12 +212,12 @@ def observation_log_likelihood_batch(
         return out
     fp = poses[free]
     n_beams = scan.ranges.size
-    xs = np.repeat(fp[:, 0], n_beams)
-    ys = np.repeat(fp[:, 1], n_beams)
+    xs = fp[:, 0].repeat(n_beams)
+    ys = fp[:, 1].repeat(n_beams)
     ths = (fp[:, 2][:, None] + scan.beam_headings[None, :]).ravel()
     pred = grid.raycast_batch(xs, ys, ths, scan.max_range, scan.ray_step).reshape(-1, n_beams)
     resid = scan.ranges[None, :] - pred
-    out[free] = -0.5 * np.sum((resid / sensor_sigma) ** 2, axis=1) - n_beams * (
+    out[free] = -0.5 * ((resid / sensor_sigma) ** 2).sum(axis=1) - n_beams * (
         math.log(sensor_sigma) + LOG_SQRT_2PI
     )
     return out
@@ -237,7 +237,7 @@ def effective_sample_size(log_weights: np.ndarray) -> float:
     """1 / sum(w^2) of the normalized weights."""
     w = np.exp(log_weights - log_weights.max())
     w = w / w.sum()
-    return float(1.0 / np.sum(w * w))
+    return float(1.0 / (w * w).sum())
 
 
 def systematic_resample(weights, rng: np.random.Generator) -> np.ndarray:
@@ -249,16 +249,16 @@ def systematic_resample(weights, rng: np.random.Generator) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("weights must be a non-empty 1D array")
-    if np.any(w < 0) or not np.all(np.isfinite(w)):
+    if (w < 0).any() or not np.isfinite(w).all():
         raise ValueError("weights must be finite and non-negative")
     total = w.sum()
     if total <= 0:
         raise FilterDegeneracyError("all resampling weights are zero")
     n = w.size
-    cum = np.cumsum(w / total)
+    cum = (w / total).cumsum()
     cum[-1] = 1.0
     u = (rng.random() + np.arange(n)) / n
-    return np.searchsorted(cum, u, side="right").astype(np.int64)
+    return cum.searchsorted(u, side="right").astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +284,7 @@ def _finish_step(
     """
     log_weights = _normalize_log_weights(log_weights)
     w = np.exp(log_weights)
-    ess = 1.0 / np.sum(w * w)
+    ess = 1.0 / (w * w).sum()
     if ess < cfg.resample_threshold * w.size:
         idx = systematic_resample(w, rng)
         per_particle = tuple(a[idx] for a in per_particle)

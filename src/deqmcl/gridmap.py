@@ -110,7 +110,7 @@ class OccupancyGrid:
         y = np.asarray(y, dtype=float)
         if x.shape != y.shape:
             x, y = np.broadcast_arrays(x, y)
-        return np.asarray(self._occupied_at(self._to_cells(np.stack([x, y]))))
+        return np.asarray(self._occupied_at(self._to_cells(np.array([x, y]))))
 
     def _to_cells(self, xy: np.ndarray) -> np.ndarray:
         """Float cell indices of the world coordinates ``xy``, computed in place.
@@ -183,6 +183,12 @@ class OccupancyGrid:
         is exact): every sample lies in the cell rectangle those two span.
         When that rectangle is free (`_rectangle_free`), the segment counts 0
         without being sampled.
+
+        A segment longer than the grid's diagonal has samples off the grid, all
+        occupied.  Then only the run of samples that may lie on the grid is
+        sampled (`_grid_run`), and the others are counted without being
+        built.  A segment whose sample count does not fit in ``intp`` raises
+        a `ValueError` that names it.
         """
         if not (step > 0 and math.isfinite(step)):
             raise ValueError(f"step must be positive and finite, got {step}")
@@ -190,27 +196,70 @@ class OccupancyGrid:
         ay = np.asarray(ay, dtype=float)
         bx = np.asarray(bx, dtype=float)
         by = np.asarray(by, dtype=float)
-        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, and far-off points
+        # inf - inf, 0 * inf, far-off points, and a huge length over a small step
+        with np.errstate(invalid="ignore", over="ignore"):
             dx, dy = bx - ax, by - ay
-            start, end = self._to_cells(np.stack([ax, ay, ax + dx, ay + dy])).reshape((2, 2) + ax.shape)
+            start, end = self._to_cells(np.array([ax, ay, ax + dx, ay + dy])).reshape((2, 2) + ax.shape)
             sampled = ~self._rectangle_free(start, end)
-        counts = np.zeros(sampled.shape, dtype=np.intp)
-        if not sampled.any():
-            return counts
-        ax, ay, dx, dy = ax[sampled], ay[sampled], dx[sampled], dy[sampled]
-        dist = np.hypot(dx, dy)
-        # 1e-9 slack so that e.g. a length-10 segment at step 1 yields exactly
-        # 10 intervals despite float noise; one interval at non-finite length.
-        k = np.where(np.isfinite(dist), np.ceil(dist / step - 1e-9), 1.0).astype(np.int64)
-        n = k + 1  # samples j = 0 .. k of each segment, one segment after the other
-        seg = np.repeat(np.arange(k.size), n)
-        j = np.arange(seg.size) - np.repeat(np.cumsum(n) - n, n)
-        t = j / np.maximum(k, 1)[seg]
-        with np.errstate(invalid="ignore"):  # 0 * inf
+            counts = np.zeros(sampled.shape, dtype=np.intp)
+            if not sampled.any():
+                return counts
+            ax, ay, dx, dy = ax[sampled], ay[sampled], dx[sampled], dy[sampled]
+            dist = np.hypot(dx, dy)
+            # 1e-9 slack so that e.g. a length-10 segment at step 1 yields exactly
+            # 10 intervals despite float noise; one interval at non-finite length.
+            k = np.where(np.isfinite(dist), np.ceil(dist / step - 1e-9), 1.0)
+            longest = k.max()
+            if not longest < np.iinfo(np.intp).max:
+                worst = k.argmax()
+                i = np.flatnonzero(sampled)[worst]  # its index among all segments
+                raise ValueError(
+                    f"segment ({ax[worst]}, {ay[worst]}) -> ({bx.flat[i]}, {by.flat[i]}) "
+                    f"has more samples at step {step} than a count holds"
+                )
+            k = k.astype(np.int64)
+            trim = longest * step > math.hypot(self.world_width, self.world_height)
+            # samples j = first .. first + n - 1 of each segment, one segment after the other
+            first, n = self._grid_run(ax, ay, dx, dy, k) if trim else (0, k + 1)
+            seg = np.arange(k.size).repeat(n)
+            j = np.arange(seg.size) - (n.cumsum() - n - first).repeat(n)
+            t = j / np.maximum(k, 1)[seg]
             px = ax[seg] + t * dx[seg]
             py = ay[seg] + t * dy[seg]
         counts[sampled] = np.bincount(seg, weights=self.occupied_xy(px, py), minlength=k.size)
+        if trim:
+            counts[sampled] += k + 1 - n  # the samples off the grid
         return counts
+
+    def _grid_run(self, ax, ay, dx, dy, k) -> tuple[np.ndarray, np.ndarray]:
+        """The first sample and the number of samples of the run of each
+        segment (`segment_collision_counts`) outside which every sample lies
+        off the grid.
+
+        Along each axis a sample's cell is monotone in ``j``, so the samples
+        that have entered the grid's span along both axes (cell >= 0 where the
+        axis runs forward, <= the last cell where it runs back) form a
+        suffix, and those that have not left it a prefix; the run is their
+        overlap.  Binary lifting, as in `_lift`, finds the last sample before
+        the suffix and the last of the prefix, one sample of each per probe.
+        A segment of non-finite length has two samples, both off the grid,
+        and an empty run.
+        """
+        back = np.array([dx < 0, dy < 0])
+        last_cell = (self._cell_bound - 1.0)[:, None, None]
+        before = np.full(k.size, -1, dtype=np.int64)  # has not entered, or -1
+        inside = np.full(k.size, -1, dtype=np.int64)  # has not left, or -1
+        for b in reversed(range(int(k.max() + 1).bit_length())):
+            j = np.array([before, inside]) + (1 << b)
+            t = np.minimum(j, k) / np.maximum(k, 1)
+            cell = self._to_cells(np.array([ax + t * dx, ay + t * dy]))  # axis, (before, inside), segment
+            low, high = cell >= 0, cell <= last_cell
+            entered = np.where(back, high[:, 0], low[:, 0]).all(axis=0)
+            kept = np.where(back, low[:, 1], high[:, 1]).all(axis=0)
+            reach = j <= k
+            before += (reach[0] & ~entered) * (1 << b)
+            inside += (reach[1] & kept) * (1 << b)
+        return before + 1, np.maximum(inside - before, 0)
 
     def raycast_batch(self, x, y, theta, max_range: float, step: float) -> np.ndarray:
         """Vectorized raycast for free origins; returns hit distances in [0, max_range].
@@ -257,7 +306,7 @@ class OccupancyGrid:
         if m == 0 or n_samples == 0:
             return dist
         # rows: origin and direction; one column per ray still marching
-        rays = np.stack([x, y, np.cos(theta), np.sin(theta)])
+        rays = np.array([x, y, np.cos(theta), np.sin(theta)])
         idx = np.arange(m)
         dense = m * n_samples <= _MARCH_POINTS
         with np.errstate(over="ignore"):  # far-off points
@@ -278,7 +327,7 @@ class OccupancyGrid:
                 cell += rays[0:2, :, None]
                 hit = self._occupied_at(self._to_cells(cell))
                 done = hit.any(axis=1)
-                rows = np.flatnonzero(done)
+                rows = done.nonzero()[0]
                 if rows.size:
                     # argmax goes row by row, which costs more than the lookup
                     # on one-sample rows, whose first hit is their one sample
@@ -333,7 +382,7 @@ class OccupancyGrid:
             return self._lift(sample_dist, *cols)
         whole = self._spans_free(sample_dist[n_samples], *cols)
         j = whole * np.intp(n_samples)
-        rest = np.flatnonzero(~whole)
+        rest = (~whole).nonzero()[0]
         if rest.size:
             j[rest] = self._lift(sample_dist, *(c.take(rest, axis=-1) for c in cols))
         return j

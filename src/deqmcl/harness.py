@@ -405,6 +405,29 @@ def build_plan(cfg: ExperimentConfig, grid: OccupancyGrid) -> ActionPlan:
     return plan
 
 
+def check_init(cfg: ExperimentConfig, grid: OccupancyGrid) -> None:
+    """A `ConfigError` naming ``init`` when a uniform box lies wholly in
+    occupied space: on occupied cells or off the grid, so that every particle
+    drawn from it would too.  The sampler draws a coordinate from ``[lo, hi)``,
+    or ``lo`` when ``hi == lo``, so it falls in a cell from
+    ``floor(lo / resolution)`` to ``ceil(hi / resolution) - 1``.  The
+    Gaussian belief is centred on the start pose, which `build_plan` checks."""
+    if cfg.init.kind != "uniform_box":
+        return
+    xmin, xmax, ymin, ymax = cfg.init.box[:4]
+
+    def cells(lo: float, hi: float, n: int) -> slice:  # the on-grid cells of the range
+        lo, hi = (min(max(v / grid.resolution, -1.0), n) for v in (lo, hi))
+        first = math.floor(lo)
+        return slice(max(first, 0), min(max(first, math.ceil(hi) - 1), n - 1) + 1)
+
+    if grid.cells[cells(ymin, ymax, grid.height), cells(xmin, xmax, grid.width)].all():
+        raise ConfigError(
+            f"init: box x [{xmin}, {xmax}], y [{ymin}, {ymax}] lies wholly in occupied space, "
+            "so no initial particle can be free"
+        )
+
+
 def make_init_sampler(cfg: ExperimentConfig):
     """Initial-belief sampler; draws three blocks (x, y, theta) in that order."""
     spec = cfg.init
@@ -603,6 +626,7 @@ def run_experiment(
     methods = check_methods(methods) if methods is not None else cfg.methods
     grid = load_experiment_grid(cfg)
     plan = build_plan(cfg, grid)
+    check_init(cfg, grid)
     out = make_output_dir(cfg, out_dir)
     traces_dir = make_output_dir(cfg, out_dir, "traces")
     truths = [trial_truth(cfg, trial, grid, plan) for trial in range(cfg.n_trials)]
@@ -726,6 +750,7 @@ def run_oracle_validation(cfg: ExperimentConfig, out_dir: str | None = None) -> 
     op = cfg.oracle_params
     grid = load_experiment_grid(cfg)
     plan = build_plan(cfg, grid)
+    check_init(cfg, grid)
     if op.compare_t > plan.horizon:
         raise ConfigError(
             f"oracle.compare_t = {op.compare_t} lies past the plan horizon {plan.horizon}"

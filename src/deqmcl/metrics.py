@@ -48,7 +48,7 @@ def error_from_mean(mean: np.ndarray, truth: Pose) -> float:
     """e_t: Euclidean distance between a 4-vector state mean (`mean_state`)
     and the true state."""
     ref = np.array([truth.x, truth.y, math.cos(truth.theta), math.sin(truth.theta)])
-    return float(np.sqrt(np.sum((np.asarray(mean, float) - ref) ** 2)))
+    return float(np.sqrt(((np.asarray(mean, float) - ref) ** 2).sum()))
 
 
 def trial_rmse(errors) -> float:

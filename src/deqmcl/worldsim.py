@@ -150,9 +150,9 @@ class DepthScan:
             raise ValueError(f"max_range must be positive and finite, got {self.max_range}")
         if not (self.ray_step > 0 and math.isfinite(self.ray_step)):
             raise ValueError(f"ray_step must be positive and finite, got {self.ray_step}")
-        if not np.all((ranges >= 0) & (ranges <= self.max_range)):
+        if not ((ranges >= 0) & (ranges <= self.max_range)).all():
             raise ValueError("ranges must lie in [0, max_range]")
-        if not np.all(np.isfinite(headings)):
+        if not np.isfinite(headings).all():
             raise ValueError("beam_headings must be finite")
         object.__setattr__(self, "ranges", ranges)
         object.__setattr__(self, "beam_headings", headings)
@@ -194,7 +194,7 @@ def sense(
         beams.ray_step,
     )
     perturbed = true_ranges + rng.standard_normal(headings.size) * noise.sigma_range
-    ranges = np.clip(perturbed, 0.0, beams.max_range)
+    ranges = perturbed.clip(0.0, beams.max_range)
     return DepthScan(
         ranges=ranges,
         beam_headings=headings,

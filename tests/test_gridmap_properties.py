@@ -795,6 +795,57 @@ class TestSegmentCountsMatchReference:
         np.testing.assert_array_equal(whole, np.concatenate(parts))
         np.testing.assert_array_equal(whole, reference_segment_counts(grid, *ends, step))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        grid=st.one_of(sparse_grids(max_side=30), narrow_grids()),
+        step=st.sampled_from([0.1, 0.25, 0.5, 1.0, 1.7]),
+        n_segments=st.integers(1, 8),
+        through=st.sampled_from([0.0, 0.5, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_segments_far_longer_than_the_grid(self, grid, step, n_segments, through, seed):
+        # up to 20 grid extents long, many of them crossing the grid, some
+        # along a row or a column: only the run of samples that may lie on
+        # the grid is sampled, and the count is the reference's
+        rng = np.random.default_rng(seed)
+        reach = 20.0 * max(grid.world_width, grid.world_height)
+        ax, ay = rng.uniform(-reach, reach, (2, n_segments))
+        cx = rng.uniform(0.0, grid.world_width, n_segments)
+        cy = rng.uniform(0.0, grid.world_height, n_segments)
+        cross = rng.random(n_segments) < through
+        bx = np.where(cross, 2.0 * cx - ax, rng.uniform(-reach, reach, n_segments))
+        by = np.where(cross, 2.0 * cy - ay, rng.uniform(-reach, reach, n_segments))
+        by = np.where(rng.random(n_segments) < 0.3, ay, by)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = grid.segment_collision_counts(ax, ay, bx, by, step)
+        np.testing.assert_array_equal(got, reference_segment_counts(grid, ax, ay, bx, by, step))
+
+    def test_huge_segments_are_counted_without_building_their_samples(self, monkeypatch):
+        # from far off the grid to a point on it: all samples but the eleven
+        # at x = 0.5 .. 5.5 lie off the grid; the reference samples the 1e6
+        # one whole
+        grid = OccupancyGrid(6, 4, 1.0, np.zeros((4, 6), dtype=bool))
+        looked_up = []
+        lookup = OccupancyGrid.occupied_xy
+
+        def counted(g, x, y):
+            looked_up.append(np.size(x))
+            return lookup(g, x, y)
+
+        monkeypatch.setattr(OccupancyGrid, "occupied_xy", counted)
+        ends = np.array([[1e6, 1e12], [0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            counts = grid.segment_collision_counts(*ends, 0.5)
+            assert counts.tolist() == [1_999_989, 1_999_999_999_989]
+            assert sum(looked_up) <= 2 * 12
+            np.testing.assert_array_equal(counts[:1], reference_segment_counts(grid, *ends[:, :1], 0.5))
+            for far in (1e300, 1e308):
+                message = rf"^segment \({far}, 0.5\) -> \(0.5, 0.5\) has more samples at step 0.5 than a count holds$"
+                with pytest.raises(ValueError, match=message.replace("+", r"\+")):
+                    grid.segment_collision_counts(np.array([0.5, far]), np.full(2, 0.5), np.full(2, 0.5), np.full(2, 0.5), 0.5)
+
     def test_non_finite_endpoint_counts_two(self):
         grid = OccupancyGrid(20, 20, 1.0, np.zeros((20, 20), dtype=bool))
         ax = np.array([10.0, 10.0, np.nan, 10.0, np.inf, 10.0])

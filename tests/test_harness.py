@@ -674,6 +674,34 @@ class TestRender:
 CLOUD_RECORD = '{"method": "mcl", "trial": 0, "t": 3, "truth": [3, 4, 0], "clouds": {"0": [[1, 2, 0.5]]}}'
 
 
+class TestCheckInit:
+    # tiny_map.txt: a 24 x 3 grid whose middle row holds the free cells x = 1 .. 22
+    @pytest.mark.parametrize("box, free", [
+        ((2.0, 6.0, 1.0, 2.0), True),  # tiny.cfg's own box
+        ((0.1, 0.9, 0.1, 0.9), False),  # a wall cell
+        ((0.1, 0.9, 1.2, 1.8), False),  # the corridor's left end wall
+        ((-5.0, -1.0, 1.2, 1.8), False),  # off the grid
+        ((-5.0, 1.0, 1.2, 1.8), False),  # stops at the first free cell's left face
+        ((-5.0, 1.01, 1.2, 1.8), True),
+        ((22.5, 1e308, 1.2, 1.8), True),  # the last free cell, then off the grid
+        ((23.0, 1e308, 1.2, 1.8), False),
+        ((3.0, 3.0, 1.5, 1.5), True),  # a point
+        ((-1e308, 1e308, 2.0, 1e308), False),  # the top wall and above
+    ])
+    @pytest.mark.parametrize("resolution", ["1.0", "0.5"])
+    def test_box_on_occupied_cells_names_init(self, box, free, resolution):
+        # the same cells at either resolution: the box is scaled with them
+        cfg = load_config("tiny.cfg")
+        grid = load_grid(cfg.map_path.read_text().replace(" 1.0\n", f" {resolution}\n", 1))
+        box = tuple(v * float(resolution) for v in box) + (0.0, 0.0)
+        cfg = dataclasses.replace(cfg, init=dataclasses.replace(cfg.init, box=box))
+        if free:
+            harness.check_init(cfg, grid)
+        else:
+            with pytest.raises(ConfigError, match=r"^init: box .* lies wholly in occupied space"):
+                harness.check_init(cfg, grid)
+
+
 class TestCli:
     def test_map_check(self, capsys):
         rc = cli.main(["map-check", "--config", "paper.cfg"])
@@ -789,6 +817,26 @@ class TestCli:
         for command in ("run", "oracle"):
             assert cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path / command)]) == 1
             assert capsys.readouterr().err == f"deqmcl: {message}\n"
+
+    def test_initial_box_inside_a_wall_is_one_line(self, tmp_path, monkeypatch, capsys):
+        # tiny.cfg's box moved into the corridor's bottom-left wall cell
+        text = (harness.packaged_config_dir() / "tiny.cfg").read_text()
+        cfg_path = tmp_path / "wall.cfg"
+        cfg_path.write_text(
+            text.replace("box: [2.0, 6.0, 1.0, 2.0, 0.0, 0.0]", "box: [0.1, 0.9, 0.1, 0.9, 0.0, 0.0]")
+            .replace("map: tiny_map.txt", f"map: {harness.packaged_config_dir() / 'tiny_map.txt'}")
+        )
+        monkeypatch.setattr(harness, "simulate_truth", lambda *a, **k: pytest.fail("truth simulated"))
+        for command in ("run", "oracle"):
+            out = tmp_path / command
+            assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "deqmcl: init: box x [0.1, 0.9], y [0.1, 0.9] lies wholly in occupied space, "
+                "so no initial particle can be free\n"
+            )
+            assert not (out / "traces").exists()
 
     def test_oracle_subcommand(self, tmp_path, capsys):
         cfg_path = write_mini_config(tmp_path, methods="deq_mcl", count=6, lag=2)
