@@ -59,7 +59,7 @@ def cmd_run(args) -> int:
 
 def cmd_oracle(args) -> int:
     cfg = harness.load_config(args.config)
-    out = harness.make_output_dir(cfg, args.out)
+    out = harness.output_path(cfg, args.out)  # made once the config checks pass
     rows = harness.run_oracle_validation(cfg, out_dir=str(out))
     by_offset: dict[int, list[float]] = {}
     for r in rows:

@@ -125,38 +125,42 @@ class BeliefSnapshot:
 class QueueState:
     """Particle approximation of the joint belief over a sliding time window.
 
-    ``poses[:, n_past]`` is the current-time marginal; columns before it hold
-    past states (oldest first) and columns after it hold predicted future
-    states.  Plain MCL is the degenerate case n_past == n_future == 0.
-    ``future_log_priors[:, k - 1]`` is the log traversability prior of the
-    predicted transition into ``poses[:, n_past + k]``; it may be omitted
-    when there is no future side.
+    Stored slot-major, as `_roll_out` draws it: ``poses[n_past]`` is the
+    current-time marginal, the slots before it hold past states (oldest
+    first) and those after it predicted future states.  Plain MCL is the
+    degenerate case n_past == n_future == 0.  ``future_log_priors[k - 1]`` is
+    the log traversability prior of the predicted transition into
+    ``poses[n_past + k]``.
     """
 
     t: int
-    n_past: int
-    n_future: int
-    poses: np.ndarray        # (n, n_past + 1 + n_future, 3)
-    log_weights: np.ndarray  # (n,)
-    future_log_priors: np.ndarray | None = None  # (n, n_future)
+    poses: np.ndarray              # (n_past + 1 + n_future, n, 3)
+    log_weights: np.ndarray        # (n,)
+    future_log_priors: np.ndarray  # (n_future, n)
 
     def __post_init__(self):
-        span = self.n_past + 1 + self.n_future
-        if self.poses.ndim != 3 or self.poses.shape[1] != span or self.poses.shape[2] != 3:
-            raise ValueError(f"poses shape {self.poses.shape} does not match span {span}")
-        if self.log_weights.shape != (self.poses.shape[0],):
+        if self.poses.ndim != 3 or self.poses.shape[2] != 3:
+            raise ValueError(f"poses must have shape (slots, n, 3), got {self.poses.shape}")
+        if self.log_weights.shape != (self.n_particles,):
             raise ValueError("log_weights must match the particle count")
-        if self.future_log_priors is None:
-            self.future_log_priors = np.empty((self.poses.shape[0], 0))
-        if self.future_log_priors.shape != (self.poses.shape[0], self.n_future):
-            raise ValueError("future_log_priors must have shape (n_particles, n_future)")
+        priors = self.future_log_priors.shape
+        if len(priors) != 2 or priors[1] != self.n_particles or priors[0] >= self.poses.shape[0]:
+            raise ValueError(f"future_log_priors shape {priors} does not fit poses {self.poses.shape}")
+
+    @property
+    def n_past(self) -> int:
+        return self.poses.shape[0] - 1 - self.n_future
+
+    @property
+    def n_future(self) -> int:
+        return self.future_log_priors.shape[0]
 
     @property
     def n_particles(self) -> int:
-        return self.poses.shape[0]
+        return self.poses.shape[1]
 
     def current(self) -> np.ndarray:
-        return self.poses[:, self.n_past]
+        return self.poses[self.n_past]
 
     def weights(self) -> np.ndarray:
         w = np.exp(self.log_weights)
@@ -168,7 +172,7 @@ class QueueState:
             raise ValueError(
                 f"offset {offset} outside queue span [-{self.n_past}, +{self.n_future}]"
             )
-        return BeliefSnapshot(self.poses[:, self.n_past + offset].copy(), self.weights())
+        return BeliefSnapshot(self.poses[self.n_past + offset].copy(), self.weights())
 
 
 # ---------------------------------------------------------------------------
@@ -280,14 +284,14 @@ def _finish_step(
     """Normalize, then resample whole particles when ESS drops below threshold.
 
     Returns the log weights followed by the ``per_particle`` arrays, each
-    indexed along its first axis by the same resampled particle indices.
+    taken along its particle axis, axis 1, by the same resampled indices.
     """
     log_weights = _normalize_log_weights(log_weights)
     w = np.exp(log_weights)
     ess = 1.0 / (w * w).sum()
     if ess < cfg.resample_threshold * w.size:
         idx = systematic_resample(w, rng)
-        per_particle = tuple(a[idx] for a in per_particle)
+        per_particle = tuple(a.take(idx, axis=1) for a in per_particle)
         log_weights = np.full(w.size, -math.log(w.size))
     return (log_weights, *per_particle)
 
@@ -303,7 +307,7 @@ def init_belief(
     if grid.occupied_xy(poses[:, 0], poses[:, 1]).all():
         raise InitializationError("every initial particle lies in occupied space")
     logw = np.full(cfg.n_particles, -math.log(cfg.n_particles))
-    return QueueState(t=1, n_past=0, n_future=0, poses=poses[:, None, :], log_weights=logw)
+    return QueueState(t=1, poses=poses[None], log_weights=logw, future_log_priors=np.empty((0, cfg.n_particles)))
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +324,8 @@ def _roll_out(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample one pose per action from ``start`` on, weighting each transition.
 
-    Returns the sampled poses ``(n, len(actions), 3)``, the log traversability
-    prior of each transition ``(n, len(actions))``, and ``log_weights`` with
+    Returns the sampled poses ``(len(actions), n, 3)``, the log traversability
+    prior of each transition ``(len(actions), n)``, and ``log_weights`` with
     those priors added one transition at a time, first to last.  With beta 0
     every prior is -0.0, so it is stored but neither computed nor added.
 
@@ -348,7 +352,7 @@ def _roll_out(
             ).reshape(hi - lo, n)
         for prior in log_priors:
             log_weights = log_weights + prior
-    return chain[1:].transpose(1, 0, 2), log_priors.T, log_weights
+    return chain[1:], log_priors, log_weights
 
 
 def _window_step(
@@ -371,23 +375,16 @@ def _window_step(
     threshold.
     """
     logw = state.log_weights
-    for k in range(state.n_future):
-        logw = logw - state.future_log_priors[:, k]
+    for prior in state.future_log_priors:  # in the order `_roll_out` added them
+        logw = logw - prior
     rolled, log_priors, logw = _roll_out(state.current(), actions, logw, cfg, grid, rng)
     n_past = min(state.n_past + 1, cfg.lag)
-    past = state.poses[:, state.n_past + 1 - n_past : state.n_past + 1]
-    obs = observation_log_likelihood_batch(scan, rolled[:, 0], grid, cfg.sensor_sigma)
+    past = state.poses[state.n_past + 1 - n_past : state.n_past + 1]
+    obs = observation_log_likelihood_batch(scan, rolled[0], grid, cfg.sensor_sigma)
     logw, poses, future_log_priors = _finish_step(
-        logw + obs, cfg, rng, np.concatenate([past, rolled], axis=1), log_priors[:, 1:]
+        logw + obs, cfg, rng, np.concatenate([past, rolled]), log_priors[1:]
     )
-    return QueueState(
-        t=state.t + 1,
-        n_past=n_past,
-        n_future=len(actions) - 1,
-        poses=poses,
-        log_weights=logw,
-        future_log_priors=future_log_priors,
-    )
+    return QueueState(t=state.t + 1, poses=poses, log_weights=logw, future_log_priors=future_log_priors)
 
 
 # ---------------------------------------------------------------------------
@@ -454,11 +451,7 @@ def deq_init(
         base.current(), actions, base.log_weights, cfg, grid, rng
     )
     return QueueState(
-        t=1,
-        n_past=0,
-        n_future=f_target,
-        poses=np.concatenate([base.poses, future], axis=1),
-        log_weights=_normalize_log_weights(logw),
+        t=1, poses=np.concatenate([base.poses, future]), log_weights=_normalize_log_weights(logw),
         future_log_priors=future_log_priors,
     )
 

@@ -535,13 +535,14 @@ def run_trial(
     queue the estimate came from.  It is written to the text stream ``trace``
     as one JSON line as soon as it is made (``None`` writes nothing); only
     its ``e_t``, ``entropy`` and ``var`` are kept, for the metrics.
-    ``method`` is checked as the ``methods`` config key is, before anything runs.
+    ``method`` and ``init`` are checked as `run` checks them, before anything runs.
     """
     check_methods((method,))
     if grid is None:
         grid = load_experiment_grid(cfg)
     if plan is None:
         plan = build_plan(cfg, grid)
+    check_init(cfg, grid)
     fcfg = cfg.filter_base
     horizon = plan.horizon
 
@@ -556,9 +557,9 @@ def run_trial(
     kept: list[tuple] = []  # (e_t, entropy, var) of every record
 
     def emit(j: int, state: QueueState, tau: int) -> None:
-        # the window's columns are read in place; every offset shares one weight vector
+        # the window's slots are read in place; every offset shares one weight vector
         weights = state.weights()
-        snap = BeliefSnapshot(state.poses[:, state.n_past + j - tau], weights)
+        snap = BeliefSnapshot(state.poses[state.n_past + j - tau], weights)
         mean = metrics.mean_state(snap)
         rec = {
             "method": method,
@@ -576,7 +577,7 @@ def run_trial(
             return
         if cfg.cloud_stride and tau % cfg.cloud_stride == 0:
             rec["clouds"] = {
-                str(off): np.column_stack([state.poses[:, state.n_past + off, :2], weights]).tolist()
+                str(off): np.column_stack([state.poses[state.n_past + off, :, :2], weights]).tolist()
                 for off in sorted({-lag, 0, lag}) if -state.n_past <= off <= state.n_future
             }
             rec["cloud_t"] = tau
@@ -593,10 +594,14 @@ def run_trial(
     return metrics.TrialMetrics(metrics.trial_rmse(errors), float(np.mean(entropies)), np.mean(variances, axis=0))
 
 
+def output_path(cfg: ExperimentConfig, out_dir: str | None = None, *parts: str) -> Path:
+    """The output directory, ``out_dir``, else $DEQMCL_OUT, else ``outputs``, joined with ``parts``."""
+    return Path(out_dir if out_dir is not None else os.environ.get(OUTPUT_DIR_ENV) or cfg.outputs, *parts)
+
+
 def make_output_dir(cfg: ExperimentConfig, out_dir: str | None = None, *parts: str) -> Path:
-    """The output directory (``out_dir``, else $DEQMCL_OUT, else ``outputs``) joined
-    with ``parts`` and made; a `ConfigError` naming it when it cannot be made."""
-    path = Path(out_dir if out_dir is not None else os.environ.get(OUTPUT_DIR_ENV) or cfg.outputs, *parts)
+    """`output_path`, made; a `ConfigError` naming it when it cannot be made."""
+    path = output_path(cfg, out_dir, *parts)
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -742,8 +747,8 @@ def run_oracle_validation(cfg: ExperimentConfig, out_dir: str | None = None) -> 
     Runs the queue filter on ``cfg.oracle_params.seeds`` independent trials
     and records, for every step and queue offset, the total-variation
     distance between the binned particle marginal and the exact posterior of
-    the discretized model.  Returns the rows and, when the existing
-    directory ``out_dir`` is given, writes them to oracle_tv.csv there.
+    the discretized model.  Returns the rows and, when ``out_dir`` is given,
+    makes it once the config checks pass and writes them to oracle_tv.csv.
     """
     if cfg.oracle_params is None:
         raise ConfigError("config has no 'oracle' section")
@@ -755,6 +760,7 @@ def run_oracle_validation(cfg: ExperimentConfig, out_dir: str | None = None) -> 
         raise ConfigError(
             f"oracle.compare_t = {op.compare_t} lies past the plan horizon {plan.horizon}"
         )
+    out = make_output_dir(cfg, out_dir) if out_dir is not None else None
     fcfg = cfg.filter_base
     init, step, _ = METHOD_TABLE["deq_mcl"]
 
@@ -783,8 +789,8 @@ def run_oracle_validation(cfg: ExperimentConfig, out_dir: str | None = None) -> 
                 {"seed": seed_idx, "t": t, "offset": offset, "tv": oracle.tv_distance(binned, dist)}
                 for binned, (offset, dist) in zip(oracle.bin_belief(hmm, state.poses, state.weights()), exact.items())
             ]
-    if out_dir is not None:
-        with (Path(out_dir) / "oracle_tv.csv").open("w") as fh:
+    if out is not None:
+        with (out / "oracle_tv.csv").open("w") as fh:
             fh.write("seed,t,offset,tv\n")
             for r in rows:
                 fh.write(f"{r['seed']},{r['t']},{r['offset']},{r['tv']!r}\n")

@@ -509,7 +509,7 @@ class TestDeqQueue:
         expected = start
         for k in range(1, 3):
             expected = apply_action(expected, plan.action(1 + k))
-            assert np.allclose(state.poses[:, k], pose_array(expected))
+            assert np.allclose(state.poses[k], pose_array(expected))
 
     def test_marginal_offsets_and_errors(self):
         grid, plan, scans, cfg = self._mini(lag=2)
@@ -519,7 +519,7 @@ class TestDeqQueue:
             state = deq_step(state, t, plan.action(t), scans[t], plan, cfg, grid, rng)
         for off in range(-state.n_past, state.n_future + 1):
             snap = state.marginal(off)
-            assert np.array_equal(snap.poses, state.poses[:, state.n_past + off]) and snap.poses.shape == (50, 3)
+            assert np.array_equal(snap.poses, state.poses[state.n_past + off]) and snap.poses.shape == (50, 3)
         with pytest.raises(ValueError):
             state.marginal(state.n_future + 1)
         with pytest.raises(ValueError):
@@ -538,7 +538,7 @@ class TestDeqQueue:
     def test_resampling_copies_trajectories_atomically(self):
         # the future side is re-proposed every step, so what survives of an
         # old trajectory is its past and current poses: each new trajectory's
-        # past columns are those of one old trajectory, minus the oldest once
+        # past slots are those of one old trajectory, minus the oldest once
         # the window is full
         import dataclasses
 
@@ -549,22 +549,27 @@ class TestDeqQueue:
         for t in range(2, 6):
             new_state = deq_step(state, t, plan.action(t), scans[t], plan, cfg, grid, rng)
             n = new_state.n_past
-            old = state.poses[:, state.n_past + 1 - n : state.n_past + 1]
-            new = new_state.poses[:, :n]
+            # (n_particles, n, 3): one trajectory of past slots per particle
+            old = state.poses[state.n_past + 1 - n : state.n_past + 1].swapaxes(0, 1)
+            new = new_state.poses[:n].swapaxes(0, 1)
             assert len({row.tobytes() for row in new}) < cfg.n_particles  # some were copied
             for row in new:
                 assert (old == row).all(axis=(1, 2)).any()
             state = new_state
 
     def test_state_requires_one_factor_per_future_transition(self):
-        poses, logw = np.zeros((4, 3, 3)), np.zeros(4)
-        with pytest.raises(ValueError, match="future_log_priors"):
-            QueueState(t=1, n_past=0, n_future=2, poses=poses, log_weights=logw)
-        with pytest.raises(ValueError, match="future_log_priors"):
-            QueueState(t=1, n_past=0, n_future=2, poses=poses, log_weights=logw,
-                       future_log_priors=np.zeros((4, 1)))
-        state = QueueState(t=1, n_past=2, n_future=0, poses=poses, log_weights=logw)
-        assert state.future_log_priors.shape == (4, 0)
+        poses, logw = np.zeros((3, 4, 3)), np.zeros(4)  # 3 slots of 4 particles
+        with pytest.raises(TypeError, match="future_log_priors"):
+            QueueState(t=1, poses=poses, log_weights=logw)
+        # as many factors as the window has slots, a wrong particle count, no particle axis
+        for priors in (np.zeros((3, 4)), np.zeros((2, 3)), np.zeros(2)):
+            with pytest.raises(ValueError, match="future_log_priors"):
+                QueueState(t=1, poses=poses, log_weights=logw, future_log_priors=priors)
+        for n_future in (0, 1, 2):
+            state = QueueState(t=1, poses=poses, log_weights=logw, future_log_priors=np.zeros((n_future, 4)))
+            assert (state.n_past, state.n_future, state.n_particles) == (2 - n_future, n_future, 4)
+        with pytest.raises(AttributeError):
+            state.n_past = 0
 
     def test_all_occupied_init_rejected(self):
         grid, plan, scans, cfg = self._mini()
@@ -593,17 +598,17 @@ class TestDeqQueue:
 def reference_roll_out(start, actions, log_weights, cfg, grid, rng):
     """`filters._roll_out` as one prior call per transition, in draw order."""
     n = start.shape[0]
-    poses = np.empty((n, len(actions), 3))
-    log_priors = np.full((n, len(actions)), -0.0)
+    poses = np.empty((len(actions), n, 3))
+    log_priors = np.full((len(actions), n), -0.0)
     prev = start
     for k, action in enumerate(actions):
         nxt = motion_sample_batch(prev, action, cfg.motion_noise, rng)
         if cfg.beta:
-            log_priors[:, k] = traversability_log_prior_batch(
+            log_priors[k] = traversability_log_prior_batch(
                 grid, prev, nxt, cfg.beta, cfg.collision_step
             )
-            log_weights = log_weights + log_priors[:, k]
-        poses[:, k] = nxt
+            log_weights = log_weights + log_priors[k]
+        poses[k] = nxt
         prev = nxt
     return poses, log_priors, log_weights
 
@@ -647,7 +652,7 @@ class TestRollOut:
         monkeypatch.setattr(filters, "traversability_log_prior_batch", counted)
         got = filters._roll_out(start, actions, log_weights, cfg, grid, rng)
 
-        assert got[0].shape == (n, k, 3) and got[1].shape == (n, k)
+        assert got[0].shape == (k, n, 3) and got[1].shape == (k, n)
         for a, b in zip(got, reference):
             np.testing.assert_array_equal(self._bits(a), self._bits(b))
         assert rng.standard_normal() == rng_ref.standard_normal()

@@ -701,6 +701,14 @@ class TestCheckInit:
             with pytest.raises(ConfigError, match=r"^init: box .* lies wholly in occupied space"):
                 harness.check_init(cfg, grid)
 
+    def test_run_trial_checks_the_box(self, monkeypatch):
+        # the library call that builds its own grid and plan checks the box as `run` does
+        cfg = load_config("tiny.cfg")
+        cfg = dataclasses.replace(cfg, init=dataclasses.replace(cfg.init, box=(0.1, 0.9, 0.1, 0.9, 0.0, 0.0)))
+        monkeypatch.setattr(harness, "simulate_truth", lambda *a, **k: pytest.fail("truth simulated"))
+        with pytest.raises(ConfigError, match=r"^init: box .* lies wholly in occupied space"):
+            run_trial(cfg, "deq_mcl", 0)
+
 
 class TestCli:
     def test_map_check(self, capsys):
@@ -837,6 +845,32 @@ class TestCli:
                 "so no initial particle can be free\n"
             )
             assert not (out / "traces").exists()
+
+    @pytest.mark.parametrize("edit, status, commands", [
+        (("count: 13", "count: 30"), 1, ("run", "oracle")),  # the plan runs into the right end wall
+        (("box: [2.0, 6.0, 1.0, 2.0, 0.0, 0.0]", "box: [0.1, 0.9, 0.1, 0.9, 0.0, 0.0]"), 2, ("run", "oracle")),
+        (("compare_t: 9", "compare_t: 50"), 2, ("oracle",)),  # past the plan horizon
+    ], ids=["colliding_plan", "box_in_a_wall", "compare_t_past_horizon"])
+    def test_config_that_fails_its_checks_leaves_no_directory(
+        self, tmp_path, monkeypatch, capsys, edit, status, commands
+    ):
+        # the output directory named by --out, or else by the config's `outputs`
+        monkeypatch.delenv(harness.OUTPUT_DIR_ENV, raising=False)
+        text = (harness.packaged_config_dir() / "tiny.cfg").read_text()
+        assert edit[0] in text
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(
+            text.replace(*edit)
+            .replace("map: tiny_map.txt", f"map: {harness.packaged_config_dir() / 'tiny_map.txt'}")
+            .replace("outputs: out/tiny", f"outputs: {tmp_path / 'outputs'}")
+        )
+        for command in commands:
+            for flag in ([], ["--out", str(tmp_path / "flag")]):
+                assert cli.main([command, "--config", str(cfg_path), *flag]) == status
+                captured = capsys.readouterr()
+                assert captured.out == "" and captured.err.startswith("deqmcl: ")
+                assert captured.err.count("\n") == 1
+                assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
 
     def test_oracle_subcommand(self, tmp_path, capsys):
         cfg_path = write_mini_config(tmp_path, methods="deq_mcl", count=6, lag=2)

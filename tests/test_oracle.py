@@ -412,8 +412,8 @@ class TestValidationPlumbing:
         from deqmcl.oracle import bin_belief
 
         _, _, hmm = strip_hmm()
-        # two particles, two columns: off the lattice in one column each
-        poses = np.array([[[1.5, 0.5, 0.0], [4.5, 0.5, 0.0]], [[100.0, 0.5, 0.0], [2.5, -0.5, 0.0]]])
+        # two slots of two particles: off the lattice in one slot each
+        poses = np.array([[[1.5, 0.5, 0.0], [100.0, 0.5, 0.0]], [[4.5, 0.5, 0.0], [2.5, -0.5, 0.0]]])
         binned = bin_belief(hmm, poses, np.array([0.25, 0.75]))
         assert binned.shape == (2, hmm.n_states)
         np.testing.assert_array_equal(binned.sum(axis=1), [0.25, 0.25])
@@ -421,7 +421,7 @@ class TestValidationPlumbing:
 
 
 def reference_bin_belief(hmm: DiscreteHmm, snapshot) -> np.ndarray:
-    """`oracle.bin_belief` of one column, with its heading wrap written out by `np.mod`."""
+    """`oracle.bin_belief` of one slot, with its heading wrap written out by `np.mod`."""
     ix = np.floor(snapshot.poses[:, 0] / hmm.cell).astype(np.int64)
     iy = np.floor(snapshot.poses[:, 1] / hmm.cell).astype(np.int64)
     width = 2.0 * math.pi / hmm.n_heading_bins
@@ -434,12 +434,12 @@ def reference_bin_belief(hmm: DiscreteHmm, snapshot) -> np.ndarray:
 
 
 class TestBinBelief:
-    @pytest.mark.parametrize("n_columns", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n_slots", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("n_heading_bins", [1, 4, 36])
-    def test_matches_the_np_mod_wrap(self, n_heading_bins, n_columns):
+    def test_matches_the_np_mod_wrap(self, n_heading_bins, n_slots):
         # headings at +-pi, one ulp either side of them, at multiples of 2 pi
         # and of pi wrapped from up to 20 turns away, and at bin edges; every
-        # column shuffles them and draws its own positions, some off the lattice
+        # slot shuffles them and draws its own positions, some off the lattice
         from deqmcl.filters import BeliefSnapshot
         from deqmcl.oracle import bin_belief
 
@@ -451,19 +451,19 @@ class TestBinBelief:
         turns = np.arange(-20, 21) * 2.0 * math.pi
         base = np.concatenate([[math.pi, -math.pi, 0.0, -0.0], edges, turns, turns + math.pi, turns - math.pi])
         theta = np.concatenate([base, np.nextafter(base, np.inf), np.nextafter(base, -np.inf)])
-        rng = np.random.default_rng(10 * n_heading_bins + n_columns)
+        rng = np.random.default_rng(10 * n_heading_bins + n_slots)
         n = theta.size
         poses = np.stack([
-            rng.uniform(-0.5, 3.5, (n, n_columns)),
-            rng.uniform(-0.5, 2.5, (n, n_columns)),
-            np.column_stack([rng.permutation(theta) for _ in range(n_columns)]),
-        ], axis=2)
+            rng.uniform(-0.5, 3.5, (n, n_slots)).T,
+            rng.uniform(-0.5, 2.5, (n, n_slots)).T,
+            np.array([rng.permutation(theta) for _ in range(n_slots)]),
+        ], axis=2)  # (n_slots, n, 3)
         weights = rng.random(n)
         weights /= weights.sum()
         got = bin_belief(hmm, poses, weights)
-        assert got.shape == (n_columns, hmm.n_states)
-        for j in range(n_columns):
-            snap = BeliefSnapshot(poses[:, j].copy(), weights)
+        assert got.shape == (n_slots, hmm.n_states)
+        for j in range(n_slots):
+            snap = BeliefSnapshot(poses[j].copy(), weights)
             np.testing.assert_array_equal(got[j], reference_bin_belief(hmm, snap))
             assert got[j].sum() > 0
 
@@ -483,6 +483,21 @@ class TestOracleOutputDigest:
         harness.run_oracle_validation(cfg, out_dir=str(tmp_path))
         digest = hashlib.sha256((tmp_path / "oracle_tv.csv").read_bytes()).hexdigest()
         assert digest == self.TINY_2_SEEDS
+
+    # the same file with 5 oracle seeds at master seeds 1 and 7, hashed as the
+    # benchmark's `oracle` workload hashes it (`perfbench/run.py`), whose own
+    # recorded digests predate the one-path change above
+    TINY_5_SEEDS = {
+        1: "e425433e04d5d4b0cfbfc56bb6f8c8f9e0f7bf3dd82ae55c49c21039fabb4937",
+        7: "0cb584cde388b621617e10553a8ac2390e2519e5f0b081369a07d0d27048d63d",
+    }
+
+    @pytest.mark.parametrize("master_seed", [1, 7])
+    def test_benchmark_oracle_output_is_byte_identical(self, tmp_path, master_seed):
+        cfg = dataclasses.replace(tiny_cfg(seeds=5), master_seed=master_seed)
+        harness.run_oracle_validation(cfg, out_dir=str(tmp_path))
+        digest = hashlib.sha256((tmp_path / "oracle_tv.csv").read_bytes()).hexdigest()
+        assert digest == self.TINY_5_SEEDS[master_seed]
 
 
 def tiny_cfg(**oracle_params):
