@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import harness, render
+from . import filters, harness, oracle, render
 from .worldsim import PlanError, rollout
 
 
@@ -123,7 +123,8 @@ def main(argv: list[str] | None = None) -> int:
     except harness.ConfigError as exc:
         print(f"deqmcl: {exc}", file=sys.stderr)
         return 2
-    except PlanError as exc:  # map-check reports its own
+    # a plan that collides (map-check reports its own) or a trial that fails
+    except (PlanError, filters.FilterDegeneracyError, oracle.ImpossibleEvidenceError) as exc:
         print(f"deqmcl: {exc}", file=sys.stderr)
         return 1
 

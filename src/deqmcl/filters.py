@@ -204,8 +204,8 @@ def observation_log_likelihood_batch(
     """Per-pose log p(scan | pose, map): independent Gaussian beams.
 
     Each beam contributes the log density of (observed - predicted) range at
-    std ``sensor_sigma``, with the prediction raycast from the pose using the
-    scan's own sensor geometry.  Poses inside obstacles get -inf.
+    std ``sensor_sigma``, with the prediction raycast from the pose by the
+    scan's own `BeamConfig`.  Poses inside obstacles get -inf.
     """
     if not (sensor_sigma > 0 and math.isfinite(sensor_sigma)):  # written so that NaN fails
         raise ValueError(f"sensor_sigma must be > 0 and finite, got {sensor_sigma}")
@@ -215,13 +215,8 @@ def observation_log_likelihood_batch(
     if not free.any():
         return out
     fp = poses[free]
-    n_beams = scan.ranges.size
-    xs = fp[:, 0].repeat(n_beams)
-    ys = fp[:, 1].repeat(n_beams)
-    ths = (fp[:, 2][:, None] + scan.beam_headings[None, :]).ravel()
-    pred = grid.raycast_batch(xs, ys, ths, scan.max_range, scan.ray_step).reshape(-1, n_beams)
-    resid = scan.ranges[None, :] - pred
-    out[free] = -0.5 * ((resid / sensor_sigma) ** 2).sum(axis=1) - n_beams * (
+    resid = scan.ranges[None, :] - scan.beams.cast(grid, fp[:, 0], fp[:, 1], fp[:, 2])
+    out[free] = -0.5 * ((resid / sensor_sigma) ** 2).sum(axis=1) - scan.ranges.size * (
         math.log(sensor_sigma) + LOG_SQRT_2PI
     )
     return out

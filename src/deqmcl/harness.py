@@ -243,10 +243,10 @@ def check_methods(value) -> tuple[str, ...]:
 # Every config key: section -> key -> (reader, default, bound), section "" being
 # the top level.  `_read_keys` calls ``reader(value, "<section>: <key>", bound)``
 # on each given key and on each default but None, which stands for an absent
-# key: an absent filter key keeps FilterConfig's default, an absent
-# filter_noise key the world noise.  A key ending in ``_deg`` is given in
-# degrees and stored in radians, a list of them element by element; every key
-# is stored without that suffix.
+# key: an absent noise, beams or filter key keeps the default of NoiseParams,
+# BeamConfig or FilterConfig, an absent filter_noise key the world noise.  A
+# key ending in ``_deg`` is given in degrees and stored in radians, a list of
+# them element by element; every key is stored without that suffix.
 _CONFIG_KEYS = {
     "": {
         "map": (_choice, _REQUIRED, None), "n_trials": (_integer, 1, 1), "master_seed": (_integer, 0, 0),
@@ -262,8 +262,8 @@ _CONFIG_KEYS = {
         "v": (_float, 1.0, None), "omega_deg": (_float, 0.0, None), "count": (_integer, None, 1),
     },
     "noise": {
-        "sigma_v": (_float, 0.5, "non-negative"), "sigma_omega_deg": (_float, 2.9, "non-negative"),
-        "sigma_range": (_float, 2.0, "non-negative"),
+        "sigma_v": (_float, None, "non-negative"), "sigma_omega_deg": (_float, None, "non-negative"),
+        "sigma_range": (_float, None, "non-negative"),
     },
     "filter_noise": {
         "sigma_v": (_float, None, "non-negative"), "sigma_omega_deg": (_float, None, "non-negative"),
@@ -275,8 +275,8 @@ _CONFIG_KEYS = {
         "resample_threshold": (_float, None, "in [0, 1]"), "collision_step": (_float, None, "positive"),
     },
     "beams": {
-        "headings_deg": (_numbers, (-60, -30, 0, 30, 60), None),
-        "max_range": (_float, 100.0, "positive"), "ray_step": (_float, 0.5, "positive"),
+        "headings_deg": (_numbers, None, None),
+        "max_range": (_float, None, "positive"), "ray_step": (_float, None, "positive"),
     },
     "init": {
         "kind": (_choice, "gaussian", ("gaussian", "uniform_box")),
@@ -352,7 +352,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     def given(section: str) -> dict:  # the keys of ``section`` that the config sets
         return {k: x for k, x in v[section].items() if x is not None}
 
-    noise = NoiseParams(**v["noise"])
+    noise = NoiseParams(**given("noise"))
     return ExperimentConfig(
         map_path=map_path,
         start=Pose(**v["start"]),
@@ -361,7 +361,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         master_seed=top["master_seed"],
         methods=top["methods"],
         noise=noise,
-        beams=BeamConfig(**v["beams"]),
+        beams=BeamConfig(**given("beams")),
         filter_base=FilterConfig(
             motion_noise=dataclasses.replace(noise, **given("filter_noise")), **given("filter")
         ),
@@ -734,13 +734,6 @@ def _write_report(path: Path, rows: list[dict], cfg: ExperimentConfig, failures)
 # oracle validation
 # ---------------------------------------------------------------------------
 
-def lattice_initial(cfg: ExperimentConfig, hmm: oracle.DiscreteHmm) -> np.ndarray:
-    """Project the configured initial belief onto the oracle lattice."""
-    if cfg.init.kind == "uniform_box":
-        return oracle.uniform_box_initial(hmm, cfg.init.box)
-    return oracle.gaussian_initial(hmm, cfg.start, cfg.init.sigma_xy, cfg.init.sigma_theta)
-
-
 def run_oracle_validation(cfg: ExperimentConfig, out_dir: str | None = None) -> list[dict]:
     """Compare queue-filter marginals against exact lattice posteriors.
 
@@ -748,7 +741,8 @@ def run_oracle_validation(cfg: ExperimentConfig, out_dir: str | None = None) -> 
     and records, for every step and queue offset, the total-variation
     distance between the binned particle marginal and the exact posterior of
     the discretized model.  Returns the rows and, when ``out_dir`` is given,
-    makes it once the config checks pass and writes them to oracle_tv.csv.
+    makes it once the config checks pass and the lattice is built, and
+    writes them to oracle_tv.csv.
     """
     if cfg.oracle_params is None:
         raise ConfigError("config has no 'oracle' section")
@@ -760,13 +754,19 @@ def run_oracle_validation(cfg: ExperimentConfig, out_dir: str | None = None) -> 
         raise ConfigError(
             f"oracle.compare_t = {op.compare_t} lies past the plan horizon {plan.horizon}"
         )
-    out = make_output_dir(cfg, out_dir) if out_dir is not None else None
     fcfg = cfg.filter_base
     init, step, _ = METHOD_TABLE["deq_mcl"]
 
     plan_actions = list(plan.actions[1:])
-    hmm = oracle.discretize(grid, fcfg, list(dict.fromkeys(plan_actions)), op.cell, op.heading_bins)
-    hmm.initial = lattice_initial(cfg, hmm)
+    try:
+        hmm = oracle.discretize(grid, fcfg, list(dict.fromkeys(plan_actions)), op.cell, op.heading_bins)
+    except oracle.LatticeSizeError as exc:
+        raise ConfigError(f"oracle.cell and oracle.heading_bins: {exc}") from None
+    if cfg.init.kind == "uniform_box":  # the configured initial belief, projected onto the lattice
+        hmm.initial = oracle.uniform_box_initial(hmm, cfg.init.box)
+    else:
+        hmm.initial = oracle.gaussian_initial(hmm, cfg.start, cfg.init.sigma_xy, cfg.init.sigma_theta)
+    out = make_output_dir(cfg, out_dir) if out_dir is not None else None
 
     sampler = make_init_sampler(cfg)
     rows: list[dict] = []

@@ -265,8 +265,18 @@ def bin_belief(hmm: DiscreteHmm, poses: np.ndarray, weights: np.ndarray) -> np.n
     return sums[:-1].reshape(k, hmm.n_states)
 
 
+def _holds(hmm: DiscreteHmm, axis: int, value: float) -> np.ndarray:
+    """The lattice image of a point mass at ``value`` on one axis (x, y or theta): 1.0 at
+    the states whose cell or heading bin holds it, as `DiscreteHmm.state_index` bins it."""
+    moved = hmm.centers.copy()
+    moved[:, axis] = value
+    state, on_lattice = hmm.state_index(*moved.T)
+    return ((state == np.arange(hmm.n_states)) & on_lattice).astype(float)
+
+
 def uniform_box_initial(hmm: DiscreteHmm, box: tuple[float, float, float, float, float, float]) -> np.ndarray:
-    """Lattice distribution of a uniform box (xmin, xmax, ymin, ymax, thmin, thmax)."""
+    """Lattice distribution of a uniform box (xmin, xmax, ymin, ymax, thmin, thmax);
+    a zero-width axis is a point mass (`_holds`), as the filter's sampler draws it."""
     xmin, xmax, ymin, ymax, thmin, thmax = box
 
     def overlap(lo: float, hi: float, centers: np.ndarray, width: float) -> np.ndarray:
@@ -274,14 +284,14 @@ def uniform_box_initial(hmm: DiscreteHmm, box: tuple[float, float, float, float,
         right = centers + width / 2
         return np.clip(np.minimum(hi, right) - np.maximum(lo, left), 0.0, None)
 
-    ox = overlap(xmin, xmax, hmm.centers[:, 0], hmm.cell)
-    oy = overlap(ymin, ymax, hmm.centers[:, 1], hmm.cell)
+    ox = overlap(xmin, xmax, hmm.centers[:, 0], hmm.cell) if xmax > xmin else _holds(hmm, 0, xmin)
+    oy = overlap(ymin, ymax, hmm.centers[:, 1], hmm.cell) if ymax > ymin else _holds(hmm, 1, ymin)
     if thmax > thmin:  # headings wrap, as the filter's sampler wraps them: every turn of a bin counts
         turns = np.arange(math.floor((thmin - math.pi) / TWO_PI), math.ceil((thmax + math.pi) / TWO_PI) + 1)
         width = TWO_PI / hmm.n_heading_bins
         oth = overlap(thmin, thmax, hmm.centers[:, 2, None] + TWO_PI * turns, width).sum(axis=1)
     else:  # degenerate box: the bin of its one heading
-        oth = (np.arange(hmm.n_states) % hmm.n_heading_bins == hmm.heading_bin(thmin)).astype(float)
+        oth = _holds(hmm, 2, thmin)
     mass = ox * oy * oth
     total = mass.sum()
     if total <= 0:
@@ -292,17 +302,24 @@ def uniform_box_initial(hmm: DiscreteHmm, box: tuple[float, float, float, float,
 def gaussian_initial(
     hmm: DiscreteHmm, mean: Pose, sigma_xy: float, sigma_theta: float
 ) -> np.ndarray:
-    """Lattice distribution of the Gaussian initial belief around ``mean``."""
+    """Lattice distribution of the Gaussian initial belief around ``mean``;
+    the axes of a zero sigma are a point mass there (`_holds`)."""
 
     def cdf(z: np.ndarray) -> np.ndarray:
         return 0.5 * (1.0 + np.vectorize(math.erf)(z / math.sqrt(2.0)))
 
     half = hmm.cell / 2
     cx, cy, cth = hmm.centers[:, 0], hmm.centers[:, 1], hmm.centers[:, 2]
-    px = cdf((cx + half - mean.x) / sigma_xy) - cdf((cx - half - mean.x) / sigma_xy)
-    py = cdf((cy + half - mean.y) / sigma_xy) - cdf((cy - half - mean.y) / sigma_xy)
-    diff = normalize_angles(cth - mean.theta)
-    pth = np.exp(-0.5 * (diff / sigma_theta) ** 2)
+    if sigma_xy == 0:
+        px, py = _holds(hmm, 0, mean.x), _holds(hmm, 1, mean.y)
+    else:
+        px = cdf((cx + half - mean.x) / sigma_xy) - cdf((cx - half - mean.x) / sigma_xy)
+        py = cdf((cy + half - mean.y) / sigma_xy) - cdf((cy - half - mean.y) / sigma_xy)
+    if sigma_theta == 0:
+        pth = _holds(hmm, 2, mean.theta)
+    else:  # relative to the nearest bin centre, so that a sharp heading cannot underflow everywhere
+        z2 = (normalize_angles(cth - mean.theta) / sigma_theta) ** 2
+        pth = np.exp(-0.5 * (z2 - z2.min()))
     mass = px * py * pth
     total = mass.sum()
     if total <= 0:

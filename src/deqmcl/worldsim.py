@@ -120,42 +120,38 @@ class BeamConfig:
     def __post_init__(self):
         if len(self.headings) < 1:
             raise ValueError("at least one beam is required")
+        if not all(math.isfinite(h) for h in self.headings):
+            raise ValueError(f"beam headings must be finite, got {self.headings}")
         # written so that NaN fails the checks
         if not (self.max_range > 0 and math.isfinite(self.max_range)):
             raise ValueError(f"max_range must be positive and finite, got {self.max_range}")
         if not (self.ray_step > 0 and math.isfinite(self.ray_step)):
             raise ValueError(f"ray_step must be positive and finite, got {self.ray_step}")
+
+    def cast(self, grid: OccupancyGrid, x, y, theta) -> np.ndarray:
+        """The noise-free range of every beam from each pose (scalars: one pose),
+        ``(n_poses, n_beams)``; beam ``j`` leaves pose ``i`` at ``theta[i] + headings[j]``."""
+        n = len(self.headings)
+        x, y, theta = np.asarray(x).repeat(n), np.asarray(y).repeat(n), np.add.outer(theta, self.headings).ravel()
+        return grid.raycast_batch(x, y, theta, self.max_range, self.ray_step).reshape(-1, n)
 
 
 @dataclass(frozen=True)
 class DepthScan:
-    """One sensor reading: a range per beam, clamped to [0, max_range].
-
-    Carries the sensor geometry (beam headings, max range, ray step) so that
-    likelihood evaluation can reproduce the exact raycast the sensor used.
-    """
+    """One sensor reading: a range in [0, max_range] per beam of the
+    `BeamConfig` it was read with, which the likelihood raycasts again."""
 
     ranges: np.ndarray
-    beam_headings: np.ndarray
-    max_range: float
-    ray_step: float
+    beams: BeamConfig
 
     def __post_init__(self):
         ranges = np.asarray(self.ranges, dtype=float)
-        headings = np.asarray(self.beam_headings, dtype=float)
-        if ranges.shape != headings.shape or ranges.ndim != 1 or ranges.size < 1:
-            raise ValueError("ranges and beam_headings must be equal-length 1D arrays")
-        # written so that NaN fails the checks
-        if not (self.max_range > 0 and math.isfinite(self.max_range)):
-            raise ValueError(f"max_range must be positive and finite, got {self.max_range}")
-        if not (self.ray_step > 0 and math.isfinite(self.ray_step)):
-            raise ValueError(f"ray_step must be positive and finite, got {self.ray_step}")
-        if not ((ranges >= 0) & (ranges <= self.max_range)).all():
+        n_beams = len(self.beams.headings)
+        if ranges.shape != (n_beams,):
+            raise ValueError(f"a scan needs one range per beam ({n_beams}), got shape {ranges.shape}")
+        if not ((ranges >= 0) & (ranges <= self.beams.max_range)).all():  # written so that NaN fails
             raise ValueError("ranges must lie in [0, max_range]")
-        if not np.isfinite(headings).all():
-            raise ValueError("beam_headings must be finite")
         object.__setattr__(self, "ranges", ranges)
-        object.__setattr__(self, "beam_headings", headings)
 
 
 def apply_action(pose: Pose, action: Action) -> Pose:
@@ -185,22 +181,9 @@ def sense(
     """Simulate one depth scan from ``pose``; one noise variate per beam, in beam order."""
     if grid.occupied_xy(pose.x, pose.y):
         raise ValueError(f"sensor pose ({pose.x}, {pose.y}) is inside an obstacle")
-    headings = np.asarray(beams.headings, dtype=float)
-    true_ranges = grid.raycast_batch(
-        np.full(headings.shape, pose.x),
-        np.full(headings.shape, pose.y),
-        pose.theta + headings,
-        beams.max_range,
-        beams.ray_step,
-    )
-    perturbed = true_ranges + rng.standard_normal(headings.size) * noise.sigma_range
-    ranges = perturbed.clip(0.0, beams.max_range)
-    return DepthScan(
-        ranges=ranges,
-        beam_headings=headings,
-        max_range=beams.max_range,
-        ray_step=beams.ray_step,
-    )
+    true_ranges = beams.cast(grid, pose.x, pose.y, pose.theta)[0]
+    perturbed = true_ranges + rng.standard_normal(true_ranges.size) * noise.sigma_range
+    return DepthScan(perturbed.clip(0.0, beams.max_range), beams)
 
 
 def rollout(start: Pose, plan: ActionPlan) -> list[Pose]:

@@ -14,7 +14,7 @@ from deqmcl import cli, filters, harness, render
 from deqmcl.gridmap import load_grid
 from deqmcl.harness import ConfigError, load_config, run_experiment, run_trial
 from deqmcl.metrics import error_from_mean
-from deqmcl.worldsim import PlanError, Pose
+from deqmcl.worldsim import BeamConfig, NoiseParams, PlanError, Pose
 
 MINI_MAP = "30 12 1.0\n" + "#" * 30 + "\n" + ("#" + "." * 28 + "#\n") * 10 + "#" * 30 + "\n"
 
@@ -97,6 +97,21 @@ class TestLoadConfig:
         assert cfg.start.theta == 0.0
         assert cfg.beams.headings == (0.0,)
         assert cfg.init.sigma_theta == pytest.approx(math.radians(3.0))
+
+    def test_absent_noise_and_beams_keys_keep_the_dataclass_defaults(self, tmp_path):
+        path = write_mini_config(tmp_path)
+        text = path.read_text()
+        noise = "noise: {sigma_v: 0.1, sigma_omega_deg: 0.0, sigma_range: 0.5}\n"
+        beams = "beams: {headings_deg: [0.0], max_range: 40.0, ray_step: 0.5}\n"
+        path.write_text(text.replace(noise, "").replace(beams, ""))
+        cfg = load_config(path)
+        assert cfg.noise == NoiseParams() == filters.FilterConfig().motion_noise == cfg.filter_base.motion_noise
+        assert cfg.beams == BeamConfig()
+        # an absent key among given ones keeps its own default
+        path.write_text(text.replace("sigma_omega_deg: 0.0, ", "").replace("max_range: 40.0, ", ""))
+        cfg = load_config(path)
+        assert cfg.noise == NoiseParams(sigma_v=0.1, sigma_range=0.5)
+        assert cfg.beams == BeamConfig(headings=(0.0,), ray_step=0.5)
 
     def test_nan_beta_rejected(self, tmp_path):
         path = write_mini_config(tmp_path)
@@ -850,7 +865,8 @@ class TestCli:
         (("count: 13", "count: 30"), 1, ("run", "oracle")),  # the plan runs into the right end wall
         (("box: [2.0, 6.0, 1.0, 2.0, 0.0, 0.0]", "box: [0.1, 0.9, 0.1, 0.9, 0.0, 0.0]"), 2, ("run", "oracle")),
         (("compare_t: 9", "compare_t: 50"), 2, ("oracle",)),  # past the plan horizon
-    ], ids=["colliding_plan", "box_in_a_wall", "compare_t_past_horizon"])
+        (("cell: 0.5", "cell: 0.05"), 2, ("oracle",)),  # 480 x 60 cells, past the enumerable limit
+    ], ids=["colliding_plan", "box_in_a_wall", "compare_t_past_horizon", "lattice_too_large"])
     def test_config_that_fails_its_checks_leaves_no_directory(
         self, tmp_path, monkeypatch, capsys, edit, status, commands
     ):
@@ -871,6 +887,28 @@ class TestCli:
                 assert captured.out == "" and captured.err.startswith("deqmcl: ")
                 assert captured.err.count("\n") == 1
                 assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
+
+    @pytest.mark.parametrize("failure", ["impossible_evidence", "degenerate_weights"])
+    def test_failed_oracle_trial_is_one_line(self, tmp_path, monkeypatch, capsys, failure):
+        text = (harness.packaged_config_dir() / "tiny.cfg").read_text().replace("seeds: 20", "seeds: 2")
+        text = text.replace("map: tiny_map.txt", f"map: {harness.packaged_config_dir() / 'tiny_map.txt'}")
+        if failure == "impossible_evidence":
+            # a box far from the start and a sharp sensor: the first scan has
+            # zero probability at every lattice state the belief reaches
+            text = text.replace("box: [2.0, 6.0, 1.0, 2.0, 0.0, 0.0]", "box: [15, 20, 1, 2, 0, 0]")
+            text = text.replace("sensor_sigma: 2.0", "sensor_sigma: 0.01")
+            message = "evidence has zero probability at step 2"
+        else:
+            message = "all particle weights vanished"
+
+            def degenerate(log_weights):
+                raise filters.FilterDegeneracyError(message)
+
+            monkeypatch.setattr(filters, "_normalize_log_weights", degenerate)
+        cfg_path = tmp_path / "tiny.cfg"
+        cfg_path.write_text(text)
+        assert cli.main(["oracle", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr() == ("", f"deqmcl: {message}\n")
 
     def test_oracle_subcommand(self, tmp_path, capsys):
         cfg_path = write_mini_config(tmp_path, methods="deq_mcl", count=6, lag=2)

@@ -408,6 +408,51 @@ class TestValidationPlumbing:
         assert init.sum() == pytest.approx(1.0, abs=1e-12)
         assert init.argmax() == 4
 
+    @pytest.mark.parametrize("n_heading_bins", [1, 12])
+    def test_point_mass_initial_belief_is_the_state_that_holds_it(self, n_heading_bins):
+        # a zero-width box axis, or a zero sigma, puts the mass where the
+        # filter's sampler puts every particle: in the state that holds the point
+        grid = OccupancyGrid(6, 3, 1.0, np.zeros((3, 6), dtype=bool))
+        cfg = FilterConfig(n_particles=10, motion_noise=NoiseParams(0.0, 0.0, 0.5))
+        hmm = discretize(grid, cfg, [Action(1.0, 0.0)], cell=0.5, n_heading_bins=n_heading_bins)
+        x, y, theta = 3.5, 1.5, math.radians(100.0)  # x and y on cell edges
+        state, on_lattice = hmm.state_index(np.array(x), np.array(y), np.array(theta))
+        assert on_lattice
+        one_state = np.zeros(hmm.n_states)
+        one_state[state] = 1.0
+        np.testing.assert_array_equal(uniform_box_initial(hmm, (x, x, y, y, theta, theta)), one_state)
+        np.testing.assert_array_equal(gaussian_initial(hmm, Pose(x, y, theta), 0.0, 0.0), one_state)
+        # one point-mass axis: the other axes keep their spread
+        xs, ys, ths = hmm.centers.T
+        box = uniform_box_initial(hmm, (x, x, 0.0, 3.0, theta, theta))
+        np.testing.assert_array_equal(box > 0, (xs == 3.75) & (hmm.heading_bin(ths) == hmm.heading_bin(theta)))
+        gauss = gaussian_initial(hmm, Pose(x, y, theta), 0.0, 0.3)
+        np.testing.assert_array_equal(gauss > 0, (xs == 3.75) & (ys == 1.75))
+        assert gauss.sum() == pytest.approx(1.0, abs=1e-12)
+        gauss = gaussian_initial(hmm, Pose(x, y, theta), 1.0, 0.0)
+        np.testing.assert_array_equal(gauss > 0, hmm.heading_bin(ths) == hmm.heading_bin(theta))
+
+    def test_gaussian_initial_sharp_heading_keeps_its_mass(self):
+        # 0.005 degrees of spread around 0.5 degrees: every bin centre lies
+        # 100 sigma away or more, where the density underflows to 0
+        for n_heading_bins in (1, 12):
+            grid = strip_grid(9)
+            cfg = FilterConfig(n_particles=10, motion_noise=NoiseParams(0.0, 0.0, 0.5))
+            hmm = discretize(grid, cfg, [Action(1.0, 0.0)], cell=1.0, n_heading_bins=n_heading_bins)
+            mean = Pose(4.5, 0.5, math.radians(0.5))
+            sharp = gaussian_initial(hmm, mean, 1.0, math.radians(0.005))
+            np.testing.assert_array_equal(sharp, gaussian_initial(hmm, mean, 1.0, 0.0))
+
+    @pytest.mark.parametrize("init", [
+        harness.InitSpec(kind="uniform_box", sigma_xy=10.0, sigma_theta=0.2, box=(3.5, 3.5, 1.5, 1.5, 0.0, 0.0)),
+        harness.InitSpec(kind="gaussian", sigma_xy=0.0, sigma_theta=0.2, box=None),
+    ], ids=["box", "gaussian"])
+    def test_point_mass_initial_belief_validates(self, init):
+        # tiny.cfg starts at (3.5, 1.5): both put every particle at the start position
+        cfg = dataclasses.replace(tiny_cfg(seeds=1), init=init)
+        rows = harness.run_oracle_validation(cfg)
+        assert rows and all(math.isfinite(r["tv"]) for r in rows)
+
     def test_bin_belief_drops_off_lattice_mass(self):
         from deqmcl.oracle import bin_belief
 
@@ -540,3 +585,10 @@ class TestOracleValidation:
     def test_compare_t_past_horizon_rejected(self):
         with pytest.raises(harness.ConfigError, match="oracle.compare_t"):
             harness.run_oracle_validation(tiny_cfg(compare_t=50))
+
+    def test_lattice_too_large_rejected(self):
+        with pytest.raises(harness.ConfigError, match=(
+            r"^oracle.cell and oracle.heading_bins: 480 x 60 cells x 1 heading bins = 28800 states "
+            r"exceeds the enumerable limit of 10000$"
+        )):
+            harness.run_oracle_validation(tiny_cfg(cell=0.05))

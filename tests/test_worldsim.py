@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deqmcl.gridmap import Point2
+from deqmcl.gridmap import OccupancyGrid, Point2
 from deqmcl.worldsim import (
     Action,
     ActionPlan,
@@ -240,13 +240,12 @@ class TestNoiseParams:
             NoiseParams(**{name: value})
 
 
-class TestDepthScan:
+class TestBeamConfig:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("ranges", [1.0, math.nan]),
-            ("beam_headings", [0.0, math.nan]),
-            ("beam_headings", [0.0, math.inf]),
+            ("headings", (0.0, math.nan)),
+            ("headings", (0.0, math.inf)),
             ("max_range", math.nan),
             ("max_range", math.inf),
             ("max_range", 0.0),
@@ -256,10 +255,48 @@ class TestDepthScan:
         ],
     )
     def test_non_finite_or_non_positive_rejected(self, field, value):
-        fields = dict(ranges=[1.0, 2.0], beam_headings=[0.0, 0.5], max_range=10.0, ray_step=0.5)
-        DepthScan(**fields)
-        with pytest.raises(ValueError):
-            DepthScan(**{**fields, field: value})
+        fields = dict(headings=(0.0, 0.5), max_range=10.0, ray_step=0.5)
+        BeamConfig(**fields)
+        with pytest.raises(ValueError, match=field):
+            BeamConfig(**{**fields, field: value})
+
+    @pytest.mark.parametrize("n_beams", [1, 2, 3, 4, 5])
+    def test_sense_without_noise_is_cast(self, n_beams):
+        """`sense` reads `BeamConfig.cast` bit for bit, one pose at a time
+        against every pose in one call."""
+        cells = make_room(60, 60, wall=1).cells.copy()
+        cells[20:25, 10:40] = True
+        cells[35:50, 30:33] = True
+        grid = OccupancyGrid(60, 60, 1.0, cells)
+        rng = np.random.default_rng(n_beams)
+        beams = BeamConfig(headings=tuple(rng.uniform(-math.pi, math.pi, n_beams)), max_range=45.0, ray_step=0.3)
+        poses = []
+        while len(poses) < 40:
+            x, y = rng.uniform(0.0, 60.0, 2)
+            if not grid.occupied_xy(x, y):
+                poses.append(Pose(x, y, rng.uniform(-4.0, 4.0)))
+        cast = beams.cast(grid, *np.array([[p.x, p.y, p.theta] for p in poses]).T)
+        assert cast.shape == (len(poses), n_beams)
+        assert (cast < beams.max_range).any()
+        for pose, want in zip(poses, cast):
+            scan = sense(grid, pose, beams, NoiseParams(0, 0, 0), rng)
+            assert scan.beams is beams
+            assert_same_bits(scan.ranges, want)
+
+
+class TestDepthScan:
+    beams = BeamConfig(headings=(0.0, 0.5), max_range=10.0, ray_step=0.5)
+
+    @pytest.mark.parametrize("ranges", [[1.0, math.nan], [1.0, 10.5], [-0.5, 1.0]])
+    def test_range_outside_zero_to_max_range_rejected(self, ranges):
+        DepthScan([1.0, 10.0], self.beams)
+        with pytest.raises(ValueError, match="max_range"):
+            DepthScan(ranges, self.beams)
+
+    @pytest.mark.parametrize("ranges", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]])
+    def test_one_range_per_beam(self, ranges):
+        with pytest.raises(ValueError, match="one range per beam"):
+            DepthScan(ranges, self.beams)
 
 
 class TestBuildLoopPlan:
