@@ -58,10 +58,11 @@ InitSampler = Callable[[np.random.Generator, int], np.ndarray]
 
 
 class FilterDegeneracyError(RuntimeError):
-    """All particle weights vanished; the caller decides how to recover."""
+    """The filter has no usable particle: all weights vanished or, as an
+    `InitializationError`, no initial particle is free; the caller decides how to recover."""
 
 
-class InitializationError(RuntimeError):
+class InitializationError(FilterDegeneracyError):
     """The initial belief sampler produced no usable particles."""
 
 

@@ -742,7 +742,10 @@ def run_oracle_validation(cfg: ExperimentConfig, out_dir: str | None = None) -> 
     distance between the binned particle marginal and the exact posterior of
     the discretized model.  Returns the rows and, when ``out_dir`` is given,
     makes it once the config checks pass and the lattice is built, and
-    writes them to oracle_tv.csv.
+    writes them to oracle_tv.csv.  A trial that fails (no usable particle, or
+    evidence the lattice model cannot explain) stops the validation: its seed
+    and message go to failures.txt, no oracle_tv.csv is left, and the error is
+    raised.  A validation that succeeds removes an old failures.txt.
     """
     if cfg.oracle_params is None:
         raise ConfigError("config has no 'oracle' section")
@@ -770,26 +773,33 @@ def run_oracle_validation(cfg: ExperimentConfig, out_dir: str | None = None) -> 
 
     sampler = make_init_sampler(cfg)
     rows: list[dict] = []
-    for seed_idx in range(op.seeds):
-        rng_filter = derive_rng(cfg.master_seed, seed_idx, _STREAM_FILTER, "deq_mcl")
-        _, scans = trial_truth(cfg, seed_idx, grid, plan)
-        emissions = [oracle.emission_weights(hmm, scan) for scan in scans[2:]]
-        for t, state in _filter_states(fcfg, rng_filter, sampler, init, step, plan, grid, scans):
-            if t == 1:  # rows start at the first filter step
-                continue
-            exact = oracle.exact_queue_posterior(hmm, plan_actions, emissions[: t - 1], fcfg.lag)
-            if list(exact) != list(range(-state.n_past, state.n_future + 1)):
-                raise RuntimeError(
-                    f"queue window [-{state.n_past}, +{state.n_future}] at t = {t} "
-                    f"is not the exact posterior's offsets {list(exact)}"
-                )
-            # row j of the binned window is offset j - n_past; the comprehension
-            # frees the window's histograms before the next filter step
-            rows += [
-                {"seed": seed_idx, "t": t, "offset": offset, "tv": oracle.tv_distance(binned, dist)}
-                for binned, (offset, dist) in zip(oracle.bin_belief(hmm, state.poses, state.weights()), exact.items())
-            ]
+    try:
+        for seed_idx in range(op.seeds):
+            rng_filter = derive_rng(cfg.master_seed, seed_idx, _STREAM_FILTER, "deq_mcl")
+            _, scans = trial_truth(cfg, seed_idx, grid, plan)
+            emissions = [oracle.emission_weights(hmm, scan) for scan in scans[2:]]
+            for t, state in _filter_states(fcfg, rng_filter, sampler, init, step, plan, grid, scans):
+                if t == 1:  # rows start at the first filter step
+                    continue
+                exact = oracle.exact_queue_posterior(hmm, plan_actions, emissions[: t - 1], fcfg.lag)
+                if list(exact) != list(range(-state.n_past, state.n_future + 1)):
+                    raise RuntimeError(
+                        f"queue window [-{state.n_past}, +{state.n_future}] at t = {t} "
+                        f"is not the exact posterior's offsets {list(exact)}"
+                    )
+                # row j of the binned window is offset j - n_past; the comprehension
+                # frees the window's histograms before the next filter step
+                rows += [
+                    {"seed": seed_idx, "t": t, "offset": offset, "tv": oracle.tv_distance(binned, dist)}
+                    for binned, (offset, dist) in zip(oracle.bin_belief(hmm, state.poses, state.weights()), exact.items())
+                ]
+    except (FilterDegeneracyError, oracle.ImpossibleEvidenceError) as exc:
+        if out is not None:  # the failed trial recorded as `run_experiment` records one
+            (out / "oracle_tv.csv").unlink(missing_ok=True)
+            (out / "failures.txt").write_text(f"seed {seed_idx}: {exc}\n")
+        raise
     if out is not None:
+        (out / "failures.txt").unlink(missing_ok=True)
         with (out / "oracle_tv.csv").open("w") as fh:
             fh.write("seed,t,offset,tv\n")
             for r in rows:

@@ -14,9 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filters import BeliefSnapshot
-from .worldsim import Pose
-
-TWO_PI = 2.0 * math.pi
+from .worldsim import TWO_PI, Pose
 
 # `belief_entropy` sums each bin's weight with one `bincount` over the raveled
 # (ix, iy, ib) key while the key space holds at most this many bins, and

@@ -15,9 +15,8 @@ import numpy as np
 
 from .filters import FilterConfig, observation_log_likelihood_batch
 from .gridmap import OccupancyGrid
-from .worldsim import Action, DepthScan, Pose, normalize_angles
+from .worldsim import TWO_PI, Action, DepthScan, Pose, normalize_angles
 
-TWO_PI = 2.0 * math.pi
 MAX_LATTICE_STATES = 10_000  # largest lattice `discretize` builds
 QUAD_POINTS = 61  # midpoint nodes of the forward-noise quadrature
 

@@ -569,6 +569,23 @@ class TestFailedTrials:
         assert not (out / "failures.txt").exists()
         assert sorted(p.name for p in (out / "traces").iterdir()) == traces
 
+    def test_belief_drawn_wholly_off_the_map_fails_each_trial(self, tmp_path, capsys):
+        # a Gaussian belief a million units wide: no initial particle lands on the map
+        cfg_path = write_mini_config(tmp_path, methods="mcl, deq_mcl", count=4, lag=2, n_trials=2)
+        cfg_path.write_text(cfg_path.read_text().replace("sigma_xy: 2.0", "sigma_xy: 1.0e6"))
+        out = tmp_path / "out"
+        assert self.run_cli(cfg_path, out) == 1
+        assert "4 trial(s) failed" in capsys.readouterr().out
+        assert (out / "failures.txt").read_text().splitlines() == [
+            f"{method} trial {t}: every initial particle lies in occupied space"
+            for method in ("mcl", "deq_mcl") for t in range(2)
+        ]
+        summary = harness.read_summary_csv(out / "summary.csv")
+        assert [r["method"] for r in summary] == ["mcl", "deq_mcl"]
+        assert all(math.isnan(r[k]) for r in summary for k in harness.SUMMARY_KEYS)
+        assert (out / "metrics.csv").read_text().count("\n") == 1  # the header alone
+        assert list((out / "traces").iterdir()) == []
+
 
 class TestPaperPathDigest:
     # sha256 of summary.csv + metrics.csv from paper.cfg, deq_mcl and
@@ -909,6 +926,55 @@ class TestCli:
         cfg_path.write_text(text)
         assert cli.main(["oracle", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr() == ("", f"deqmcl: {message}\n")
+
+    @staticmethod
+    def tiny_config(tmp_path, *edits, name="tiny.cfg"):
+        """tiny.cfg with its map path made absolute and each (old, new) edit applied."""
+        text = (harness.packaged_config_dir() / "tiny.cfg").read_text()
+        for old, new in (("map: tiny_map.txt", f"map: {harness.packaged_config_dir() / 'tiny_map.txt'}"), *edits):
+            assert old in text
+            text = text.replace(old, new)
+        cfg_path = tmp_path / name
+        cfg_path.write_text(text)
+        return cfg_path
+
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_belief_drawn_wholly_off_the_map_is_a_failed_trial(self, tmp_path, capsys, command):
+        cfg_path = self.tiny_config(
+            tmp_path, ("count: 13", "count: 3"), ("n_particles: 10000", "n_particles: 50"),
+            ("compare_t: 9", "compare_t: 3"),
+            ("kind: uniform_box\n  box: [2.0, 6.0, 1.0, 2.0, 0.0, 0.0]",
+             "kind: gaussian\n  sigma_xy: 1.0e6\n  sigma_theta_deg: 1.0"),
+        )
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+        message = "every initial particle lies in occupied space"
+        captured = capsys.readouterr()
+        if command == "run":
+            assert captured.err == "" and "1 trial(s) failed" in captured.out
+            assert (out / "failures.txt").read_text() == f"deq_mcl trial 0: {message}\n"
+        else:
+            assert captured == ("", f"deqmcl: {message}\n")
+            assert sorted(p.name for p in out.iterdir()) == ["failures.txt"]
+            assert (out / "failures.txt").read_text() == f"seed 0: {message}\n"
+
+    def test_failed_oracle_trial_is_recorded_in_a_reused_directory(self, tmp_path):
+        clean = self.tiny_config(tmp_path, ("seeds: 20", "seeds: 2"), name="clean.cfg")
+        # a box far from the start and a sharp sensor: the first scan has zero
+        # probability at every lattice state the belief reaches
+        failing = self.tiny_config(
+            tmp_path, ("seeds: 20", "seeds: 2"), ("box: [2.0, 6.0, 1.0, 2.0, 0.0, 0.0]", "box: [15, 20, 1, 2, 0, 0]"),
+            ("sensor_sigma: 2.0", "sensor_sigma: 0.01"), name="failing.cfg",
+        )
+        out = tmp_path / "out"
+        assert cli.main(["oracle", "--config", str(failing), "--out", str(out)]) == 1
+        assert sorted(p.name for p in out.iterdir()) == ["failures.txt"]
+        assert (out / "failures.txt").read_text() == "seed 0: evidence has zero probability at step 2\n"
+        # a success removes the old record, and a later failure the old rows
+        assert cli.main(["oracle", "--config", str(clean), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["oracle_tv.csv"]
+        assert cli.main(["oracle", "--config", str(failing), "--out", str(out)]) == 1
+        assert sorted(p.name for p in out.iterdir()) == ["failures.txt"]
 
     def test_oracle_subcommand(self, tmp_path, capsys):
         cfg_path = write_mini_config(tmp_path, methods="deq_mcl", count=6, lag=2)
