@@ -126,31 +126,32 @@ class BeliefSnapshot:
 class QueueState:
     """Particle approximation of the joint belief over a sliding time window.
 
-    Stored slot-major, as `_roll_out` draws it: ``poses[n_past]`` is the
-    current-time marginal, the slots before it hold past states (oldest
-    first) and those after it predicted future states.  Plain MCL is the
-    degenerate case n_past == n_future == 0.  ``future_log_priors[k - 1]`` is
-    the log traversability prior of the predicted transition into
-    ``poses[n_past + k]``.
+    Stored coordinate-major, as `_roll_out` draws it: ``poses[c, k]`` is
+    coordinate ``c`` (x, y, heading) of slot ``k`` for every particle, one
+    contiguous n-vector.  Slot ``n_past`` is the current-time marginal, the
+    slots before it hold past states (oldest first) and those after it
+    predicted future states.  Plain MCL is the degenerate case n_past ==
+    n_future == 0.  ``future_log_priors[k - 1]`` is the log traversability
+    prior of the predicted transition into slot ``n_past + k``.
     """
 
     t: int
-    poses: np.ndarray              # (n_past + 1 + n_future, n, 3)
+    poses: np.ndarray              # (3, n_past + 1 + n_future, n)
     log_weights: np.ndarray        # (n,)
     future_log_priors: np.ndarray  # (n_future, n)
 
     def __post_init__(self):
-        if self.poses.ndim != 3 or self.poses.shape[2] != 3:
-            raise ValueError(f"poses must have shape (slots, n, 3), got {self.poses.shape}")
+        if self.poses.ndim != 3 or self.poses.shape[0] != 3:
+            raise ValueError(f"poses must be coordinate-major, shape (3, slots, n), got {self.poses.shape}")
         if self.log_weights.shape != (self.n_particles,):
             raise ValueError("log_weights must match the particle count")
         priors = self.future_log_priors.shape
-        if len(priors) != 2 or priors[1] != self.n_particles or priors[0] >= self.poses.shape[0]:
+        if len(priors) != 2 or priors[1] != self.n_particles or priors[0] >= self.poses.shape[1]:
             raise ValueError(f"future_log_priors shape {priors} does not fit poses {self.poses.shape}")
 
     @property
     def n_past(self) -> int:
-        return self.poses.shape[0] - 1 - self.n_future
+        return self.poses.shape[1] - 1 - self.n_future
 
     @property
     def n_future(self) -> int:
@@ -158,10 +159,14 @@ class QueueState:
 
     @property
     def n_particles(self) -> int:
-        return self.poses.shape[1]
+        return self.poses.shape[2]
+
+    def slot(self, offset: int) -> np.ndarray:
+        """The ``(n, 3)`` poses at ``offset`` steps from now, a view of the window."""
+        return self.poses[:, self.n_past + offset].T
 
     def current(self) -> np.ndarray:
-        return self.poses[self.n_past]
+        return self.slot(0)
 
     def weights(self) -> np.ndarray:
         w = np.exp(self.log_weights)
@@ -173,7 +178,7 @@ class QueueState:
             raise ValueError(
                 f"offset {offset} outside queue span [-{self.n_past}, +{self.n_future}]"
             )
-        return BeliefSnapshot(self.poses[self.n_past + offset].copy(), self.weights())
+        return BeliefSnapshot(self.slot(offset).copy(), self.weights())
 
 
 # ---------------------------------------------------------------------------
@@ -206,20 +211,27 @@ def observation_log_likelihood_batch(
 
     Each beam contributes the log density of (observed - predicted) range at
     std ``sensor_sigma``, with the prediction raycast from the pose by the
-    scan's own `BeamConfig`.  Poses inside obstacles get -inf.
+    scan's own `BeamConfig`.  Poses inside obstacles get -inf.  When every
+    pose is free, the poses are cast as given, with no gather of the free
+    ones and no scatter into the result; each pose's value is the same.
     """
     if not (sensor_sigma > 0 and math.isfinite(sensor_sigma)):  # written so that NaN fails
         raise ValueError(f"sensor_sigma must be > 0 and finite, got {sensor_sigma}")
-    n = poses.shape[0]
-    out = np.full(n, -np.inf)
-    free = ~grid.occupied_xy(poses[:, 0], poses[:, 1])
-    if not free.any():
-        return out
-    fp = poses[free]
-    resid = scan.ranges[None, :] - scan.beams.cast(grid, fp[:, 0], fp[:, 1], fp[:, 2])
-    out[free] = -0.5 * ((resid / sensor_sigma) ** 2).sum(axis=1) - scan.ranges.size * (
+    x, y, theta = poses.T
+    free = ~grid.occupied_xy(x, y)
+    all_free = free.all()
+    if not all_free:
+        if not free.any():
+            return np.full(free.size, -np.inf)
+        x, y, theta = x[free], y[free], theta[free]
+    resid = scan.ranges[None, :] - scan.beams.cast(grid, x, y, theta)
+    log_lik = -0.5 * ((resid / sensor_sigma) ** 2).sum(axis=1) - scan.ranges.size * (
         math.log(sensor_sigma) + LOG_SQRT_2PI
     )
+    if all_free:
+        return log_lik
+    out = np.full(free.size, -np.inf)
+    out[free] = log_lik
     return out
 
 
@@ -280,14 +292,14 @@ def _finish_step(
     """Normalize, then resample whole particles when ESS drops below threshold.
 
     Returns the log weights followed by the ``per_particle`` arrays, each
-    taken along its particle axis, axis 1, by the same resampled indices.
+    taken along its particle axis, the last, by the same resampled indices.
     """
     log_weights = _normalize_log_weights(log_weights)
     w = np.exp(log_weights)
     ess = 1.0 / (w * w).sum()
     if ess < cfg.resample_threshold * w.size:
         idx = systematic_resample(w, rng)
-        per_particle = tuple(a.take(idx, axis=1) for a in per_particle)
+        per_particle = tuple(a.take(idx, axis=-1) for a in per_particle)
         log_weights = np.full(w.size, -math.log(w.size))
     return (log_weights, *per_particle)
 
@@ -299,11 +311,12 @@ def init_belief(
     poses = np.array(init_sampler(rng, cfg.n_particles), dtype=float)
     if poses.shape != (cfg.n_particles, 3):
         raise InitializationError(f"init sampler returned shape {poses.shape}")
-    poses[:, 2] = normalize_angles(poses[:, 2])
-    if grid.occupied_xy(poses[:, 0], poses[:, 1]).all():
+    poses = np.ascontiguousarray(poses.T)  # coordinate-major, as `QueueState` stores it
+    poses[2] = normalize_angles(poses[2])
+    if grid.occupied_xy(poses[0], poses[1]).all():
         raise InitializationError("every initial particle lies in occupied space")
     logw = np.full(cfg.n_particles, -math.log(cfg.n_particles))
-    return QueueState(t=1, poses=poses[None], log_weights=logw, future_log_priors=np.empty((0, cfg.n_particles)))
+    return QueueState(t=1, poses=poses[:, None], log_weights=logw, future_log_priors=np.empty((0, cfg.n_particles)))
 
 
 # ---------------------------------------------------------------------------
@@ -320,35 +333,37 @@ def _roll_out(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample one pose per action from ``start`` on, weighting each transition.
 
-    Returns the sampled poses ``(len(actions), n, 3)``, the log traversability
-    prior of each transition ``(len(actions), n)``, and ``log_weights`` with
-    those priors added one transition at a time, first to last.  With beta 0
-    every prior is -0.0, so it is stored but neither computed nor added.
+    Returns the sampled poses ``(3, len(actions), n)``, coordinate-major as
+    `QueueState` stores them, the log traversability prior of each
+    transition ``(len(actions), n)``, and ``log_weights`` with those priors
+    added one transition at a time, first to last (one axis-0 reduction).
+    With beta 0 every prior is -0.0, so it is stored but neither computed
+    nor added.
 
     The poses are drawn one transition at a time, as `motion_sample_batch`
-    draws them, into a transition-major chain whose row 0 is ``start``.  The
-    prior is then evaluated once per group of ``max(1, _PRIOR_SEGMENTS // n)``
-    whole transitions, on the group's segments read as contiguous views of
-    the chain; segment counts do not depend on the batch they are counted
+    draws them, into a ``(3, len(actions) + 1, n)`` chain whose slot 0 is
+    ``start``; each draw reads and writes whole coordinate rows.  The prior
+    is then evaluated once per group of ``max(1, _PRIOR_SEGMENTS // n)``
+    whole transitions, on the group's segments read as views of the chain
+    with no copy; segment counts do not depend on the batch they are counted
     in, so the priors are those of one call per transition.
     """
     n, n_actions = start.shape[0], len(actions)
-    chain = np.empty((n_actions + 1, n, 3))
-    chain[0] = start
+    chain = np.empty((3, n_actions + 1, n))
+    chain[:, 0] = start.T
     for k, action in enumerate(actions):
-        chain[k + 1] = motion_sample_batch(chain[k], action, cfg.motion_noise, rng)
+        chain[:, k + 1] = motion_sample_batch(chain[:, k].T, action, cfg.motion_noise, rng).T
     log_priors = np.full((n_actions, n), -0.0)
     if cfg.beta:
         group = max(1, _PRIOR_SEGMENTS // n)
         for lo in range(0, n_actions, group):
             hi = min(lo + group, n_actions)
             log_priors[lo:hi] = traversability_log_prior_batch(
-                grid, chain[lo:hi].reshape(-1, 3), chain[lo + 1 : hi + 1].reshape(-1, 3),
+                grid, chain[:, lo:hi].reshape(3, -1).T, chain[:, lo + 1 : hi + 1].reshape(3, -1).T,
                 cfg.beta, cfg.collision_step,
             ).reshape(hi - lo, n)
-        for prior in log_priors:
-            log_weights = log_weights + prior
-    return chain[1:], log_priors, log_weights
+        log_weights = np.add.reduce(np.vstack([log_weights, log_priors]))
+    return chain[:, 1:], log_priors, log_weights
 
 
 def _window_step(
@@ -370,15 +385,14 @@ def _window_step(
     then normalize and resample whole windows when the ESS falls below
     threshold.
     """
-    logw = state.log_weights
-    for prior in state.future_log_priors:  # in the order `_roll_out` added them
-        logw = logw - prior
+    # in the order `_roll_out` added them, one axis-0 reduction
+    logw = np.subtract.reduce(np.vstack([state.log_weights, state.future_log_priors]))
     rolled, log_priors, logw = _roll_out(state.current(), actions, logw, cfg, grid, rng)
     n_past = min(state.n_past + 1, cfg.lag)
-    past = state.poses[state.n_past + 1 - n_past : state.n_past + 1]
-    obs = observation_log_likelihood_batch(scan, rolled[0], grid, cfg.sensor_sigma)
+    past = state.poses[:, state.n_past + 1 - n_past : state.n_past + 1]
+    obs = observation_log_likelihood_batch(scan, rolled[:, 0].T, grid, cfg.sensor_sigma)
     logw, poses, future_log_priors = _finish_step(
-        logw + obs, cfg, rng, np.concatenate([past, rolled]), log_priors[1:]
+        logw + obs, cfg, rng, np.concatenate([past, rolled], axis=1), log_priors[1:]
     )
     return QueueState(t=state.t + 1, poses=poses, log_weights=logw, future_log_priors=future_log_priors)
 
@@ -447,7 +461,7 @@ def deq_init(
         base.current(), actions, base.log_weights, cfg, grid, rng
     )
     return QueueState(
-        t=1, poses=np.concatenate([base.poses, future]), log_weights=_normalize_log_weights(logw),
+        t=1, poses=np.concatenate([base.poses, future], axis=1), log_weights=_normalize_log_weights(logw),
         future_log_priors=future_log_priors,
     )
 

@@ -182,7 +182,10 @@ class OccupancyGrid:
         ``t = 0`` (``a``) and ``t = 1`` (``a + (b - a)``, since ``1.0*(b - a)``
         is exact): every sample lies in the cell rectangle those two span.
         When that rectangle is free (`_rectangle_free`), the segment counts 0
-        without being sampled.
+        without being sampled.  A batch of two or more segments first tests
+        the one rectangle that spans the cells of all of its endpoints: when
+        that is free, every segment's is, and each counts 0.  A NaN cell
+        makes that rectangle not free, as it makes a segment's.
 
         A segment longer than the grid's diagonal has samples off the grid, all
         occupied.  Then only the run of samples that may lie on the grid is
@@ -199,8 +202,13 @@ class OccupancyGrid:
         # inf - inf, 0 * inf, far-off points, and a huge length over a small step
         with np.errstate(invalid="ignore", over="ignore"):
             dx, dy = bx - ax, by - ay
-            start, end = self._to_cells(np.array([ax, ay, ax + dx, ay + dy])).reshape((2, 2) + ax.shape)
-            sampled = ~self._rectangle_free(start, end)
+            # rows: the cells of a and of b along x, then along y
+            cells = self._to_cells(np.array([ax, ax + dx, ay, ay + dy]))
+            if ax.size > 1:
+                span = cells.reshape(2, -1)  # max and min carry NaN through
+                if self._rectangle_free(span.min(axis=1), span.max(axis=1)):
+                    return np.zeros(ax.shape, dtype=np.intp)
+            sampled = ~self._rectangle_free(cells[0::2], cells[1::2])
             counts = np.zeros(sampled.shape, dtype=np.intp)
             if not sampled.any():
                 return counts

@@ -17,6 +17,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -29,6 +30,7 @@ from . import filters, metrics, oracle
 from .filters import BeliefSnapshot, FilterConfig, FilterDegeneracyError, QueueState
 from .gridmap import OccupancyGrid, Point2, load_grid
 from .worldsim import (
+    MAX_PLAN_ACTIONS,
     Action,
     ActionPlan,
     BeamConfig,
@@ -182,6 +184,18 @@ def _integer(value, where: str, minimum: int) -> int:
     return value
 
 
+def _plan_count(value, where: str, _) -> int:
+    """``value`` as the step count of a constant plan, which with its start
+    step holds at most `MAX_PLAN_ACTIONS` actions, as a waypoint plan does."""
+    count = _integer(value, where, 1)
+    if count >= MAX_PLAN_ACTIONS:
+        raise ConfigError(
+            f"{where} must be at most {MAX_PLAN_ACTIONS - 1}: a plan holds at most "
+            f"{MAX_PLAN_ACTIONS} actions, its start step included; got {count}"
+        )
+    return count
+
+
 def _float(value, where: str, bound: str | None = None) -> float:
     """``value`` as a finite float, positive, non-negative or in [0, 1] as ``bound`` says."""
     try:
@@ -259,7 +273,7 @@ _CONFIG_KEYS = {
     "plan": {
         "kind": (_choice, "waypoints", ("waypoints", "constant")), "waypoints": (_waypoints, None, None),
         "v_step": (_float, 5.0, "positive"), "omega_step_deg": (_float, 22.5, "positive"),
-        "v": (_float, 1.0, None), "omega_deg": (_float, 0.0, None), "count": (_integer, None, 1),
+        "v": (_float, 1.0, None), "omega_deg": (_float, 0.0, None), "count": (_plan_count, None, None),
     },
     "noise": {
         "sigma_v": (_float, None, "non-negative"), "sigma_omega_deg": (_float, None, "non-negative"),
@@ -559,7 +573,7 @@ def run_trial(
     def emit(j: int, state: QueueState, tau: int) -> None:
         # the window's slots are read in place; every offset shares one weight vector
         weights = state.weights()
-        snap = BeliefSnapshot(state.poses[state.n_past + j - tau], weights)
+        snap = BeliefSnapshot(state.slot(j - tau), weights)
         mean = metrics.mean_state(snap)
         rec = {
             "method": method,
@@ -577,7 +591,7 @@ def run_trial(
             return
         if cfg.cloud_stride and tau % cfg.cloud_stride == 0:
             rec["clouds"] = {
-                str(off): np.column_stack([state.poses[state.n_past + off, :, :2], weights]).tolist()
+                str(off): np.column_stack([*state.poses[:2, state.n_past + off], weights]).tolist()
                 for off in sorted({-lag, 0, lag}) if -state.n_past <= off <= state.n_future
             }
             rec["cloud_t"] = tau
@@ -623,8 +637,10 @@ def run_experiment(
     and renamed when the trial ends, so a trace on disk is a whole trial.
     Filter-degenerate trials are recorded in failures.txt and skipped in the
     aggregates; the run continues, and a method whose trials all failed gets
-    a row of NaN.  In a reused output directory, an old failures.txt and the
-    old trace of a failed (method, trial) are removed.
+    a row of NaN.  In a reused output directory, an old failures.txt, the old
+    trace of a failed (method, trial), and every trace or ``.part`` named for
+    a (method, trial) this run does not write (`_remove_stale_traces`) are
+    removed.
     """
     if seed is not None:
         cfg = dataclasses.replace(cfg, master_seed=_integer(seed, "seed", 0))
@@ -634,6 +650,7 @@ def run_experiment(
     check_init(cfg, grid)
     out = make_output_dir(cfg, out_dir)
     traces_dir = make_output_dir(cfg, out_dir, "traces")
+    _remove_stale_traces(traces_dir, {f"{m}_trial{t:02d}.jsonl" for m in methods for t in range(cfg.n_trials)})
     truths = [trial_truth(cfg, trial, grid, plan) for trial in range(cfg.n_trials)]
 
     summary_rows: list[dict] = []
@@ -684,6 +701,17 @@ def run_experiment(
     else:
         (out / "failures.txt").unlink(missing_ok=True)
     return {"summary": summary_rows, "out_dir": out, "failures": failures}
+
+
+_TRACE_NAME = re.compile(rf"(?:{'|'.join(METHODS)})_trial\d{{2,}}\.jsonl(?:\.part)?")
+
+
+def _remove_stale_traces(traces_dir: Path, written: set[str]) -> None:
+    """Remove each file of ``traces_dir`` named as a trace or its ``.part``
+    (``<method>_trial<NN>.jsonl``) but not in ``written``; no other file."""
+    for path in traces_dir.iterdir():
+        if path.name not in written and _TRACE_NAME.fullmatch(path.name) and path.is_file():
+            path.unlink()
 
 
 def write_summary_csv(path: Path, rows: list[dict]) -> None:

@@ -249,15 +249,15 @@ def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
 def bin_belief(hmm: DiscreteHmm, poses: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Histogram each slot of a particle window onto the lattice.
 
-    ``poses`` is a slot-major ``(k, n, 3)`` window and ``weights`` its
-    ``(n,)`` particle weights; row ``j`` of the ``(k, n_states)`` result is
-    the histogram of slot ``j``.  Off-lattice mass is dropped.  One
-    ``bincount`` bins every slot: the slots are flattened one after the
-    other, so each bin sums its weights in particle order, as a histogram of
-    its slot alone would.
+    ``poses`` is a coordinate-major ``(3, k, n)`` window, as `QueueState`
+    stores it, and ``weights`` its ``(n,)`` particle weights; row ``j`` of the
+    ``(k, n_states)`` result is the histogram of slot ``j``.  Off-lattice
+    mass is dropped.  One ``bincount`` bins every slot: the slots are
+    flattened one after the other, so each bin sums its weights in particle
+    order, as a histogram of its slot alone would.
     """
-    k = poses.shape[0]
-    idx, on_lattice = hmm.state_index(*poses.transpose(2, 0, 1))  # (k, n): each slot's particles in order
+    k = poses.shape[1]
+    idx, on_lattice = hmm.state_index(*poses)  # (k, n): each slot's particles in order
     idx += np.arange(0, k * hmm.n_states, hmm.n_states)[:, None]
     idx[~on_lattice] = k * hmm.n_states  # one bin past every slot's, cut off below
     sums = np.bincount(idx.ravel(), weights=np.tile(weights, k), minlength=k * hmm.n_states + 1)

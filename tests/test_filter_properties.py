@@ -75,7 +75,7 @@ def near(start):
 
 def assert_stored_future_factors(state, grid, cfg):
     for k in range(1, state.n_future + 1):
-        prev, nxt = state.poses[state.n_past + k - 1], state.poses[state.n_past + k]
+        prev, nxt = state.poses[:, state.n_past + k - 1].T, state.poses[:, state.n_past + k].T
         recomputed = traversability_log_prior_batch(grid, prev, nxt, cfg.beta, cfg.collision_step)
         np.testing.assert_array_equal(state.future_log_priors[k - 1], recomputed)
 
@@ -96,7 +96,7 @@ class TestQueueFilterProperties:
                     return  # every particle left the free space; nothing more to check
             assert state.t == t
             assert (state.n_past, state.n_future) == (min(t - 1, lag), min(lag, horizon - t))
-            assert state.poses.shape == (min(t - 1, lag) + 1 + min(lag, horizon - t), cfg.n_particles, 3)
+            assert state.poses.shape == (3, min(t - 1, lag) + 1 + min(lag, horizon - t), cfg.n_particles)
             # a particle in an obstacle keeps log weight -inf, i.e. weight 0
             assert not np.isnan(state.log_weights).any()
             w = np.exp(state.log_weights)

@@ -111,6 +111,33 @@ class TestObservationLogLikelihood:
             single = observation_log_likelihood_batch(scan, poses[i : i + 1], room, 2.0)
             assert batch[i] == single[0]
 
+    @staticmethod
+    def gathered(scan, poses, grid, sigma):
+        """The likelihood with the free poses always gathered and scattered back."""
+        out = np.full(poses.shape[0], -np.inf)
+        free = ~grid.occupied_xy(poses[:, 0], poses[:, 1])
+        fp = poses[free]
+        resid = scan.ranges[None, :] - scan.beams.cast(grid, fp[:, 0], fp[:, 1], fp[:, 2])
+        out[free] = -0.5 * ((resid / sigma) ** 2).sum(axis=1) - scan.ranges.size * (math.log(sigma) + LOG_SQRT_2PI)
+        return out
+
+    @pytest.mark.parametrize("low", [1.0, 0.0], ids=["all_free", "mixed"])
+    def test_all_free_and_mixed_batches_equal_the_gathered_path(self, room, low):
+        # `room` is free on [1, 59) along both axes; from 0.0 some poses fall in its wall.
+        # Poses are passed as a window slot is, a view of coordinate-major rows,
+        # and as a C-ordered (n, 3) array
+        beams = BeamConfig(headings=(-0.4, 0.0, 0.4), max_range=40.0, ray_step=0.5)
+        scan = sense(room, Pose(30, 30, 0.2), beams, NoiseParams(0, 0, 1.0), np.random.default_rng(5))
+        rng = np.random.default_rng(7)
+        window = np.stack([rng.uniform(low, 58.99, (2, 300)), rng.uniform(low, 58.99, (2, 300)),
+                           rng.uniform(-3, 3, (2, 300))])  # (3, slots, n)
+        poses = window[:, 1].T
+        want = self.gathered(scan, np.ascontiguousarray(poses), room, 2.0)
+        assert np.isfinite(want).all() == (low == 1.0) and np.isfinite(want).any()
+        for given in (poses, np.ascontiguousarray(poses)):
+            got = observation_log_likelihood_batch(scan, given, room, 2.0)
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
 
 class TestTraversabilityLogPrior:
     @staticmethod
@@ -509,7 +536,7 @@ class TestDeqQueue:
         expected = start
         for k in range(1, 3):
             expected = apply_action(expected, plan.action(1 + k))
-            assert np.allclose(state.poses[k], pose_array(expected))
+            assert np.allclose(state.poses[:, k].T, pose_array(expected))
 
     def test_marginal_offsets_and_errors(self):
         grid, plan, scans, cfg = self._mini(lag=2)
@@ -519,7 +546,7 @@ class TestDeqQueue:
             state = deq_step(state, t, plan.action(t), scans[t], plan, cfg, grid, rng)
         for off in range(-state.n_past, state.n_future + 1):
             snap = state.marginal(off)
-            assert np.array_equal(snap.poses, state.poses[state.n_past + off]) and snap.poses.shape == (50, 3)
+            assert np.array_equal(snap.poses, state.poses[:, state.n_past + off].T) and snap.poses.shape == (50, 3)
         with pytest.raises(ValueError):
             state.marginal(state.n_future + 1)
         with pytest.raises(ValueError):
@@ -550,15 +577,22 @@ class TestDeqQueue:
             new_state = deq_step(state, t, plan.action(t), scans[t], plan, cfg, grid, rng)
             n = new_state.n_past
             # (n_particles, n, 3): one trajectory of past slots per particle
-            old = state.poses[state.n_past + 1 - n : state.n_past + 1].swapaxes(0, 1)
-            new = new_state.poses[:n].swapaxes(0, 1)
+            old = state.poses[:, state.n_past + 1 - n : state.n_past + 1].transpose(2, 1, 0)
+            new = new_state.poses[:, :n].transpose(2, 1, 0)
             assert len({row.tobytes() for row in new}) < cfg.n_particles  # some were copied
             for row in new:
                 assert (old == row).all(axis=(1, 2)).any()
             state = new_state
 
+    def test_state_rejects_a_particle_major_window(self):
+        # (slots, n, 3): 2 slots of 4 particles, stored the other way round
+        with pytest.raises(ValueError, match=r"coordinate-major, shape \(3, slots, n\), got \(2, 4, 3\)"):
+            QueueState(t=1, poses=np.zeros((2, 4, 3)), log_weights=np.zeros(4), future_log_priors=np.zeros((0, 4)))
+        with pytest.raises(ValueError, match="coordinate-major"):
+            QueueState(t=1, poses=np.zeros((3, 4)), log_weights=np.zeros(4), future_log_priors=np.zeros((0, 4)))
+
     def test_state_requires_one_factor_per_future_transition(self):
-        poses, logw = np.zeros((3, 4, 3)), np.zeros(4)  # 3 slots of 4 particles
+        poses, logw = np.zeros((3, 3, 4)), np.zeros(4)  # 3 slots of 4 particles
         with pytest.raises(TypeError, match="future_log_priors"):
             QueueState(t=1, poses=poses, log_weights=logw)
         # as many factors as the window has slots, a wrong particle count, no particle axis
@@ -598,7 +632,7 @@ class TestDeqQueue:
 def reference_roll_out(start, actions, log_weights, cfg, grid, rng):
     """`filters._roll_out` as one prior call per transition, in draw order."""
     n = start.shape[0]
-    poses = np.empty((len(actions), n, 3))
+    poses = np.empty((3, len(actions), n))
     log_priors = np.full((len(actions), n), -0.0)
     prev = start
     for k, action in enumerate(actions):
@@ -608,7 +642,7 @@ def reference_roll_out(start, actions, log_weights, cfg, grid, rng):
                 grid, prev, nxt, cfg.beta, cfg.collision_step
             )
             log_weights = log_weights + log_priors[k]
-        poses[k] = nxt
+        poses[:, k] = nxt.T
         prev = nxt
     return poses, log_priors, log_weights
 
@@ -652,7 +686,7 @@ class TestRollOut:
         monkeypatch.setattr(filters, "traversability_log_prior_batch", counted)
         got = filters._roll_out(start, actions, log_weights, cfg, grid, rng)
 
-        assert got[0].shape == (k, n, 3) and got[1].shape == (k, n)
+        assert got[0].shape == (3, k, n) and got[1].shape == (k, n)
         for a, b in zip(got, reference):
             np.testing.assert_array_equal(self._bits(a), self._bits(b))
         assert rng.standard_normal() == rng_ref.standard_normal()

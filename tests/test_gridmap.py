@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -179,6 +180,85 @@ class TestSegmentCollisionCount:
         grid = OccupancyGrid(8, 4, 1.0, cells)
         # midpoint (3.25, 2.5) falls inside the obstacle; endpoints are free
         assert segment_count(grid, Point2(2.5, 2.5), Point2(4.0, 2.5), 1.0) == 1
+
+
+class TestWholeBatchRectangle:
+    """A batch of two or more segments first tests the one cell rectangle
+    that spans all of its endpoints; when that is free, every count is 0."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """The shape of the corners of each `_rectangle_free` call, and of each `occupied_xy` lookup."""
+        calls = {"rectangles": [], "lookups": []}
+        rectangle_free, occupied_xy = OccupancyGrid._rectangle_free, OccupancyGrid.occupied_xy
+
+        def rectangles(grid, a, b):
+            calls["rectangles"].append(a.shape)
+            return rectangle_free(grid, a, b)
+
+        def lookups(grid, x, y):
+            calls["lookups"].append(np.shape(x))
+            return occupied_xy(grid, x, y)
+
+        monkeypatch.setattr(OccupancyGrid, "_rectangle_free", rectangles)
+        monkeypatch.setattr(OccupancyGrid, "occupied_xy", lookups)
+        return calls
+
+    @staticmethod
+    def free_batch(m=6):
+        # inside the room's free interior [1, 59) x [1, 59)
+        rng = np.random.default_rng(9)
+        return rng.uniform(1.0, 58.99, (4, m))
+
+    @staticmethod
+    def one_at_a_time(grid, ends, step):
+        return np.concatenate([grid.segment_collision_counts(*ends[:, i : i + 1], step) for i in range(ends.shape[1])])
+
+    def test_free_batch_is_settled_by_one_rectangle(self, room, monkeypatch):
+        calls = self.spy(monkeypatch)
+        counts = room.segment_collision_counts(*self.free_batch(), 0.5)
+        assert counts.dtype == np.intp and counts.tolist() == [0] * 6
+        assert calls == {"rectangles": [(2,)], "lookups": []}
+
+    def test_empty_batch(self, room, monkeypatch):
+        calls = self.spy(monkeypatch)
+        empty = np.empty(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            counts = room.segment_collision_counts(empty, empty, empty, empty, 1.0)
+        assert counts.shape == (0,) and counts.dtype == np.intp
+        assert calls["rectangles"] == [(2, 0)]  # the per-segment test alone
+
+    @pytest.mark.parametrize("end, want", [((30.0, 30.0), 0), ((30.0, -0.5), 2)])
+    def test_one_segment_skips_the_batch_rectangle(self, room, monkeypatch, end, want):
+        calls = self.spy(monkeypatch)
+        counts = room.segment_collision_counts(np.array([30.0]), np.array([2.0]), np.array([end[0]]),
+                                               np.array([end[1]]), 1.0)
+        assert counts.tolist() == [want]
+        assert calls["rectangles"] == [(2, 1)]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("row", range(4))
+    def test_non_finite_endpoint_in_a_free_batch(self, room, monkeypatch, bad, row):
+        ends = self.free_batch()
+        ends[row, 3] = bad
+        calls = self.spy(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            counts = room.segment_collision_counts(*ends, 0.5)
+        assert counts.tolist() == [0, 0, 0, 2, 0, 0]
+        assert calls["rectangles"] == [(2,), (2, 6)]  # the batch's is not free
+
+    def test_one_segment_into_a_wall_among_free_ones(self, room, monkeypatch):
+        ends = self.free_batch()
+        ends[2:, 4] = (59.5, 20.0)  # the room's right wall, x in [59, 60)
+        singly = self.one_at_a_time(room, ends, 0.5)
+        calls = self.spy(monkeypatch)
+        counts = room.segment_collision_counts(*ends, 0.5)
+        assert counts[4] > 0 and (np.delete(counts, 4) == 0).all()
+        np.testing.assert_array_equal(counts, singly)
+        assert calls["rectangles"][:2] == [(2,), (2, 6)]
+        assert len(calls["lookups"]) == 1  # one segment sampled
 
 
 class TestRaycast:

@@ -199,6 +199,23 @@ def free_origins(grid: OccupancyGrid, rng: np.random.Generator, n: int):
     return x, y
 
 
+def free_rectangle(grid: OccupancyGrid, rng: np.random.Generator):
+    """The cells (ix0, ix1, iy0, iy1), both ends included, of a free rectangle
+    grown from a random free cell, first along x and then along y; None when
+    the grid has no free cell."""
+    free_iy, free_ix = np.nonzero(~grid.cells)
+    if free_ix.size == 0:
+        return None
+    pick = rng.integers(free_ix.size)
+    ix0 = ix1 = free_ix[pick]
+    iy0 = iy1 = free_iy[pick]
+    while ix1 + 1 < grid.width and not grid.cells[iy0, ix1 + 1]:
+        ix1 += 1
+    while iy1 + 1 < grid.height and not grid.cells[iy1 + 1, ix0 : ix1 + 1].any():
+        iy1 += 1
+    return ix0, ix1, iy0, iy1
+
+
 class TestRaycastMatchesReference:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -770,19 +787,29 @@ class TestSegmentCountsMatchReference:
         sizes=st.lists(st.integers(0, 12), min_size=1, max_size=5),
         special_share=st.sampled_from([0.0, 0.2]),
         zero_share=st.sampled_from([0.0, 0.3]),
+        in_free_rectangle=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_batch_independent(self, grid, step, sizes, special_share, zero_share, seed):
+    def test_batch_independent(self, grid, step, sizes, special_share, zero_share, in_free_rectangle, seed):
         # a segment's count does not depend on the batch it is counted in:
         # one segment's samples must not reach its neighbours' counts;
-        # `filters._roll_out` groups whole transitions into one call on this
+        # `filters._roll_out` groups whole transitions into one call on this.
+        # Batches drawn inside one free rectangle are settled by the one test
+        # of the rectangle that spans the whole batch, unless a special value
+        # falls in them.
         rng = np.random.default_rng(seed)
         m = sum(sizes)
-        reach = rng.choice([1.0, max(grid.world_width, grid.world_height)], m)
-        ax = rng.uniform(-2.0, grid.world_width + 2.0, m)
-        ay = rng.uniform(-2.0, grid.world_height + 2.0, m)
-        bx = ax + rng.uniform(-1.0, 1.0, m) * reach
-        by = ay + rng.uniform(-1.0, 1.0, m) * reach
+        rectangle = free_rectangle(grid, rng) if in_free_rectangle else None
+        if rectangle is not None:
+            ix0, ix1, iy0, iy1 = rectangle
+            ax, bx = (ix0 + rng.random((2, m)) * (ix1 + 1 - ix0)) * grid.resolution
+            ay, by = (iy0 + rng.random((2, m)) * (iy1 + 1 - iy0)) * grid.resolution
+        else:
+            reach = rng.choice([1.0, max(grid.world_width, grid.world_height)], m)
+            ax = rng.uniform(-2.0, grid.world_width + 2.0, m)
+            ay = rng.uniform(-2.0, grid.world_height + 2.0, m)
+            bx = ax + rng.uniform(-1.0, 1.0, m) * reach
+            by = ay + rng.uniform(-1.0, 1.0, m) * reach
         zero = rng.random(m) < zero_share
         bx[zero], by[zero] = ax[zero], ay[zero]
         ends = np.stack([ax, ay, bx, by])

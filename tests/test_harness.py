@@ -569,6 +569,22 @@ class TestFailedTrials:
         assert not (out / "failures.txt").exists()
         assert sorted(p.name for p in (out / "traces").iterdir()) == traces
 
+    def test_reused_output_directory_drops_traces_this_run_does_not_write(self, tmp_path):
+        # two methods at two trials, then one method at one trial into the same directory
+        cfg_path = write_mini_config(tmp_path, methods="mcl, mcl_smoother", count=4, lag=2, n_trials=2)
+        out = tmp_path / "out"
+        assert self.run_cli(cfg_path, out) == 0
+        traces = out / "traces"
+        assert len(list(traces.iterdir())) == 4
+        # a stale `.part`, and files that only look like traces, which stay
+        others = ["notes.txt", "mcl_trial00.jsonl.bak", "mcl_trial1.jsonl", "other_trial00.jsonl"]
+        for name in ["deq_mcl_trial03.jsonl.part", *others]:
+            (traces / name).write_text("kept\n")
+        cfg_path.write_text(cfg_path.read_text().replace("n_trials: 2", "n_trials: 1"))
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out), "--methods", "mcl"]) == 0
+        assert sorted(p.name for p in traces.iterdir()) == sorted(["mcl_trial00.jsonl", *others])
+        assert [r["method"] for r in harness.read_summary_csv(out / "summary.csv")] == ["mcl"]
+
     def test_belief_drawn_wholly_off_the_map_fails_each_trial(self, tmp_path, capsys):
         # a Gaussian belief a million units wide: no initial particle lands on the map
         cfg_path = write_mini_config(tmp_path, methods="mcl, deq_mcl", count=4, lag=2, n_trials=2)
@@ -857,6 +873,27 @@ class TestCli:
         for command in ("run", "oracle"):
             assert cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path / command)]) == 1
             assert capsys.readouterr().err == f"deqmcl: {message}\n"
+
+    def test_constant_plan_longer_than_a_plan_holds_is_one_line(self, tmp_path, monkeypatch, capsys):
+        # count steps and the start step: MAX_PLAN_ACTIONS + 1 actions, one more than
+        # a waypoint plan may hold; rejected at load, before any plan is built
+        from deqmcl.worldsim import MAX_PLAN_ACTIONS
+
+        cfg_path = write_mini_config(tmp_path, count=MAX_PLAN_ACTIONS)
+        monkeypatch.setattr(harness, "ActionPlan", lambda *a: pytest.fail("plan built"))
+        monkeypatch.setattr(harness, "check_rollout", lambda *a: pytest.fail("rollout checked"))
+        message = (f"plan: count must be at most {MAX_PLAN_ACTIONS - 1}: a plan holds at most "
+                   f"{MAX_PLAN_ACTIONS} actions, its start step included; got {MAX_PLAN_ACTIONS}")
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            load_config(cfg_path)
+        for command in ("run", "oracle", "map-check"):
+            out = tmp_path / command
+            outputs = [] if command == "map-check" else ["--out", str(out)]
+            assert cli.main([command, "--config", str(cfg_path), *outputs]) == 2
+            assert capsys.readouterr().err == f"deqmcl: {message}\n"
+            assert not out.exists()
+        cfg_path.write_text(cfg_path.read_text().replace(f"count: {MAX_PLAN_ACTIONS}", f"count: {MAX_PLAN_ACTIONS - 1}"))
+        assert load_config(cfg_path).plan.count == MAX_PLAN_ACTIONS - 1
 
     def test_initial_box_inside_a_wall_is_one_line(self, tmp_path, monkeypatch, capsys):
         # tiny.cfg's box moved into the corridor's bottom-left wall cell

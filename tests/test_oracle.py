@@ -457,8 +457,8 @@ class TestValidationPlumbing:
         from deqmcl.oracle import bin_belief
 
         _, _, hmm = strip_hmm()
-        # two slots of two particles: off the lattice in one slot each
-        poses = np.array([[[1.5, 0.5, 0.0], [100.0, 0.5, 0.0]], [[4.5, 0.5, 0.0], [2.5, -0.5, 0.0]]])
+        # two slots of two particles: off the lattice in one slot each; (3, slots, n)
+        poses = np.array([[[1.5, 0.5, 0.0], [100.0, 0.5, 0.0]], [[4.5, 0.5, 0.0], [2.5, -0.5, 0.0]]]).transpose(2, 0, 1)
         binned = bin_belief(hmm, poses, np.array([0.25, 0.75]))
         assert binned.shape == (2, hmm.n_states)
         np.testing.assert_array_equal(binned.sum(axis=1), [0.25, 0.25])
@@ -502,13 +502,13 @@ class TestBinBelief:
             rng.uniform(-0.5, 3.5, (n, n_slots)).T,
             rng.uniform(-0.5, 2.5, (n, n_slots)).T,
             np.array([rng.permutation(theta) for _ in range(n_slots)]),
-        ], axis=2)  # (n_slots, n, 3)
+        ])  # (3, n_slots, n)
         weights = rng.random(n)
         weights /= weights.sum()
         got = bin_belief(hmm, poses, weights)
         assert got.shape == (n_slots, hmm.n_states)
         for j in range(n_slots):
-            snap = BeliefSnapshot(poses[j].copy(), weights)
+            snap = BeliefSnapshot(poses[:, j].T.copy(), weights)
             np.testing.assert_array_equal(got[j], reference_bin_belief(hmm, snap))
             assert got[j].sum() > 0
 
