@@ -54,7 +54,7 @@ LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # count's temporaries outgrow the cache.
 _PRIOR_SEGMENTS = 1 << 13
 
-InitSampler = Callable[[np.random.Generator, int], np.ndarray]
+InitSampler = Callable[[np.random.Generator, int], np.ndarray]  # (rng, n) -> (3, n) coordinate rows
 
 
 class FilterDegeneracyError(RuntimeError):
@@ -98,28 +98,28 @@ class FilterConfig:
 
 @dataclass(frozen=True)
 class BeliefSnapshot:
-    """Weighted particle cloud of one pose of the window."""
+    """Weighted particle cloud of one pose of the window, in coordinate rows as a slot."""
 
-    poses: np.ndarray    # (n, 3)
+    poses: np.ndarray    # (3, n)
     weights: np.ndarray  # (n,), sums to 1
 
     def __post_init__(self):
-        if self.poses.ndim != 2 or self.poses.shape[1] != 3:
-            raise ValueError(f"poses must have shape (n, 3), got {self.poses.shape}")
-        if self.weights.shape != (self.poses.shape[0],):
+        if self.poses.ndim != 2 or self.poses.shape[0] != 3:
+            raise ValueError(f"poses must be coordinate rows, shape (3, n), got {self.poses.shape}")
+        if self.weights.shape != (self.poses.shape[1],):
             raise ValueError("weights must match the particle count")
 
     @cached_property
     def features(self) -> np.ndarray:
         """The (n, 4) matrix of (x, y, cos theta, sin theta), one row per
         particle, built once per snapshot: `metrics.mean_state` and
-        `metrics.belief_variance` both read it.  `cached_property` stores it
-        in the instance ``__dict__`` directly, which a frozen dataclass
-        without ``__slots__`` allows."""
-        if self.poses.shape[0] == 0:
+        `metrics.belief_variance` read it through BLAS, whose bits depend on
+        this layout.  `cached_property` stores it in the instance ``__dict__``
+        directly, which a frozen dataclass without ``__slots__`` allows."""
+        if self.poses.shape[1] == 0:
             raise ValueError("belief holds no particles")
-        theta = self.poses[:, 2]
-        return np.column_stack([self.poses[:, 0], self.poses[:, 1], np.cos(theta), np.sin(theta)])
+        x, y, theta = self.poses
+        return np.column_stack([x, y, np.cos(theta), np.sin(theta)])
 
 
 @dataclass
@@ -162,8 +162,8 @@ class QueueState:
         return self.poses.shape[2]
 
     def slot(self, offset: int) -> np.ndarray:
-        """The ``(n, 3)`` poses at ``offset`` steps from now, a view of the window."""
-        return self.poses[:, self.n_past + offset].T
+        """The ``(3, n)`` poses at ``offset`` steps from now, a view of the window's rows."""
+        return self.poses[:, self.n_past + offset]
 
     def current(self) -> np.ndarray:
         return self.slot(0)
@@ -173,7 +173,7 @@ class QueueState:
         return w / w.sum()
 
     def marginal(self, offset: int) -> BeliefSnapshot:
-        """Weighted particle cloud of the pose at ``offset`` steps from now."""
+        """Weighted particle cloud of the pose at ``offset`` steps from now, its slot copied."""
         if not -self.n_past <= offset <= self.n_future:
             raise ValueError(
                 f"offset {offset} outside queue span [-{self.n_past}, +{self.n_future}]"
@@ -188,26 +188,26 @@ class QueueState:
 def motion_sample_batch(
     poses: np.ndarray, action: Action, noise: NoiseParams, rng: np.random.Generator
 ) -> np.ndarray:
-    """Propagate an (n, 3) pose array through the noisy unicycle kernel.
+    """Propagate ``(3, n)`` coordinate rows of poses through the noisy unicycle kernel.
 
     Draw order: n standard normals for the v perturbations, then n for omega.
     """
-    n = poses.shape[0]
+    n = poses.shape[1]
     dv = rng.standard_normal(n) * noise.sigma_v
     domega = rng.standard_normal(n) * noise.sigma_omega
-    theta = normalize_angles(poses[:, 2] + action.omega + domega)
+    theta = normalize_angles(poses[2] + action.omega + domega)
     out = np.empty_like(poses)
     v = action.v + dv
-    out[:, 0] = poses[:, 0] + v * np.cos(theta)
-    out[:, 1] = poses[:, 1] + v * np.sin(theta)
-    out[:, 2] = theta
+    out[0] = poses[0] + v * np.cos(theta)
+    out[1] = poses[1] + v * np.sin(theta)
+    out[2] = theta
     return out
 
 
 def observation_log_likelihood_batch(
     scan: DepthScan, poses: np.ndarray, grid: OccupancyGrid, sensor_sigma: float
 ) -> np.ndarray:
-    """Per-pose log p(scan | pose, map): independent Gaussian beams.
+    """Per-pose log p(scan | pose, map) of ``(3, n)`` coordinate rows: independent Gaussian beams.
 
     Each beam contributes the log density of (observed - predicted) range at
     std ``sensor_sigma``, with the prediction raycast from the pose by the
@@ -217,7 +217,7 @@ def observation_log_likelihood_batch(
     """
     if not (sensor_sigma > 0 and math.isfinite(sensor_sigma)):  # written so that NaN fails
         raise ValueError(f"sensor_sigma must be > 0 and finite, got {sensor_sigma}")
-    x, y, theta = poses.T
+    x, y, theta = poses
     free = ~grid.occupied_xy(x, y)
     all_free = free.all()
     if not all_free:
@@ -238,10 +238,11 @@ def observation_log_likelihood_batch(
 def traversability_log_prior_batch(
     grid: OccupancyGrid, prev: np.ndarray, nxt: np.ndarray, beta: float, step: float
 ) -> np.ndarray:
-    """log exp(-beta * C) for each motion segment, C = collision sample count."""
+    """log exp(-beta * C) for each motion segment between the ``(3, n)`` coordinate rows
+    ``prev`` and ``nxt``, C = collision sample count."""
     if not (beta >= 0 and math.isfinite(beta)):  # written so that NaN fails
         raise ValueError(f"beta must be >= 0 and finite, got {beta}")
-    counts = grid.segment_collision_counts(prev[:, 0], prev[:, 1], nxt[:, 0], nxt[:, 1], step)
+    counts = grid.segment_collision_counts(prev[0], prev[1], nxt[0], nxt[1], step)
     return -(beta * counts)
 
 
@@ -307,11 +308,10 @@ def _finish_step(
 def init_belief(
     cfg: FilterConfig, init_sampler: InitSampler, grid: OccupancyGrid, rng: np.random.Generator
 ) -> QueueState:
-    """Uniform-weight belief at time 1, drawn from the initial-belief sampler."""
+    """Uniform-weight belief at time 1, drawn as ``(3, n)`` coordinate rows by the initial-belief sampler."""
     poses = np.array(init_sampler(rng, cfg.n_particles), dtype=float)
-    if poses.shape != (cfg.n_particles, 3):
-        raise InitializationError(f"init sampler returned shape {poses.shape}")
-    poses = np.ascontiguousarray(poses.T)  # coordinate-major, as `QueueState` stores it
+    if poses.shape != (3, cfg.n_particles):
+        raise InitializationError(f"init sampler returned {poses.shape}, not coordinate rows (3, {cfg.n_particles})")
     poses[2] = normalize_angles(poses[2])
     if grid.occupied_xy(poses[0], poses[1]).all():
         raise InitializationError("every initial particle lies in occupied space")
@@ -348,18 +348,18 @@ def _roll_out(
     with no copy; segment counts do not depend on the batch they are counted
     in, so the priors are those of one call per transition.
     """
-    n, n_actions = start.shape[0], len(actions)
+    n, n_actions = start.shape[1], len(actions)
     chain = np.empty((3, n_actions + 1, n))
-    chain[:, 0] = start.T
+    chain[:, 0] = start
     for k, action in enumerate(actions):
-        chain[:, k + 1] = motion_sample_batch(chain[:, k].T, action, cfg.motion_noise, rng).T
+        chain[:, k + 1] = motion_sample_batch(chain[:, k], action, cfg.motion_noise, rng)
     log_priors = np.full((n_actions, n), -0.0)
     if cfg.beta:
         group = max(1, _PRIOR_SEGMENTS // n)
         for lo in range(0, n_actions, group):
             hi = min(lo + group, n_actions)
             log_priors[lo:hi] = traversability_log_prior_batch(
-                grid, chain[:, lo:hi].reshape(3, -1).T, chain[:, lo + 1 : hi + 1].reshape(3, -1).T,
+                grid, chain[:, lo:hi].reshape(3, -1), chain[:, lo + 1 : hi + 1].reshape(3, -1),
                 cfg.beta, cfg.collision_step,
             ).reshape(hi - lo, n)
         log_weights = np.add.reduce(np.vstack([log_weights, log_priors]))
@@ -390,7 +390,7 @@ def _window_step(
     rolled, log_priors, logw = _roll_out(state.current(), actions, logw, cfg, grid, rng)
     n_past = min(state.n_past + 1, cfg.lag)
     past = state.poses[:, state.n_past + 1 - n_past : state.n_past + 1]
-    obs = observation_log_likelihood_batch(scan, rolled[:, 0].T, grid, cfg.sensor_sigma)
+    obs = observation_log_likelihood_batch(scan, rolled[:, 0], grid, cfg.sensor_sigma)
     logw, poses, future_log_priors = _finish_step(
         logw + obs, cfg, rng, np.concatenate([past, rolled], axis=1), log_priors[1:]
     )

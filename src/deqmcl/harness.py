@@ -443,7 +443,7 @@ def check_init(cfg: ExperimentConfig, grid: OccupancyGrid) -> None:
 
 
 def make_init_sampler(cfg: ExperimentConfig):
-    """Initial-belief sampler; draws three blocks (x, y, theta) in that order."""
+    """Initial-belief sampler of ``(3, n)`` coordinate rows; draws three blocks (x, y, theta) in that order."""
     spec = cfg.init
     start = cfg.start
 
@@ -453,7 +453,7 @@ def make_init_sampler(cfg: ExperimentConfig):
             x = start.x + rng.standard_normal(n) * spec.sigma_xy
             y = start.y + rng.standard_normal(n) * spec.sigma_xy
             theta = start.theta + rng.standard_normal(n) * spec.sigma_theta
-            return np.column_stack([x, y, theta])
+            return np.stack([x, y, theta])
 
     else:  # uniform_box
         xmin, xmax, ymin, ymax, thmin, thmax = spec.box
@@ -462,7 +462,7 @@ def make_init_sampler(cfg: ExperimentConfig):
             x = rng.uniform(xmin, xmax, n)
             y = rng.uniform(ymin, ymax, n)
             theta = rng.uniform(thmin, thmax, n) if thmax > thmin else np.full(n, thmin)
-            return np.column_stack([x, y, theta])
+            return np.stack([x, y, theta])
 
     return sampler
 
@@ -591,7 +591,7 @@ def run_trial(
             return
         if cfg.cloud_stride and tau % cfg.cloud_stride == 0:
             rec["clouds"] = {
-                str(off): np.column_stack([*state.poses[:2, state.n_past + off], weights]).tolist()
+                str(off): np.column_stack([*state.slot(off)[:2], weights]).tolist()
                 for off in sorted({-lag, 0, lag}) if -state.n_past <= off <= state.n_future
             }
             rec["cloud_t"] = tau
@@ -772,8 +772,9 @@ def run_oracle_validation(cfg: ExperimentConfig, out_dir: str | None = None) -> 
     makes it once the config checks pass and the lattice is built, and
     writes them to oracle_tv.csv.  A trial that fails (no usable particle, or
     evidence the lattice model cannot explain) stops the validation: its seed
-    and message go to failures.txt, no oracle_tv.csv is left, and the error is
-    raised.  A validation that succeeds removes an old failures.txt.
+    and message go to oracle_failures.txt, no oracle_tv.csv is left, and the
+    error is raised.  A validation that succeeds removes an old
+    oracle_failures.txt; `run_experiment`'s failures.txt is left alone.
     """
     if cfg.oracle_params is None:
         raise ConfigError("config has no 'oracle' section")
@@ -824,10 +825,10 @@ def run_oracle_validation(cfg: ExperimentConfig, out_dir: str | None = None) -> 
     except (FilterDegeneracyError, oracle.ImpossibleEvidenceError) as exc:
         if out is not None:  # the failed trial recorded as `run_experiment` records one
             (out / "oracle_tv.csv").unlink(missing_ok=True)
-            (out / "failures.txt").write_text(f"seed {seed_idx}: {exc}\n")
+            (out / "oracle_failures.txt").write_text(f"seed {seed_idx}: {exc}\n")
         raise
     if out is not None:
-        (out / "failures.txt").unlink(missing_ok=True)
+        (out / "oracle_failures.txt").unlink(missing_ok=True)
         with (out / "oracle_tv.csv").open("w") as fh:
             fh.write("seed,t,offset,tv\n")
             for r in rows:

@@ -65,14 +65,13 @@ def belief_entropy(belief: BeliefSnapshot, cell: float, n_heading_bins: int) -> 
     if (isinstance(n_heading_bins, bool) or not isinstance(n_heading_bins, (int, np.integer))
             or not n_heading_bins >= 1):
         raise ValueError(f"n_heading_bins must be an integer >= 1, got {n_heading_bins!r}")
-    if belief.poses.shape[0] == 0:
+    x, y, theta = belief.poses
+    if theta.size == 0:
         raise ValueError("belief holds no particles")
-    ix = np.floor(belief.poses[:, 0] / cell).astype(np.int64)
-    iy = np.floor(belief.poses[:, 1] / cell).astype(np.int64)
+    ix = np.floor(x / cell).astype(np.int64)
+    iy = np.floor(y / cell).astype(np.int64)
     width = TWO_PI / n_heading_bins
-    ib = np.minimum(
-        ((belief.poses[:, 2] + math.pi) / width).astype(np.int64), n_heading_bins - 1
-    )
+    ib = np.minimum(((theta + math.pi) / width).astype(np.int64), n_heading_bins - 1)
     # One int64 key per (ix, iy, ib) bin, in lexicographic bin order;
     # `ravel_multi_index` raises where the key space would overflow.  Either
     # path below sums each bin's weights in particle order and lists the bins

@@ -45,14 +45,14 @@ class DiscreteHmm:
     n_heading_bins: int
     nx: int
     ny: int
-    centers: np.ndarray  # (S, 3)
+    centers: np.ndarray  # (3, S): the x, y and heading rows of every state's center
     weighted_transitions: dict[Action, np.ndarray]
     sensor_sigma: float
     initial: np.ndarray  # (S,)
 
     @property
     def n_states(self) -> int:
-        return self.centers.shape[0]
+        return self.centers.shape[1]
 
     def log_emission(self, scan: DepthScan) -> np.ndarray:
         return observation_log_likelihood_batch(scan, self.centers, self.grid, self.sensor_sigma)
@@ -105,10 +105,10 @@ def discretize(
     cell_x = (ixs.ravel() + 0.5) * cell
     cell_y = (iys.ravel() + 0.5) * cell
     bin_centers = -math.pi + (np.arange(n_heading_bins) + 0.5) * (TWO_PI / n_heading_bins)
-    centers = np.column_stack([
+    centers = np.stack([
         np.repeat(cell_x, n_heading_bins), np.repeat(cell_y, n_heading_bins), np.tile(bin_centers, nx * ny)
     ])
-    initial = (~grid.occupied_xy(centers[:, 0], centers[:, 1])).astype(float)
+    initial = (~grid.occupied_xy(centers[0], centers[1])).astype(float)
     initial /= initial.sum()
     hmm = DiscreteHmm(grid, cell, n_heading_bins, nx, ny, centers, {}, cfg.sensor_sigma, initial)
 
@@ -159,9 +159,7 @@ def discretize(
 
         src_idx, dst_idx = np.nonzero(trans)
         counts = grid.segment_collision_counts(
-            centers[src_idx, 0], centers[src_idx, 1],
-            centers[dst_idx, 0], centers[dst_idx, 1],
-            cfg.collision_step,
+            centers[0, src_idx], centers[1, src_idx], centers[0, dst_idx], centers[1, dst_idx], cfg.collision_step
         )
         trans[src_idx, dst_idx] *= np.exp(-cfg.beta * counts)
         hmm.weighted_transitions[action] = trans
@@ -268,8 +266,8 @@ def _holds(hmm: DiscreteHmm, axis: int, value: float) -> np.ndarray:
     """The lattice image of a point mass at ``value`` on one axis (x, y or theta): 1.0 at
     the states whose cell or heading bin holds it, as `DiscreteHmm.state_index` bins it."""
     moved = hmm.centers.copy()
-    moved[:, axis] = value
-    state, on_lattice = hmm.state_index(*moved.T)
+    moved[axis] = value
+    state, on_lattice = hmm.state_index(*moved)
     return ((state == np.arange(hmm.n_states)) & on_lattice).astype(float)
 
 
@@ -283,12 +281,13 @@ def uniform_box_initial(hmm: DiscreteHmm, box: tuple[float, float, float, float,
         right = centers + width / 2
         return np.clip(np.minimum(hi, right) - np.maximum(lo, left), 0.0, None)
 
-    ox = overlap(xmin, xmax, hmm.centers[:, 0], hmm.cell) if xmax > xmin else _holds(hmm, 0, xmin)
-    oy = overlap(ymin, ymax, hmm.centers[:, 1], hmm.cell) if ymax > ymin else _holds(hmm, 1, ymin)
+    cx, cy, cth = hmm.centers
+    ox = overlap(xmin, xmax, cx, hmm.cell) if xmax > xmin else _holds(hmm, 0, xmin)
+    oy = overlap(ymin, ymax, cy, hmm.cell) if ymax > ymin else _holds(hmm, 1, ymin)
     if thmax > thmin:  # headings wrap, as the filter's sampler wraps them: every turn of a bin counts
         turns = np.arange(math.floor((thmin - math.pi) / TWO_PI), math.ceil((thmax + math.pi) / TWO_PI) + 1)
         width = TWO_PI / hmm.n_heading_bins
-        oth = overlap(thmin, thmax, hmm.centers[:, 2, None] + TWO_PI * turns, width).sum(axis=1)
+        oth = overlap(thmin, thmax, cth[:, None] + TWO_PI * turns, width).sum(axis=1)
     else:  # degenerate box: the bin of its one heading
         oth = _holds(hmm, 2, thmin)
     mass = ox * oy * oth
@@ -308,7 +307,7 @@ def gaussian_initial(
         return 0.5 * (1.0 + np.vectorize(math.erf)(z / math.sqrt(2.0)))
 
     half = hmm.cell / 2
-    cx, cy, cth = hmm.centers[:, 0], hmm.centers[:, 1], hmm.centers[:, 2]
+    cx, cy, cth = hmm.centers
     if sigma_xy == 0:
         px, py = _holds(hmm, 0, mean.x), _holds(hmm, 1, mean.y)
     else:

@@ -234,10 +234,10 @@ class TestCriterion6ResamplingBound:
 class TestCriterion7StepErrorExamples:
     def test_examples_exact(self):
         truth = Pose(0.0, 0.0, 1.2)
-        assert error_from_mean(mean_state(snap([[0.0, 0.0, 1.2]] * 4)), truth) == pytest.approx(0.0, abs=1e-12)
-        assert error_from_mean(mean_state(snap([[3.0, 4.0, 1.2]])), truth) == pytest.approx(5.0, abs=1e-12)
+        assert error_from_mean(mean_state(snap(np.tile([[0.0], [0.0], [1.2]], 4))), truth) == pytest.approx(0.0, abs=1e-12)
+        assert error_from_mean(mean_state(snap([[3.0], [4.0], [1.2]])), truth) == pytest.approx(5.0, abs=1e-12)
         truth2 = Pose(1.0, 2.0, 0.0)
-        assert error_from_mean(mean_state(snap([[1.0, 2.0, math.pi]])), truth2) == pytest.approx(2.0, abs=1e-12)
+        assert error_from_mean(mean_state(snap([[1.0], [2.0], [math.pi]])), truth2) == pytest.approx(2.0, abs=1e-12)
         print("\nACCEPTANCE 7 step-error examples (0, 5, 2 within 1e-12): PASS")
 
 

@@ -69,13 +69,13 @@ def filter_configs(lag):
 def near(start):
     """Initial particles in the start's free cell (the start is its centre)."""
     def sampler(rng, n):
-        return pose_array(start) + rng.uniform(-0.49, 0.49, (n, 3)) * [1.0, 1.0, 0.2]
+        return pose_array(start)[:, None] + rng.uniform(-0.49, 0.49, (n, 3)).T * [[1.0], [1.0], [0.2]]
     return sampler
 
 
 def assert_stored_future_factors(state, grid, cfg):
     for k in range(1, state.n_future + 1):
-        prev, nxt = state.poses[:, state.n_past + k - 1].T, state.poses[:, state.n_past + k].T
+        prev, nxt = state.poses[:, state.n_past + k - 1], state.poses[:, state.n_past + k]
         recomputed = traversability_log_prior_batch(grid, prev, nxt, cfg.beta, cfg.collision_step)
         np.testing.assert_array_equal(state.future_log_priors[k - 1], recomputed)
 

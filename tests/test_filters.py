@@ -6,6 +6,7 @@ import pytest
 from deqmcl import filters
 from deqmcl.filters import (
     FilterConfig,
+    BeliefSnapshot,
     FilterDegeneracyError,
     InitializationError,
     QueueState,
@@ -36,7 +37,7 @@ def constant_plan(v, omega, count):
 
 def point_sampler(pose):
     def sampler(rng, n):
-        return np.tile(pose_array(pose), (n, 1))
+        return np.tile(pose_array(pose)[:, None], (1, n))
     return sampler
 
 
@@ -45,33 +46,44 @@ def gaussian_sampler(pose, sigma_xy, sigma_theta):
         x = pose.x + rng.standard_normal(n) * sigma_xy
         y = pose.y + rng.standard_normal(n) * sigma_xy
         theta = pose.theta + rng.standard_normal(n) * sigma_theta
-        return np.column_stack([x, y, theta])
+        return np.stack([x, y, theta])
     return sampler
 
 
 class TestMotionSample:
     def test_zero_noise_equals_apply_action(self):
         pose, action = Pose(1, 2, 0.3), Action(2.0, -0.4)
-        got = motion_sample_batch(pose_array(pose)[None, :], action, NoiseParams(0, 0, 0),
+        got = motion_sample_batch(pose_array(pose)[:, None], action, NoiseParams(0, 0, 0),
                                   np.random.default_rng(0))
-        assert np.array_equal(got[0], pose_array(apply_action(pose, action)))
+        assert np.array_equal(got[:, 0], pose_array(apply_action(pose, action)))
 
     def test_sample_mean_matches_deterministic_step(self):
         # mean over 1e5 draws within 3 standard errors of the noise-free step
         noise = NoiseParams(sigma_v=0.2, sigma_omega=0.0, sigma_range=0)
-        poses = np.tile(pose_array(Pose(0, 0, 0.7)), (100_000, 1))
+        poses = np.tile(pose_array(Pose(0, 0, 0.7))[:, None], (1, 100_000))
         out = motion_sample_batch(poses, Action(1.5, 0.0), noise, np.random.default_rng(1))
         target = apply_action(Pose(0, 0, 0.7), Action(1.5, 0.0))
         se = 0.2 / math.sqrt(100_000)
-        assert abs(out[:, 0].mean() - target.x) < 3 * se
-        assert abs(out[:, 1].mean() - target.y) < 3 * se
+        assert abs(out[0].mean() - target.x) < 3 * se
+        assert abs(out[1].mean() - target.y) < 3 * se
 
     def test_distinct_seeds_distinct_samples(self):
         noise = NoiseParams(0.5, 0.1, 0)
-        start = np.zeros((1, 3))
+        start = np.zeros((3, 1))
         a = motion_sample_batch(start, Action(1, 0), noise, np.random.default_rng(1))
         b = motion_sample_batch(start, Action(1, 0), noise, np.random.default_rng(2))
         assert not np.array_equal(a, b)
+
+    def test_window_row_view_equals_its_contiguous_copy(self):
+        # slot 2 of a (3, slots, n) window, as `_roll_out` passes it, and its copy
+        window = np.random.default_rng(8).uniform(-20, 20, (3, 4, 500))
+        noise = NoiseParams(0.5, 0.2, 0)
+        view = window[:, 2]
+        assert not view.flags.c_contiguous
+        a = motion_sample_batch(view, Action(1.5, 0.3), noise, np.random.default_rng(3))
+        b = motion_sample_batch(np.ascontiguousarray(view), Action(1.5, 0.3), noise, np.random.default_rng(3))
+        assert a.shape == (3, 500)
+        np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
 
 
 class TestObservationLogLikelihood:
@@ -80,13 +92,13 @@ class TestObservationLogLikelihood:
         pose = Pose(30.0, 10.0, 0.0)
         beams = BeamConfig(headings=(0.0,), max_range=50.0, ray_step=0.5)
         scan = sense(grid, pose, beams, NoiseParams(0, 0, 0), np.random.default_rng(0))
-        got = observation_log_likelihood_batch(scan, pose_array(pose)[None, :], grid, 2.0)
+        got = observation_log_likelihood_batch(scan, pose_array(pose)[:, None], grid, 2.0)
         assert got[0] == pytest.approx(-(math.log(2.0) + LOG_SQRT_2PI), abs=1e-12)
 
     def test_pose_inside_wall_is_minus_inf(self, room):
         beams = BeamConfig(headings=(0.0,), max_range=50.0, ray_step=0.5)
         scan = sense(room, Pose(30, 30, 0), beams, NoiseParams(0, 0, 0), np.random.default_rng(0))
-        assert observation_log_likelihood_batch(scan, np.array([[0.5, 0.5, 0.0]]), room, 2.0)[0] == -np.inf
+        assert observation_log_likelihood_batch(scan, np.array([[0.5], [0.5], [0.0]]), room, 2.0)[0] == -np.inf
 
     def test_one_sigma_residual_costs_half(self):
         # two candidates whose predicted ranges differ by exactly sensor_sigma
@@ -95,7 +107,7 @@ class TestObservationLogLikelihood:
         beams = BeamConfig(headings=(0.0,), max_range=50.0, ray_step=0.5)
         scan = sense(grid, Pose(28.0, 10.0, 0.0), beams, NoiseParams(0, 0, 0), np.random.default_rng(0))
         ll_true, ll_off = observation_log_likelihood_batch(
-            scan, np.array([[28.0, 10.0, 0.0], [29.0, 10.0, 0.0]]), grid, sigma
+            scan, np.array([[28.0, 29.0], [10.0, 10.0], [0.0, 0.0]]), grid, sigma
         )
         assert ll_true - ll_off == pytest.approx(0.5, abs=1e-12)
 
@@ -103,21 +115,18 @@ class TestObservationLogLikelihood:
         beams = BeamConfig(headings=(-0.4, 0.0, 0.4), max_range=40.0, ray_step=0.5)
         scan = sense(room, Pose(30, 30, 0.2), beams, NoiseParams(0, 0, 1.0), np.random.default_rng(5))
         rng = np.random.default_rng(6)
-        poses = np.column_stack(
-            [rng.uniform(2, 58, 20), rng.uniform(2, 58, 20), rng.uniform(-3, 3, 20)]
-        )
+        poses = np.stack([rng.uniform(2, 58, 20), rng.uniform(2, 58, 20), rng.uniform(-3, 3, 20)])
         batch = observation_log_likelihood_batch(scan, poses, room, 2.0)
         for i in range(20):
-            single = observation_log_likelihood_batch(scan, poses[i : i + 1], room, 2.0)
+            single = observation_log_likelihood_batch(scan, poses[:, i : i + 1], room, 2.0)
             assert batch[i] == single[0]
 
     @staticmethod
     def gathered(scan, poses, grid, sigma):
         """The likelihood with the free poses always gathered and scattered back."""
-        out = np.full(poses.shape[0], -np.inf)
-        free = ~grid.occupied_xy(poses[:, 0], poses[:, 1])
-        fp = poses[free]
-        resid = scan.ranges[None, :] - scan.beams.cast(grid, fp[:, 0], fp[:, 1], fp[:, 2])
+        out = np.full(poses.shape[1], -np.inf)
+        free = ~grid.occupied_xy(poses[0], poses[1])
+        resid = scan.ranges[None, :] - scan.beams.cast(grid, *poses[:, free])
         out[free] = -0.5 * ((resid / sigma) ** 2).sum(axis=1) - scan.ranges.size * (math.log(sigma) + LOG_SQRT_2PI)
         return out
 
@@ -125,13 +134,13 @@ class TestObservationLogLikelihood:
     def test_all_free_and_mixed_batches_equal_the_gathered_path(self, room, low):
         # `room` is free on [1, 59) along both axes; from 0.0 some poses fall in its wall.
         # Poses are passed as a window slot is, a view of coordinate-major rows,
-        # and as a C-ordered (n, 3) array
+        # and as its contiguous copy
         beams = BeamConfig(headings=(-0.4, 0.0, 0.4), max_range=40.0, ray_step=0.5)
         scan = sense(room, Pose(30, 30, 0.2), beams, NoiseParams(0, 0, 1.0), np.random.default_rng(5))
         rng = np.random.default_rng(7)
         window = np.stack([rng.uniform(low, 58.99, (2, 300)), rng.uniform(low, 58.99, (2, 300)),
                            rng.uniform(-3, 3, (2, 300))])  # (3, slots, n)
-        poses = window[:, 1].T
+        poses = window[:, 1]
         want = self.gathered(scan, np.ascontiguousarray(poses), room, 2.0)
         assert np.isfinite(want).all() == (low == 1.0) and np.isfinite(want).any()
         for given in (poses, np.ascontiguousarray(poses)):
@@ -148,30 +157,43 @@ class TestTraversabilityLogPrior:
         return OccupancyGrid(12, 4, 1.0, cells)
 
     def test_collision_free_segment_is_zero(self, room):
-        got = traversability_log_prior_batch(room, np.array([[10.0, 10.0]]), np.array([[20.0, 20.0]]),
+        got = traversability_log_prior_batch(room, np.array([[10.0], [10.0]]), np.array([[20.0], [20.0]]),
                                              beta=10.0, step=1.0)
         assert got[0] == 0.0
 
     def test_three_collisions_beta_ten(self):
-        got = traversability_log_prior_batch(self._slab(), np.array([[4.5, 2.0]]), np.array([[8.5, 2.0]]),
+        got = traversability_log_prior_batch(self._slab(), np.array([[4.5], [2.0]]), np.array([[8.5], [2.0]]),
                                              beta=10.0, step=1.0)
         assert got[0] == -30.0
 
     def test_beta_zero_disables_prior(self, room):
-        got = traversability_log_prior_batch(room, np.array([[0.5, 0.5]]), np.array([[5.0, 5.0]]),
+        got = traversability_log_prior_batch(room, np.array([[0.5], [0.5]]), np.array([[5.0], [5.0]]),
                                              beta=0.0, step=1.0)
         assert got[0] == 0.0
 
     def test_monotone_suppression_in_beta(self):
-        # row 0 crosses the slab, row 1 stays in free space
-        prev = np.array([[4.5, 2.0], [1.0, 2.0]])
-        nxt = np.array([[8.5, 2.0], [3.0, 2.0]])
+        # column 0 crosses the slab, column 1 stays in free space
+        prev = np.array([[4.5, 1.0], [2.0, 2.0]])
+        nxt = np.array([[8.5, 3.0], [2.0, 2.0]])
         prev_ratio = np.inf
         for beta in (0.0, 1.0, 5.0, 10.0, 20.0):
             crossing, free = traversability_log_prior_batch(self._slab(), prev, nxt, beta, 1.0)
             log_ratio = crossing - free
             assert log_ratio <= prev_ratio
             prev_ratio = log_ratio
+
+    def test_window_row_views_equal_their_contiguous_copies(self):
+        # segments from slot 1 to slot 2 of a (3, slots, n) window over a cluttered room
+        grid = make_room(40, 40)
+        grid = OccupancyGrid(40, 40, 1.0, grid.cells | (np.random.default_rng(3).random(grid.cells.shape) < 0.15))
+        rng = np.random.default_rng(9)
+        window = np.stack([rng.uniform(0, 40, (3, 500)), rng.uniform(0, 40, (3, 500)), rng.uniform(-3, 3, (3, 500))])
+        prev, nxt = window[:, 1], window[:, 2]
+        assert not (prev.flags.c_contiguous or nxt.flags.c_contiguous)
+        got = traversability_log_prior_batch(grid, prev, nxt, 2.5, 0.5)
+        want = traversability_log_prior_batch(grid, np.ascontiguousarray(prev), np.ascontiguousarray(nxt), 2.5, 0.5)
+        assert np.any(want < 0) and np.any(want == 0)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestSystematicResample:
@@ -227,13 +249,13 @@ class TestNonFiniteGuards:
     def test_observation_kernel_rejects_bad_sensor_sigma(self, room, bad):
         scan = sense(room, Pose(30, 30, 0), BeamConfig(), NoiseParams(0, 0, 0), np.random.default_rng(0))
         with pytest.raises(ValueError, match="sensor_sigma"):
-            observation_log_likelihood_batch(scan, pose_array(Pose(30, 30, 0))[None, :], room, bad)
+            observation_log_likelihood_batch(scan, pose_array(Pose(30, 30, 0))[:, None], room, bad)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
     def test_prior_kernel_rejects_bad_beta(self, room, bad):
-        ends = np.array([[10.0, 10.0, 0.0]])
+        ends = np.array([[10.0], [10.0], [0.0]])
         with pytest.raises(ValueError, match="beta"):
-            traversability_log_prior_batch(room, ends, ends + [1.0, 0.0, 0.0], bad, 1.0)
+            traversability_log_prior_batch(room, ends, ends + [[1.0], [0.0], [0.0]], bad, 1.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
     @pytest.mark.parametrize("key", ["sigma_v", "sigma_omega", "sigma_range"])
@@ -324,7 +346,7 @@ class TestMclStep:
         state = init_belief(cfg, point_sampler(pose), grid, rng)
         for _ in range(5):
             state = mcl_step(state, Action(0, 0), scan, cfg, grid, rng)
-        assert np.allclose(state.current()[0], pose_array(pose))
+        assert np.allclose(state.current()[:, 0], pose_array(pose))
 
     def test_weights_normalized_every_step(self):
         grid = make_corridor(60, 12)
@@ -536,7 +558,7 @@ class TestDeqQueue:
         expected = start
         for k in range(1, 3):
             expected = apply_action(expected, plan.action(1 + k))
-            assert np.allclose(state.poses[:, k].T, pose_array(expected))
+            assert np.allclose(state.poses[:, k], pose_array(expected)[:, None])
 
     def test_marginal_offsets_and_errors(self):
         grid, plan, scans, cfg = self._mini(lag=2)
@@ -546,7 +568,7 @@ class TestDeqQueue:
             state = deq_step(state, t, plan.action(t), scans[t], plan, cfg, grid, rng)
         for off in range(-state.n_past, state.n_future + 1):
             snap = state.marginal(off)
-            assert np.array_equal(snap.poses, state.poses[:, state.n_past + off].T) and snap.poses.shape == (50, 3)
+            assert np.array_equal(snap.poses, state.poses[:, state.n_past + off]) and snap.poses.shape == (3, 50)
         with pytest.raises(ValueError):
             state.marginal(state.n_future + 1)
         with pytest.raises(ValueError):
@@ -605,6 +627,22 @@ class TestDeqQueue:
         with pytest.raises(AttributeError):
             state.n_past = 0
 
+    def test_snapshot_rejects_particle_major_poses(self):
+        # (n, 3): 4 particles, one row each
+        with pytest.raises(ValueError, match=r"coordinate rows, shape \(3, n\), got \(4, 3\)"):
+            BeliefSnapshot(np.zeros((4, 3)), np.full(4, 0.25))
+        with pytest.raises(ValueError, match="weights must match"):
+            BeliefSnapshot(np.zeros((3, 4)), np.full(3, 1 / 3))
+
+    def test_init_belief_rejects_a_particle_major_sampler(self):
+        grid, _, _, cfg = self._mini()
+
+        def particle_major(rng, n):  # one (x, y, theta) row per particle
+            return gaussian_sampler(Pose(5, 4, 0), 2.0, 0.05)(rng, n).T
+
+        with pytest.raises(InitializationError, match=r"returned \(50, 3\), not coordinate rows \(3, 50\)"):
+            init_belief(cfg, particle_major, grid, np.random.default_rng(0))
+
     def test_all_occupied_init_rejected(self):
         grid, plan, scans, cfg = self._mini()
         with pytest.raises(InitializationError):
@@ -631,7 +669,7 @@ class TestDeqQueue:
 
 def reference_roll_out(start, actions, log_weights, cfg, grid, rng):
     """`filters._roll_out` as one prior call per transition, in draw order."""
-    n = start.shape[0]
+    n = start.shape[1]
     poses = np.empty((3, len(actions), n))
     log_priors = np.full((len(actions), n), -0.0)
     prev = start
@@ -642,7 +680,7 @@ def reference_roll_out(start, actions, log_weights, cfg, grid, rng):
                 grid, prev, nxt, cfg.beta, cfg.collision_step
             )
             log_weights = log_weights + log_priors[k]
-        poses[:, k] = nxt.T
+        poses[:, k] = nxt
         prev = nxt
     return poses, log_priors, log_weights
 
@@ -670,7 +708,7 @@ class TestRollOut:
         grid = OccupancyGrid(40, 40, 1.0, cells)
         cfg = FilterConfig(n_particles=n, lag=k, beta=beta, motion_noise=NoiseParams(0.5, 0.2, 0))
         setup = np.random.default_rng(n + k)
-        start = np.column_stack([setup.uniform(0, 40, (n, 2)), setup.uniform(-np.pi, np.pi, n)])
+        start = np.vstack([setup.uniform(0, 40, (n, 2)).T, setup.uniform(-np.pi, np.pi, n)])
         log_weights = setup.standard_normal(n) * 3.0
         actions = [Action(2.0 + 0.1 * i, 0.3 * (-1) ** i) for i in range(k)]
 
@@ -680,7 +718,7 @@ class TestRollOut:
         original = filters.traversability_log_prior_batch
 
         def counted(grid, prev, nxt, beta, step):
-            calls.append(prev.shape[0])
+            calls.append(prev.shape[1])
             return original(grid, prev, nxt, beta, step)
 
         monkeypatch.setattr(filters, "traversability_log_prior_batch", counted)

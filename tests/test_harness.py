@@ -654,9 +654,9 @@ class TestInitSamplers:
         path.write_text(text)
         sampler = harness.make_init_sampler(load_config(path))
         poses = sampler(np.random.default_rng(0), 200)
-        assert np.all((poses[:, 0] >= 4) & (poses[:, 0] < 8))
-        assert np.all((poses[:, 1] >= 5) & (poses[:, 1] < 7))
-        assert np.all(np.abs(poses[:, 2]) <= math.radians(10) + 1e-12)
+        assert np.all((poses[0] >= 4) & (poses[0] < 8))
+        assert np.all((poses[1] >= 5) & (poses[1] < 7))
+        assert np.all(np.abs(poses[2]) <= math.radians(10) + 1e-12)
 
 
 class TestStreamDerivation:
@@ -992,8 +992,8 @@ class TestCli:
             assert (out / "failures.txt").read_text() == f"deq_mcl trial 0: {message}\n"
         else:
             assert captured == ("", f"deqmcl: {message}\n")
-            assert sorted(p.name for p in out.iterdir()) == ["failures.txt"]
-            assert (out / "failures.txt").read_text() == f"seed 0: {message}\n"
+            assert sorted(p.name for p in out.iterdir()) == ["oracle_failures.txt"]
+            assert (out / "oracle_failures.txt").read_text() == f"seed 0: {message}\n"
 
     def test_failed_oracle_trial_is_recorded_in_a_reused_directory(self, tmp_path):
         clean = self.tiny_config(tmp_path, ("seeds: 20", "seeds: 2"), name="clean.cfg")
@@ -1005,13 +1005,31 @@ class TestCli:
         )
         out = tmp_path / "out"
         assert cli.main(["oracle", "--config", str(failing), "--out", str(out)]) == 1
-        assert sorted(p.name for p in out.iterdir()) == ["failures.txt"]
-        assert (out / "failures.txt").read_text() == "seed 0: evidence has zero probability at step 2\n"
+        assert sorted(p.name for p in out.iterdir()) == ["oracle_failures.txt"]
+        assert (out / "oracle_failures.txt").read_text() == "seed 0: evidence has zero probability at step 2\n"
         # a success removes the old record, and a later failure the old rows
         assert cli.main(["oracle", "--config", str(clean), "--out", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == ["oracle_tv.csv"]
         assert cli.main(["oracle", "--config", str(failing), "--out", str(out)]) == 1
-        assert sorted(p.name for p in out.iterdir()) == ["failures.txt"]
+        assert sorted(p.name for p in out.iterdir()) == ["oracle_failures.txt"]
+
+    def test_oracle_keeps_the_failures_of_a_run(self, tmp_path):
+        # a run whose one trial fails, then a clean oracle validation into the same directory
+        failing = self.tiny_config(
+            tmp_path, ("count: 13", "count: 3"), ("n_particles: 10000", "n_particles: 50"),
+            ("kind: uniform_box\n  box: [2.0, 6.0, 1.0, 2.0, 0.0, 0.0]",
+             "kind: gaussian\n  sigma_xy: 1.0e6\n  sigma_theta_deg: 1.0"), name="failing.cfg",
+        )
+        clean = self.tiny_config(tmp_path, ("seeds: 20", "seeds: 2"), name="clean.cfg")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(failing), "--out", str(out)]) == 1
+        record = (out / "failures.txt").read_text()
+        assert record == "deq_mcl trial 0: every initial particle lies in occupied space\n"
+        assert "failed trials: 1 (see failures.txt)" in (out / "report.txt").read_text()
+        assert cli.main(["oracle", "--config", str(clean), "--out", str(out)]) == 0
+        assert (out / "failures.txt").read_text() == record
+        assert "failed trials: 1 (see failures.txt)" in (out / "report.txt").read_text()
+        assert (out / "oracle_tv.csv").exists() and not (out / "oracle_failures.txt").exists()
 
     def test_oracle_subcommand(self, tmp_path, capsys):
         cfg_path = write_mini_config(tmp_path, methods="deq_mcl", count=6, lag=2)

@@ -99,13 +99,13 @@ def reference_discretize(grid, cfg, actions, cell, n_heading_bins):
     bin_width = 2.0 * math.pi / n_heading_bins
     bin_centers = -math.pi + (np.arange(n_heading_bins) + 0.5) * bin_width
 
-    centers = np.empty((n_states, 3))
+    centers = np.empty((3, n_states))
     for ib in range(n_heading_bins):
         idx = np.arange(nx * ny) * n_heading_bins + ib
-        centers[idx, 0] = cell_x
-        centers[idx, 1] = cell_y
-        centers[idx, 2] = bin_centers[ib]
-    initial = (~grid.occupied_xy(centers[:, 0], centers[:, 1])).astype(float)
+        centers[0, idx] = cell_x
+        centers[1, idx] = cell_y
+        centers[2, idx] = bin_centers[ib]
+    initial = (~grid.occupied_xy(centers[0], centers[1])).astype(float)
     initial /= initial.sum()
 
     noise = cfg.motion_noise
@@ -153,7 +153,7 @@ def reference_discretize(grid, cfg, actions, cell, n_heading_bins):
 
         src_idx, dst_idx = np.nonzero(trans)
         counts = grid.segment_collision_counts(
-            centers[src_idx, 0], centers[src_idx, 1], centers[dst_idx, 0], centers[dst_idx, 1],
+            centers[0, src_idx], centers[1, src_idx], centers[0, dst_idx], centers[1, dst_idx],
             cfg.collision_step,
         )
         trans[src_idx, dst_idx] *= np.exp(-cfg.beta * counts)
@@ -238,7 +238,7 @@ class TestDiscretize:
         scan = sense(grid, Pose(4.0, 4.0, 0.0), beams, NoiseParams(0, 0, 0.3),
                      np.random.default_rng(0))
         log_e = hmm.log_emission(scan)
-        free = ~grid.occupied_xy(hmm.centers[:, 0], hmm.centers[:, 1])
+        free = ~grid.occupied_xy(hmm.centers[0], hmm.centers[1])
         assert np.all(log_e[~free] == -np.inf)
         assert np.all(np.isfinite(log_e[free]))
 
@@ -388,7 +388,7 @@ class TestValidationPlumbing:
         assert per_bin[1:11].sum() == 0.0
         cfg = harness.load_config("tiny.cfg")  # a uniform box
         sampler = harness.make_init_sampler(dataclasses.replace(cfg, init=dataclasses.replace(cfg.init, box=box)))
-        theta = normalize_angles(sampler(np.random.default_rng(0), 20_000)[:, 2])
+        theta = normalize_angles(sampler(np.random.default_rng(0), 20_000)[2])
         sampled = np.bincount(hmm.heading_bin(theta), minlength=12) / theta.size
         np.testing.assert_allclose(sampled, per_bin, atol=0.01)
 
@@ -423,7 +423,7 @@ class TestValidationPlumbing:
         np.testing.assert_array_equal(uniform_box_initial(hmm, (x, x, y, y, theta, theta)), one_state)
         np.testing.assert_array_equal(gaussian_initial(hmm, Pose(x, y, theta), 0.0, 0.0), one_state)
         # one point-mass axis: the other axes keep their spread
-        xs, ys, ths = hmm.centers.T
+        xs, ys, ths = hmm.centers
         box = uniform_box_initial(hmm, (x, x, 0.0, 3.0, theta, theta))
         np.testing.assert_array_equal(box > 0, (xs == 3.75) & (hmm.heading_bin(ths) == hmm.heading_bin(theta)))
         gauss = gaussian_initial(hmm, Pose(x, y, theta), 0.0, 0.3)
@@ -467,10 +467,10 @@ class TestValidationPlumbing:
 
 def reference_bin_belief(hmm: DiscreteHmm, snapshot) -> np.ndarray:
     """`oracle.bin_belief` of one slot, with its heading wrap written out by `np.mod`."""
-    ix = np.floor(snapshot.poses[:, 0] / hmm.cell).astype(np.int64)
-    iy = np.floor(snapshot.poses[:, 1] / hmm.cell).astype(np.int64)
+    ix = np.floor(snapshot.poses[0] / hmm.cell).astype(np.int64)
+    iy = np.floor(snapshot.poses[1] / hmm.cell).astype(np.int64)
     width = 2.0 * math.pi / hmm.n_heading_bins
-    theta = np.mod(snapshot.poses[:, 2], 2.0 * math.pi)
+    theta = np.mod(snapshot.poses[2], 2.0 * math.pi)
     theta = np.where(theta > math.pi, theta - 2.0 * math.pi, theta)
     ib = np.minimum(((theta + math.pi) / width).astype(np.int64), hmm.n_heading_bins - 1)
     valid = (ix >= 0) & (ix < hmm.nx) & (iy >= 0) & (iy < hmm.ny)
@@ -508,7 +508,7 @@ class TestBinBelief:
         got = bin_belief(hmm, poses, weights)
         assert got.shape == (n_slots, hmm.n_states)
         for j in range(n_slots):
-            snap = BeliefSnapshot(poses[:, j].T.copy(), weights)
+            snap = BeliefSnapshot(poses[:, j], weights)
             np.testing.assert_array_equal(got[j], reference_bin_belief(hmm, snap))
             assert got[j].sum() > 0
 
