@@ -6,7 +6,8 @@ new current pose under the executed action, rolls the future side afresh
 along the planned actions, weights every sampled transition by the
 traversability prior exp(-beta * C) on the moved segment (C = collision
 sample count), keeps up to ``lag`` past poses, and weights by the scan
-likelihood at the new current pose.
+likelihood at the new current pose.  The likelihood raycasts every pose, one
+inside an obstacle too, and then gives each such pose -inf.
 
 * ``deq_init``/``deq_step`` -- the queue filter: ``lag`` past poses and up to
                              ``lag`` planned future poses, so infeasible
@@ -57,6 +58,12 @@ _PRIOR_SEGMENTS = 1 << 13
 InitSampler = Callable[[np.random.Generator, int], np.ndarray]  # (rng, n) -> (3, n) coordinate rows
 
 
+def _check_rows(name: str, a: np.ndarray) -> None:
+    """A `ValueError` unless ``a`` is ``(3, n)`` coordinate rows, one row per coordinate."""
+    if a.ndim != 2 or a.shape[0] != 3:
+        raise ValueError(f"{name} must be coordinate rows, shape (3, n), got {a.shape}")
+
+
 class FilterDegeneracyError(RuntimeError):
     """The filter has no usable particle: all weights vanished or, as an
     `InitializationError`, no initial particle is free; the caller decides how to recover."""
@@ -104,8 +111,7 @@ class BeliefSnapshot:
     weights: np.ndarray  # (n,), sums to 1
 
     def __post_init__(self):
-        if self.poses.ndim != 2 or self.poses.shape[0] != 3:
-            raise ValueError(f"poses must be coordinate rows, shape (3, n), got {self.poses.shape}")
+        _check_rows("poses", self.poses)
         if self.weights.shape != (self.poses.shape[1],):
             raise ValueError("weights must match the particle count")
 
@@ -132,7 +138,8 @@ class QueueState:
     slots before it hold past states (oldest first) and those after it
     predicted future states.  Plain MCL is the degenerate case n_past ==
     n_future == 0.  ``future_log_priors[k - 1]`` is the log traversability
-    prior of the predicted transition into slot ``n_past + k``.
+    prior of the predicted transition into slot ``n_past + k``.  `slot` and
+    `marginal` take an offset from now in ``[-n_past, +n_future]``, else raise `ValueError`.
     """
 
     t: int
@@ -163,10 +170,9 @@ class QueueState:
 
     def slot(self, offset: int) -> np.ndarray:
         """The ``(3, n)`` poses at ``offset`` steps from now, a view of the window's rows."""
+        if not -self.n_past <= offset <= self.n_future:
+            raise ValueError(f"offset {offset} outside queue span [-{self.n_past}, +{self.n_future}]")
         return self.poses[:, self.n_past + offset]
-
-    def current(self) -> np.ndarray:
-        return self.slot(0)
 
     def weights(self) -> np.ndarray:
         w = np.exp(self.log_weights)
@@ -174,10 +180,6 @@ class QueueState:
 
     def marginal(self, offset: int) -> BeliefSnapshot:
         """Weighted particle cloud of the pose at ``offset`` steps from now, its slot copied."""
-        if not -self.n_past <= offset <= self.n_future:
-            raise ValueError(
-                f"offset {offset} outside queue span [-{self.n_past}, +{self.n_future}]"
-            )
         return BeliefSnapshot(self.slot(offset).copy(), self.weights())
 
 
@@ -191,7 +193,10 @@ def motion_sample_batch(
     """Propagate ``(3, n)`` coordinate rows of poses through the noisy unicycle kernel.
 
     Draw order: n standard normals for the v perturbations, then n for omega.
+    Any other shape is a `ValueError`; a particle-major ``(3, 3)`` array
+    cannot be told apart from coordinate rows.
     """
+    _check_rows("poses", poses)
     n = poses.shape[1]
     dv = rng.standard_normal(n) * noise.sigma_v
     domega = rng.standard_normal(n) * noise.sigma_omega
@@ -211,37 +216,31 @@ def observation_log_likelihood_batch(
 
     Each beam contributes the log density of (observed - predicted) range at
     std ``sensor_sigma``, with the prediction raycast from the pose by the
-    scan's own `BeamConfig`.  Poses inside obstacles get -inf.  When every
-    pose is free, the poses are cast as given, with no gather of the free
-    ones and no scatter into the result; each pose's value is the same.
+    scan's own `BeamConfig`.  Every pose is cast as given; a pose inside an
+    obstacle or off the grid then gets -inf in place of its cast's value.
+    A pose's value does not depend on the other poses of the batch.
     """
     if not (sensor_sigma > 0 and math.isfinite(sensor_sigma)):  # written so that NaN fails
         raise ValueError(f"sensor_sigma must be > 0 and finite, got {sensor_sigma}")
     x, y, theta = poses
-    free = ~grid.occupied_xy(x, y)
-    all_free = free.all()
-    if not all_free:
-        if not free.any():
-            return np.full(free.size, -np.inf)
-        x, y, theta = x[free], y[free], theta[free]
     resid = scan.ranges[None, :] - scan.beams.cast(grid, x, y, theta)
     log_lik = -0.5 * ((resid / sensor_sigma) ** 2).sum(axis=1) - scan.ranges.size * (
         math.log(sensor_sigma) + LOG_SQRT_2PI
     )
-    if all_free:
-        return log_lik
-    out = np.full(free.size, -np.inf)
-    out[free] = log_lik
-    return out
+    log_lik[grid.occupied_xy(x, y)] = -np.inf
+    return log_lik
 
 
 def traversability_log_prior_batch(
     grid: OccupancyGrid, prev: np.ndarray, nxt: np.ndarray, beta: float, step: float
 ) -> np.ndarray:
     """log exp(-beta * C) for each motion segment between the ``(3, n)`` coordinate rows
-    ``prev`` and ``nxt``, C = collision sample count."""
+    ``prev`` and ``nxt``, C = collision sample count.  Any other shape is a `ValueError`;
+    a particle-major ``(3, 3)`` array cannot be told apart from coordinate rows."""
     if not (beta >= 0 and math.isfinite(beta)):  # written so that NaN fails
         raise ValueError(f"beta must be >= 0 and finite, got {beta}")
+    _check_rows("prev", prev)
+    _check_rows("nxt", nxt)
     counts = grid.segment_collision_counts(prev[0], prev[1], nxt[0], nxt[1], step)
     return -(beta * counts)
 
@@ -387,7 +386,7 @@ def _window_step(
     """
     # in the order `_roll_out` added them, one axis-0 reduction
     logw = np.subtract.reduce(np.vstack([state.log_weights, state.future_log_priors]))
-    rolled, log_priors, logw = _roll_out(state.current(), actions, logw, cfg, grid, rng)
+    rolled, log_priors, logw = _roll_out(state.slot(0), actions, logw, cfg, grid, rng)
     n_past = min(state.n_past + 1, cfg.lag)
     past = state.poses[:, state.n_past + 1 - n_past : state.n_past + 1]
     obs = observation_log_likelihood_batch(scan, rolled[:, 0], grid, cfg.sensor_sigma)
@@ -458,7 +457,7 @@ def deq_init(
     f_target = min(cfg.lag, plan.horizon - 1)
     actions = [plan.action(k) for k in range(2, f_target + 2)]
     future, future_log_priors, logw = _roll_out(
-        base.current(), actions, base.log_weights, cfg, grid, rng
+        base.slot(0), actions, base.log_weights, cfg, grid, rng
     )
     return QueueState(
         t=1, poses=np.concatenate([base.poses, future], axis=1), log_weights=_normalize_log_weights(logw),

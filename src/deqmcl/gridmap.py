@@ -270,7 +270,8 @@ class OccupancyGrid:
         return before + 1, np.maximum(inside - before, 0)
 
     def raycast_batch(self, x, y, theta, max_range: float, step: float) -> np.ndarray:
-        """Vectorized raycast for free origins; returns hit distances in [0, max_range].
+        """Vectorized raycast; returns hit distances in [0, max_range], also from an
+        occupied, off-grid or NaN origin, whose value the scan likelihood discards.
 
         Ray ``i`` is sampled at distances ``d_k = min(k*step, max_range)`` for
         ``k = 1 .. floor(max_range/step)``, at the points ``x + d_k*cos(theta)``,

@@ -517,14 +517,25 @@ def trial_truth(
     )
 
 
-def _filter_states(fcfg: FilterConfig, rng: np.random.Generator, sampler, init, step,
-                   plan: ActionPlan, grid: OccupancyGrid, scans: list[DepthScan | None]):
-    """Yield (t, state) for t = 1..T: the initial belief, then one filter step per scan.
+def _world(cfg: ExperimentConfig, grid: OccupancyGrid | None = None, plan: ActionPlan | None = None):
+    """The config's grid and plan, each loaded or built unless given, with
+    the initial belief checked against the grid (`check_init`)."""
+    if grid is None:
+        grid = load_experiment_grid(cfg)
+    if plan is None:
+        plan = build_plan(cfg, grid)
+    check_init(cfg, grid)
+    return grid, plan
 
-    ``init`` and ``step`` are a `METHOD_TABLE` entry's; ``rng`` is the
-    (method, trial) filter stream.
-    """
-    state = init(fcfg, sampler, plan, grid, rng)
+
+def _filter_states(cfg: ExperimentConfig, method: str, trial: int, grid: OccupancyGrid,
+                   plan: ActionPlan, scans: list[DepthScan | None]):
+    """Yield (t, state) for t = 1..T of ``method`` on ``trial``, as `run_trial` and `run_oracle_validation`
+    run it: the initial belief, then one filter step per scan, on the (method, trial) filter stream."""
+    init, step, _ = METHOD_TABLE[method]
+    fcfg = cfg.filter_base
+    rng = derive_rng(cfg.master_seed, trial, _STREAM_FILTER, method)
+    state = init(fcfg, make_init_sampler(cfg), plan, grid, rng)
     yield 1, state
     for t in range(2, plan.horizon + 1):
         state = step(state, t, plan.action(t), scans[t], plan, fcfg, grid, rng)
@@ -552,21 +563,14 @@ def run_trial(
     ``method`` and ``init`` are checked as `run` checks them, before anything runs.
     """
     check_methods((method,))
-    if grid is None:
-        grid = load_experiment_grid(cfg)
-    if plan is None:
-        plan = build_plan(cfg, grid)
-    check_init(cfg, grid)
-    fcfg = cfg.filter_base
+    grid, plan = _world(cfg, grid, plan)
     horizon = plan.horizon
-
-    rng_filter = derive_rng(cfg.master_seed, trial, _STREAM_FILTER, method)
     if truth_scans is None:
         truth_scans = trial_truth(cfg, trial, grid, plan)
     truth, scans = truth_scans
 
-    init, step, lagged = METHOD_TABLE[method]
-    lag = fcfg.lag if lagged else 0
+    _, _, lagged = METHOD_TABLE[method]
+    lag = cfg.filter_base.lag if lagged else 0
     mp = cfg.metric_params
     kept: list[tuple] = []  # (e_t, entropy, var) of every record
 
@@ -597,8 +601,7 @@ def run_trial(
             rec["cloud_t"] = tau
         trace.write(_TRACE_ENCODER.encode(rec) + "\n")
 
-    states = _filter_states(fcfg, rng_filter, make_init_sampler(cfg), init, step, plan, grid, scans)
-    for tau, state in states:
+    for tau, state in _filter_states(cfg, method, trial, grid, plan, scans):
         if tau - lag >= 1:
             emit(tau - lag, state, tau)
     for j in range(max(1, horizon - lag + 1), horizon + 1):
@@ -645,9 +648,7 @@ def run_experiment(
     if seed is not None:
         cfg = dataclasses.replace(cfg, master_seed=_integer(seed, "seed", 0))
     methods = check_methods(methods) if methods is not None else cfg.methods
-    grid = load_experiment_grid(cfg)
-    plan = build_plan(cfg, grid)
-    check_init(cfg, grid)
+    grid, plan = _world(cfg)
     out = make_output_dir(cfg, out_dir)
     traces_dir = make_output_dir(cfg, out_dir, "traces")
     _remove_stale_traces(traces_dir, {f"{m}_trial{t:02d}.jsonl" for m in methods for t in range(cfg.n_trials)})
@@ -779,16 +780,12 @@ def run_oracle_validation(cfg: ExperimentConfig, out_dir: str | None = None) -> 
     if cfg.oracle_params is None:
         raise ConfigError("config has no 'oracle' section")
     op = cfg.oracle_params
-    grid = load_experiment_grid(cfg)
-    plan = build_plan(cfg, grid)
-    check_init(cfg, grid)
+    grid, plan = _world(cfg)
     if op.compare_t > plan.horizon:
         raise ConfigError(
             f"oracle.compare_t = {op.compare_t} lies past the plan horizon {plan.horizon}"
         )
     fcfg = cfg.filter_base
-    init, step, _ = METHOD_TABLE["deq_mcl"]
-
     plan_actions = list(plan.actions[1:])
     try:
         hmm = oracle.discretize(grid, fcfg, list(dict.fromkeys(plan_actions)), op.cell, op.heading_bins)
@@ -800,14 +797,12 @@ def run_oracle_validation(cfg: ExperimentConfig, out_dir: str | None = None) -> 
         hmm.initial = oracle.gaussian_initial(hmm, cfg.start, cfg.init.sigma_xy, cfg.init.sigma_theta)
     out = make_output_dir(cfg, out_dir) if out_dir is not None else None
 
-    sampler = make_init_sampler(cfg)
     rows: list[dict] = []
     try:
         for seed_idx in range(op.seeds):
-            rng_filter = derive_rng(cfg.master_seed, seed_idx, _STREAM_FILTER, "deq_mcl")
             _, scans = trial_truth(cfg, seed_idx, grid, plan)
             emissions = [oracle.emission_weights(hmm, scan) for scan in scans[2:]]
-            for t, state in _filter_states(fcfg, rng_filter, sampler, init, step, plan, grid, scans):
+            for t, state in _filter_states(cfg, "deq_mcl", seed_idx, grid, plan, scans):
                 if t == 1:  # rows start at the first filter step
                     continue
                 exact = oracle.exact_queue_posterior(hmm, plan_actions, emissions[: t - 1], fcfg.lag)

@@ -92,12 +92,12 @@ class TestCriterion2ReductionIdentities:
         rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
         a = step_a("init", None, rng_a)
         b = step_b("init", None, rng_b)
-        assert np.array_equal(a.current(), b.current())
+        assert np.array_equal(a.slot(0), b.slot(0))
         assert np.array_equal(a.log_weights, b.log_weights)
         for t in range(2, plan.horizon + 1):
             a = step_a(t, a, rng_a)
             b = step_b(t, b, rng_b)
-            assert np.array_equal(a.current(), b.current()), f"poses diverge at t={t}"
+            assert np.array_equal(a.slot(0), b.slot(0)), f"poses diverge at t={t}"
             assert np.array_equal(a.log_weights, b.log_weights), f"weights diverge at t={t}"
 
     def test_reductions_hold_bit_exact_over_100_steps(self):

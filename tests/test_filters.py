@@ -85,6 +85,11 @@ class TestMotionSample:
         assert a.shape == (3, 500)
         np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
 
+    def test_particle_major_poses_rejected(self):
+        # (5, 3): 5 particles, one (x, y, theta) row each
+        with pytest.raises(ValueError, match=r"poses must be coordinate rows, shape \(3, n\), got \(5, 3\)"):
+            motion_sample_batch(np.zeros((5, 3)), Action(1.0, 0.0), NoiseParams(0.1, 0.1, 0), np.random.default_rng(0))
+
 
 class TestObservationLogLikelihood:
     def test_zero_residual_attains_maximum(self):
@@ -130,19 +135,23 @@ class TestObservationLogLikelihood:
         out[free] = -0.5 * ((resid / sigma) ** 2).sum(axis=1) - scan.ranges.size * (math.log(sigma) + LOG_SQRT_2PI)
         return out
 
-    @pytest.mark.parametrize("low", [1.0, 0.0], ids=["all_free", "mixed"])
-    def test_all_free_and_mixed_batches_equal_the_gathered_path(self, room, low):
-        # `room` is free on [1, 59) along both axes; from 0.0 some poses fall in its wall.
+    @pytest.mark.parametrize("low, high, free", [(1.0, 58.99, "all"), (0.0, 58.99, "some"), (-5.0, 0.99, "none")],
+                             ids=["all_free", "mixed", "all_occupied"])
+    def test_all_free_and_mixed_batches_equal_the_gathered_path(self, room, low, high, free):
+        # `room` is free on [1, 59) along both axes; from 0.0 some poses fall in
+        # its wall, and below 1.0 every pose lies in the wall or off the grid.
         # Poses are passed as a window slot is, a view of coordinate-major rows,
         # and as its contiguous copy
         beams = BeamConfig(headings=(-0.4, 0.0, 0.4), max_range=40.0, ray_step=0.5)
         scan = sense(room, Pose(30, 30, 0.2), beams, NoiseParams(0, 0, 1.0), np.random.default_rng(5))
         rng = np.random.default_rng(7)
-        window = np.stack([rng.uniform(low, 58.99, (2, 300)), rng.uniform(low, 58.99, (2, 300)),
+        window = np.stack([rng.uniform(low, high, (2, 300)), rng.uniform(low, high, (2, 300)),
                            rng.uniform(-3, 3, (2, 300))])  # (3, slots, n)
         poses = window[:, 1]
         want = self.gathered(scan, np.ascontiguousarray(poses), room, 2.0)
-        assert np.isfinite(want).all() == (low == 1.0) and np.isfinite(want).any()
+        finite = np.isfinite(want)
+        assert (finite.all(), finite.any()) == {"all": (True, True), "some": (False, True), "none": (False, False)}[free]
+        assert (want[~finite] == -np.inf).all()
         for given in (poses, np.ascontiguousarray(poses)):
             got = observation_log_likelihood_batch(scan, given, room, 2.0)
             np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
@@ -157,24 +166,32 @@ class TestTraversabilityLogPrior:
         return OccupancyGrid(12, 4, 1.0, cells)
 
     def test_collision_free_segment_is_zero(self, room):
-        got = traversability_log_prior_batch(room, np.array([[10.0], [10.0]]), np.array([[20.0], [20.0]]),
-                                             beta=10.0, step=1.0)
+        got = traversability_log_prior_batch(room, np.array([[10.0], [10.0], [0.0]]),
+                                             np.array([[20.0], [20.0], [0.0]]), beta=10.0, step=1.0)
         assert got[0] == 0.0
 
     def test_three_collisions_beta_ten(self):
-        got = traversability_log_prior_batch(self._slab(), np.array([[4.5], [2.0]]), np.array([[8.5], [2.0]]),
-                                             beta=10.0, step=1.0)
+        got = traversability_log_prior_batch(self._slab(), np.array([[4.5], [2.0], [0.0]]),
+                                             np.array([[8.5], [2.0], [0.0]]), beta=10.0, step=1.0)
         assert got[0] == -30.0
 
     def test_beta_zero_disables_prior(self, room):
-        got = traversability_log_prior_batch(room, np.array([[0.5], [0.5]]), np.array([[5.0], [5.0]]),
-                                             beta=0.0, step=1.0)
+        got = traversability_log_prior_batch(room, np.array([[0.5], [0.5], [0.0]]),
+                                             np.array([[5.0], [5.0], [0.0]]), beta=0.0, step=1.0)
         assert got[0] == 0.0
+
+    def test_particle_major_rows_rejected(self, room):
+        ends = np.full((5, 3), 10.0)  # 5 particles, one (x, y, theta) row each
+        rows = np.full((3, 5), 10.0)
+        with pytest.raises(ValueError, match=r"prev must be coordinate rows, shape \(3, n\), got \(5, 3\)"):
+            traversability_log_prior_batch(room, ends, ends + 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match=r"nxt must be coordinate rows, shape \(3, n\), got \(5, 3\)"):
+            traversability_log_prior_batch(room, rows, ends, 1.0, 1.0)
 
     def test_monotone_suppression_in_beta(self):
         # column 0 crosses the slab, column 1 stays in free space
-        prev = np.array([[4.5, 1.0], [2.0, 2.0]])
-        nxt = np.array([[8.5, 3.0], [2.0, 2.0]])
+        prev = np.array([[4.5, 1.0], [2.0, 2.0], [0.0, 0.0]])
+        nxt = np.array([[8.5, 3.0], [2.0, 2.0], [0.0, 0.0]])
         prev_ratio = np.inf
         for beta in (0.0, 1.0, 5.0, 10.0, 20.0):
             crossing, free = traversability_log_prior_batch(self._slab(), prev, nxt, beta, 1.0)
@@ -346,7 +363,7 @@ class TestMclStep:
         state = init_belief(cfg, point_sampler(pose), grid, rng)
         for _ in range(5):
             state = mcl_step(state, Action(0, 0), scan, cfg, grid, rng)
-        assert np.allclose(state.current()[:, 0], pose_array(pose))
+        assert np.allclose(state.slot(0)[:, 0], pose_array(pose))
 
     def test_weights_normalized_every_step(self):
         grid = make_corridor(60, 12)
@@ -375,7 +392,7 @@ class TestReductions:
 
     def _states_equal(self, a: QueueState, b: QueueState) -> bool:
         return (
-            np.array_equal(a.current(), b.current())
+            np.array_equal(a.slot(0), b.slot(0))
             and np.array_equal(a.log_weights, b.log_weights)
         )
 
@@ -569,10 +586,13 @@ class TestDeqQueue:
         for off in range(-state.n_past, state.n_future + 1):
             snap = state.marginal(off)
             assert np.array_equal(snap.poses, state.poses[:, state.n_past + off]) and snap.poses.shape == (3, 50)
-        with pytest.raises(ValueError):
-            state.marginal(state.n_future + 1)
-        with pytest.raises(ValueError):
-            state.marginal(-(state.n_past + 1))
+            assert np.shares_memory(state.slot(off), state.poses) and np.array_equal(state.slot(off), snap.poses)
+        # one offset past either end: before the window, not its last future slot
+        span = rf"outside queue span \[-{state.n_past}, \+{state.n_future}\]"
+        for read in (state.slot, state.marginal):
+            for off in (-(state.n_past + 1), state.n_future + 1):
+                with pytest.raises(ValueError, match=span):
+                    read(off)
 
     def test_marginal_weights_uniform_after_resample(self):
         import dataclasses

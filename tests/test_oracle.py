@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from deqmcl import harness, oracle
+from deqmcl import filters, harness, oracle
 
 from deqmcl.filters import FilterConfig
 from deqmcl.gridmap import OccupancyGrid
@@ -566,6 +566,27 @@ def count_oracle_calls(monkeypatch, names) -> collections.Counter:
 
 
 class TestOracleValidation:
+    def test_validates_the_filter_run_runs(self, monkeypatch):
+        # the oracle scores the very deq_mcl trial `run` makes: every step's
+        # poses and log weights, bit for bit, on trials 0 and 2
+        steps = []
+
+        def recorded(*args, _original=filters.deq_step, **kwargs):
+            state = _original(*args, **kwargs)
+            steps.append(tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (state.poses, state.log_weights)))
+            return state
+
+        monkeypatch.setattr(filters, "deq_step", recorded)
+        cfg = tiny_cfg(seeds=3)
+        harness.run_oracle_validation(cfg)
+        per_trial = 13  # tiny.cfg's plan has 14 steps
+        assert len(steps) == 3 * per_trial
+        validated = [steps[k : k + per_trial] for k in range(0, len(steps), per_trial)]
+        for trial in (0, 2):
+            steps.clear()
+            harness.run_trial(cfg, "deq_mcl", trial)
+            assert steps == validated[trial]
+
     def test_one_emission_per_scan(self, monkeypatch):
         calls = count_oracle_calls(monkeypatch, ["observation_log_likelihood_batch", "exact_queue_posterior"])
         # tiny.cfg's plan has 14 steps: 13 scans and 13 filter steps per seed
