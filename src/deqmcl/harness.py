@@ -766,10 +766,11 @@ def _write_report(path: Path, rows: list[dict], cfg: ExperimentConfig, failures)
 def run_oracle_validation(cfg: ExperimentConfig, out_dir: str | None = None) -> list[dict]:
     """Compare queue-filter marginals against exact lattice posteriors.
 
-    Runs the queue filter on ``cfg.oracle_params.seeds`` independent trials
-    and records, for every step and queue offset, the total-variation
-    distance between the binned particle marginal and the exact posterior of
-    the discretized model.  Returns the rows and, when ``out_dir`` is given,
+    Runs the queue filter on ``cfg.oracle_params.seeds`` independent trials,
+    each after its one exact sweep (`oracle.exact_queue_posterior`), and
+    records, for every step and queue offset, the total-variation distance
+    between the binned particle marginal and the exact posterior of the
+    discretized model.  Returns the rows and, when ``out_dir`` is given,
     makes it once the config checks pass and the lattice is built, and
     writes them to oracle_tv.csv.  A trial that fails (no usable particle, or
     evidence the lattice model cannot explain) stops the validation: its seed
@@ -802,20 +803,20 @@ def run_oracle_validation(cfg: ExperimentConfig, out_dir: str | None = None) -> 
         for seed_idx in range(op.seeds):
             _, scans = trial_truth(cfg, seed_idx, grid, plan)
             emissions = [oracle.emission_weights(hmm, scan) for scan in scans[2:]]
+            exact = oracle.exact_queue_posterior(hmm, plan_actions, emissions, fcfg.lag)
             for t, state in _filter_states(cfg, "deq_mcl", seed_idx, grid, plan, scans):
                 if t == 1:  # rows start at the first filter step
                     continue
-                exact = oracle.exact_queue_posterior(hmm, plan_actions, emissions[: t - 1], fcfg.lag)
-                if list(exact) != list(range(-state.n_past, state.n_future + 1)):
+                if list(exact[t]) != list(range(-state.n_past, state.n_future + 1)):
                     raise RuntimeError(
                         f"queue window [-{state.n_past}, +{state.n_future}] at t = {t} "
-                        f"is not the exact posterior's offsets {list(exact)}"
+                        f"is not the exact posterior's offsets {list(exact[t])}"
                     )
                 # row j of the binned window is offset j - n_past; the comprehension
                 # frees the window's histograms before the next filter step
                 rows += [
                     {"seed": seed_idx, "t": t, "offset": offset, "tv": oracle.tv_distance(binned, dist)}
-                    for binned, (offset, dist) in zip(oracle.bin_belief(hmm, state.poses, state.weights()), exact.items())
+                    for binned, (offset, dist) in zip(oracle.bin_belief(hmm, state.poses, state.weights()), exact[t].items())
                 ]
     except (FilterDegeneracyError, oracle.ImpossibleEvidenceError) as exc:
         if out is not None:  # the failed trial recorded as `run_experiment` records one

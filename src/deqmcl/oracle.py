@@ -18,6 +18,12 @@ from .gridmap import OccupancyGrid
 from .worldsim import TWO_PI, Action, DepthScan, Pose, normalize_angles
 
 MAX_LATTICE_STATES = 10_000  # largest lattice `discretize` builds
+# Largest total of the dense (S, S) float64 kernels, one per distinct action,
+# that `discretize` holds at once; they are its peak memory.  tiny.cfg's one
+# kernel takes 0.66 MB and a 1,680-state room's 22.6 MB, so such a room fits
+# with paper.cfg's 6 distinct actions (135 MB), while the state cap alone lets
+# 800 MB per action through to an out-of-memory kill.
+MAX_KERNEL_BYTES = 256 * 2**20
 QUAD_POINTS = 61  # midpoint nodes of the forward-noise quadrature
 
 
@@ -55,6 +61,12 @@ class DiscreteHmm:
         return self.centers.shape[1]
 
     def log_emission(self, scan: DepthScan) -> np.ndarray:
+        """The scan's log-likelihood at every state's center.  Every state is
+        cast, the ones in walls included (200 of tiny.cfg's 288), and
+        `observation_log_likelihood_batch` then replaces their values by
+        -inf.  Dropping those states from the lattice would change the model:
+        the prior penalizes a move into a wall without forbidding it, so
+        future-side mass can sit there (ROADMAP, "Sized and left out")."""
         return observation_log_likelihood_batch(scan, self.centers, self.grid, self.sensor_sigma)
 
     def heading_bin(self, theta: np.ndarray) -> np.ndarray:
@@ -99,6 +111,13 @@ def discretize(
         raise LatticeSizeError(
             f"{nx} x {ny} cells x {n_heading_bins} heading bins = {n_states} states "
             f"exceeds the enumerable limit of {MAX_LATTICE_STATES}"
+        )
+    n_kernels = len(set(actions))
+    if n_states * n_states * 8 * n_kernels > MAX_KERNEL_BYTES:
+        raise LatticeSizeError(
+            f"{nx} x {ny} cells x {n_heading_bins} heading bins = {n_states} states need "
+            f"{n_kernels} distinct actions x {n_states * n_states * 8 / 2**20:.1f} MiB of dense kernels, "
+            f"over the {MAX_KERNEL_BYTES // 2**20} MiB budget"
         )
 
     ixs, iys = np.meshgrid(np.arange(nx), np.arange(ny))
@@ -175,63 +194,60 @@ def emission_weights(hmm: DiscreteHmm, scan: DepthScan) -> np.ndarray:
     return np.exp(log_e - m)
 
 
-def _window(actions: list[Action], emissions: list[np.ndarray], lag: int) -> tuple[int, int, int]:
-    """(t, n_past, n_future) of the window the two arguments describe."""
-    if len(emissions) > len(actions):
-        raise ValueError(f"{len(emissions)} emissions but only {len(actions)} actions")
-    t = len(emissions) + 1
-    return t, min(t - 1, lag), min(lag, len(actions) + 1 - t)
-
-
 def exact_queue_posterior(
     hmm: DiscreteHmm, actions: list[Action], emissions: list[np.ndarray], lag: int
-) -> dict[int, np.ndarray]:
-    """Exact per-offset queue marginals p(x_{t+k} | plan, o_{2:t}, map).
+) -> dict[int, dict[int, np.ndarray]]:
+    """Exact queue marginals p(x_{t+k} | plan, o_{2:t}, map) of every step t, from one sweep.
 
     ``actions`` holds the plan's actions for steps 2..T, so T =
     len(actions) + 1; ``emissions`` holds the `emission_weights` of scans
-    2..t, so t = len(emissions) + 1 (the time-1 belief is the prior,
-    matching the filters).  Offsets k run over [-min(t-1, lag),
-    +min(lag, T-t)].  Every transition carries the traversability prior, so
-    infeasible plans feed back into the current and past marginals exactly
-    as in the queue filter.
+    2..len(emissions) + 1.  The result maps each t = 1..len(emissions) + 1
+    to its window ``{k: marginal}`` (the time-1 belief is the prior,
+    matching the filters), with offsets k over [-min(t-1, lag),
+    +min(lag, T-t)].  Each step's filtered belief is computed once, before
+    any window; each t then adds its planned predictions, its backward
+    messages and their normalized products.  Every transition carries the
+    traversability prior, so infeasible plans feed back into the current
+    and past marginals exactly as in the queue filter.
     """
-    t, n_past, n_future = _window(actions, emissions, lag)
+    if len(emissions) > len(actions):
+        raise ValueError(f"{len(emissions)} emissions but only {len(actions)} actions")
     kernels = [hmm.weighted_transitions[a] for a in actions]  # kernels[j - 2] leads to step j
 
-    alphas: dict[int, np.ndarray] = {}
-    msg = hmm.initial / hmm.initial.sum()
-    if 1 >= t - n_past:
-        alphas[1] = msg
-    for j in range(2, t + n_future + 1):
+    def forward(j: int, msg: np.ndarray, emission: np.ndarray | None = None) -> np.ndarray:
         msg = kernels[j - 2].T @ msg
-        if j <= t:
-            msg = msg * emissions[j - 2]
+        if emission is not None:
+            msg = msg * emission
         total = msg.sum()
         if not (total > 0 and np.isfinite(total)):
             raise ImpossibleEvidenceError(f"evidence has zero probability at step {j}")
-        msg = msg / total
-        if j >= t - n_past:
-            alphas[j] = msg
+        return msg / total
 
-    betas: dict[int, np.ndarray] = {t + n_future: np.ones(hmm.n_states)}
-    for j in range(t + n_future - 1, t - n_past - 1, -1):
-        incoming = betas[j + 1]
-        if j + 1 <= t:
-            incoming = incoming * emissions[j - 1]
-        b = kernels[j - 1] @ incoming
-        peak = b.max()
-        if not (peak > 0 and np.isfinite(peak)):
-            raise ImpossibleEvidenceError(f"evidence has zero probability beyond step {j}")
-        betas[j] = b / peak
+    filtered = [hmm.initial / hmm.initial.sum()]  # filtered[j - 1]: step j given scans 2..j
+    for j, emission in enumerate(emissions, start=2):
+        filtered.append(forward(j, filtered[-1], emission))
 
-    out: dict[int, np.ndarray] = {}
-    for k in range(-n_past, n_future + 1):
-        m = alphas[t + k] * betas[t + k]
-        total = m.sum()
-        if not (total > 0 and np.isfinite(total)):
-            raise ImpossibleEvidenceError(f"zero-probability marginal at offset {k}")
-        out[k] = m / total
+    out: dict[int, dict[int, np.ndarray]] = {}
+    for t in range(1, len(emissions) + 2):
+        n_past, n_future = min(t - 1, lag), min(lag, len(actions) + 1 - t)
+        alphas = filtered[t - 1 - n_past : t]
+        for j in range(t + 1, t + n_future + 1):
+            alphas.append(forward(j, alphas[-1]))
+        betas = [np.ones(hmm.n_states)]  # steps t + n_future down to t - n_past
+        for j in range(t + n_future - 1, t - n_past - 1, -1):
+            incoming = betas[-1] * emissions[j - 1] if j + 1 <= t else betas[-1]
+            b = kernels[j - 1] @ incoming
+            peak = b.max()
+            if not (peak > 0 and np.isfinite(peak)):
+                raise ImpossibleEvidenceError(f"evidence has zero probability beyond step {j}")
+            betas.append(b / peak)
+        out[t] = {}
+        for k, alpha, beta in zip(range(-n_past, n_future + 1), alphas, betas[::-1]):
+            m = alpha * beta
+            total = m.sum()
+            if not (total > 0 and np.isfinite(total)):
+                raise ImpossibleEvidenceError(f"zero-probability marginal at offset {k}")
+            out[t][k] = m / total
     return out
 
 

@@ -920,7 +920,9 @@ class TestCli:
         (("box: [2.0, 6.0, 1.0, 2.0, 0.0, 0.0]", "box: [0.1, 0.9, 0.1, 0.9, 0.0, 0.0]"), 2, ("run", "oracle")),
         (("compare_t: 9", "compare_t: 50"), 2, ("oracle",)),  # past the plan horizon
         (("cell: 0.5", "cell: 0.05"), 2, ("oracle",)),  # 480 x 60 cells, past the enumerable limit
-    ], ids=["colliding_plan", "box_in_a_wall", "compare_t_past_horizon", "lattice_too_large"])
+        # 9,216 states, under the state cap, whose 648 MiB kernel is past the budget
+        (("cell: 0.5\n  heading_bins: 1", "cell: 0.25\n  heading_bins: 8"), 2, ("oracle",)),
+    ], ids=["colliding_plan", "box_in_a_wall", "compare_t_past_horizon", "lattice_too_large", "kernels_too_large"])
     def test_config_that_fails_its_checks_leaves_no_directory(
         self, tmp_path, monkeypatch, capsys, edit, status, commands
     ):

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,11 +56,14 @@ def strip_scan(grid, x, rng_seed=0, sigma_range=0.3):
 def enumerate_queue_posterior(hmm, actions, emissions, lag, max_tuples=2_000_000):
     """Brute-force joint enumeration over full trajectories, for tiny instances.
 
-    Takes `exact_queue_posterior`'s arguments and returns its marginals,
-    summed over every trajectory of the window instead of by message
-    passing, so that it guards the oracle itself.
+    Takes `exact_queue_posterior`'s arguments and returns the window of its
+    last step t = len(emissions) + 1, summed over every trajectory of the
+    window instead of by message passing, so that it guards the oracle itself.
     """
-    t, n_past, n_future = oracle._window(actions, emissions, lag)
+    if len(emissions) > len(actions):
+        raise ValueError(f"{len(emissions)} emissions but only {len(actions)} actions")
+    t = len(emissions) + 1
+    n_past, n_future = min(t - 1, lag), min(lag, len(actions) + 1 - t)
     steps = t + n_future
     n_states = hmm.n_states
     if n_states ** steps > max_tuples:
@@ -84,6 +88,41 @@ def enumerate_queue_posterior(hmm, actions, emissions, lag, max_tuples=2_000_000
     if total <= 0:
         raise ImpossibleEvidenceError("evidence has zero probability under enumeration")
     return {k: m / total for k, m in marginals.items()}
+
+
+def restarted_queue_posterior(hmm, actions, emissions, lag):
+    """The window of step t = len(emissions) + 1 alone, its forward recursion
+    restarted from the prior: `exact_queue_posterior`'s bit-for-bit reference
+    for each step of its one sweep."""
+    t = len(emissions) + 1
+    n_past, n_future = min(t - 1, lag), min(lag, len(actions) + 1 - t)
+    kernels = [hmm.weighted_transitions[a] for a in actions]
+
+    alphas = {}
+    msg = hmm.initial / hmm.initial.sum()
+    if 1 >= t - n_past:
+        alphas[1] = msg
+    for j in range(2, t + n_future + 1):
+        msg = kernels[j - 2].T @ msg
+        if j <= t:
+            msg = msg * emissions[j - 2]
+        msg = msg / msg.sum()
+        if j >= t - n_past:
+            alphas[j] = msg
+
+    betas = {t + n_future: np.ones(hmm.n_states)}
+    for j in range(t + n_future - 1, t - n_past - 1, -1):
+        incoming = betas[j + 1]
+        if j + 1 <= t:
+            incoming = incoming * emissions[j - 1]
+        b = kernels[j - 1] @ incoming
+        betas[j] = b / b.max()
+
+    out = {}
+    for k in range(-n_past, n_future + 1):
+        m = alphas[t + k] * betas[t + k]
+        out[k] = m / m.sum()
+    return out
 
 
 def reference_discretize(grid, cfg, actions, cell, n_heading_bins):
@@ -214,6 +253,28 @@ class TestDiscretize:
         with pytest.raises(LatticeSizeError, match="40000"):
             discretize(grid, cfg, [Action(1, 0)], cell=1.0, n_heading_bins=1)
 
+    def test_kernel_budget_refused_before_any_allocation(self):
+        # 100 x 60 cells = 6,000 states, under the state cap; one dense
+        # 6000 x 6000 float64 kernel would take 275 MiB
+        grid = make_room(100, 60)
+        cfg = FilterConfig(n_particles=10)
+        assert 6000 <= oracle.MAX_LATTICE_STATES and 6000**2 * 8 > oracle.MAX_KERNEL_BYTES
+        tracemalloc.start()
+        try:
+            with pytest.raises(LatticeSizeError, match=(
+                r"^100 x 60 cells x 1 heading bins = 6000 states need 1 distinct actions x 274.7 MiB "
+                r"of dense kernels, over the 256 MiB budget$"
+            )):
+                discretize(grid, cfg, [Action(1, 0), Action(1, 0)], cell=1.0, n_heading_bins=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        # the budget counts each distinct action: 3,000 states take 68.7 MiB per kernel
+        with pytest.raises(LatticeSizeError, match=r"3000 states need 4 distinct actions x 68.7 MiB"):
+            discretize(make_room(50, 60), cfg, [Action(1, 0), Action(1, 0.1), Action(1, 0.2), Action(1, 0.3)],
+                       cell=1.0, n_heading_bins=1)
+
     def test_map_prior_folds_into_weighted_kernel(self):
         # the strip with its cell 3 occupied: moves across it lose weight
         cells = np.zeros((1, 6), dtype=bool)
@@ -252,7 +313,7 @@ class TestExactQueuePosterior:
         grid, cfg, hmm = strip_hmm(sigma_v=0.5, sensor_sigma=1.5)
         act = Action(1.0, 0.0)
         scans = [strip_scan(grid, 2.5, s) for s in range(3)]
-        out = exact_queue_posterior(hmm, [act] * 3, weights(hmm, scans), lag=0)
+        out = exact_queue_posterior(hmm, [act] * 3, weights(hmm, scans), lag=0)[4]
         assert set(out) == {0}
         # independent forward algorithm written inline
         msg = hmm.initial.copy()
@@ -267,7 +328,7 @@ class TestExactQueuePosterior:
     def test_uninformative_emission_smoothing_equals_filtering(self):
         grid, cfg, hmm = strip_hmm(sigma_v=0.5, beta=0.0)
         act = Action(1.0, 0.0)
-        out = exact_queue_posterior(hmm, [act] * 5, [np.ones(hmm.n_states)] * 3, lag=2)
+        out = exact_queue_posterior(hmm, [act] * 5, [np.ones(hmm.n_states)] * 3, lag=2)[4]
         # with constant emission and no map prior the backward pass is flat:
         # every past/current marginal equals the plain forward marginal
         msg = hmm.initial.copy()
@@ -284,7 +345,7 @@ class TestExactQueuePosterior:
         grid, cfg, hmm = strip_hmm(sigma_v=0.5, beta=0.0)
         act = Action(1.0, 0.0)
         scans = [strip_scan(grid, 2.5, s) for s in range(3)]
-        out = exact_queue_posterior(hmm, [act] * 7, weights(hmm, scans), lag=2)
+        out = exact_queue_posterior(hmm, [act] * 7, weights(hmm, scans), lag=2)[4]
         g = hmm.weighted_transitions[act]
         prop1 = g.T @ out[0]
         prop2 = g.T @ prop1
@@ -300,7 +361,7 @@ class TestExactQueuePosterior:
         act = Action(1.0, 0.0)
         hmm = discretize(grid, cfg, [act], cell=1.0, n_heading_bins=1)
         scans = [strip_scan(grid, 1.5, 7), strip_scan(grid, 2.5, 8)]
-        out = exact_queue_posterior(hmm, [act] * 3, weights(hmm, scans), lag=1)
+        out = exact_queue_posterior(hmm, [act] * 3, weights(hmm, scans), lag=1)[3]
 
         g = hmm.weighted_transitions[act]
         e = {}
@@ -326,21 +387,30 @@ class TestExactQueuePosterior:
         np.testing.assert_allclose(out[1], joint.sum(axis=(0, 1, 2)), atol=1e-12)
 
     def test_matches_enumeration_on_random_instances(self):
+        # every step's window of one sweep against the enumeration of that step alone
         act = Action(1.0, 0.0)
         for seed in range(5):
             grid, cfg, hmm = strip_hmm(sigma_v=0.6, beta=1.5, sensor_sigma=1.2)
             scans = [strip_scan(grid, 1.5 + 0.8 * j, 50 + 10 * seed + j) for j in range(3)]
-            fb = exact_queue_posterior(hmm, [act] * 4, weights(hmm, scans), lag=2)
-            brute = enumerate_queue_posterior(hmm, [act] * 4, weights(hmm, scans), lag=2)
-            assert set(fb) == set(brute)
-            for k in fb:
-                assert abs(fb[k].sum() - 1.0) < 1e-9
-                np.testing.assert_allclose(fb[k], brute[k], atol=1e-10)
+            emissions = weights(hmm, scans)
+            sweep = exact_queue_posterior(hmm, [act] * 4, emissions, lag=2)
+            assert list(sweep) == [1, 2, 3, 4]
+            for t, fb in sweep.items():
+                brute = enumerate_queue_posterior(hmm, [act] * 4, emissions[: t - 1], lag=2)
+                assert list(fb) == list(brute)
+                for k in fb:
+                    assert abs(fb[k].sum() - 1.0) < 1e-9
+                    np.testing.assert_allclose(fb[k], brute[k], atol=1e-10)
 
     def test_impossible_evidence_raises(self, monkeypatch):
         grid, cfg, hmm = strip_hmm()
-        with pytest.raises(ImpossibleEvidenceError):
-            exact_queue_posterior(hmm, [Action(1, 0)], [np.zeros(hmm.n_states)], lag=0)
+        ones, zeros = np.ones(hmm.n_states), np.zeros(hmm.n_states)
+        with pytest.raises(ImpossibleEvidenceError, match="^evidence has zero probability at step 2$"):
+            exact_queue_posterior(hmm, [Action(1, 0)], [zeros], lag=0)
+        # the sweep fails at the step of the scan that explains no state, though
+        # the windows of steps 1 and 2 never read that scan
+        with pytest.raises(ImpossibleEvidenceError, match="^evidence has zero probability at step 3$"):
+            exact_queue_posterior(hmm, [Action(1, 0)] * 3, [ones, zeros, ones], lag=1)
         monkeypatch.setattr(
             DiscreteHmm, "log_emission", lambda self, scan: np.full(self.n_states, -np.inf)
         )
@@ -589,8 +659,8 @@ class TestOracleValidation:
 
     def test_one_emission_per_scan(self, monkeypatch):
         calls = count_oracle_calls(monkeypatch, ["observation_log_likelihood_batch", "exact_queue_posterior"])
-        # tiny.cfg's plan has 14 steps: 13 scans and 13 filter steps per seed
-        assert calls == {"observation_log_likelihood_batch": 26, "exact_queue_posterior": 26}
+        # tiny.cfg's plan has 14 steps: 13 scans per seed, and one exact sweep per seed
+        assert calls == {"observation_log_likelihood_batch": 26, "exact_queue_posterior": 2}
 
     def test_one_binning_per_filter_step(self, monkeypatch):
         # the whole window is binned at once, not one marginal per offset
@@ -599,9 +669,35 @@ class TestOracleValidation:
     def test_window_that_is_not_the_exact_posteriors_rejected(self, monkeypatch):
         # the rows of the binned window are matched to the exact offsets by position
         exact = oracle.exact_queue_posterior
-        monkeypatch.setattr(oracle, "exact_queue_posterior", lambda *a: {**exact(*a), 3: None})
+        monkeypatch.setattr(oracle, "exact_queue_posterior",
+                            lambda *a: {t: {**window, 3: None} for t, window in exact(*a).items()})
         with pytest.raises(RuntimeError, match="queue window"):
             harness.run_oracle_validation(tiny_cfg(seeds=1))
+
+    def test_impossible_step_fails_before_its_filter_runs(self, monkeypatch, tmp_path):
+        # seed 1's scan at step 5 has zero weight at every lattice state, so
+        # wherever the predicted belief has mass: its sweep fails before any
+        # of seed 1's filter steps, and only seed 0's 13 steps run
+        scans_per_seed, seed, step = 13, 1, 5
+        n_emissions, n_filter_steps = itertools.count(), itertools.count()
+
+        def emission_weights(hmm, scan, _original=oracle.emission_weights):
+            w = _original(hmm, scan)
+            return np.zeros_like(w) if next(n_emissions) == seed * scans_per_seed + step - 2 else w
+
+        def deq_step(*args, _original=filters.deq_step, **kwargs):
+            next(n_filter_steps)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "emission_weights", emission_weights)
+        monkeypatch.setattr(filters, "deq_step", deq_step)
+        (tmp_path / "oracle_tv.csv").write_text("seed,t,offset,tv\n")  # a stale one, removed
+        message = f"evidence has zero probability at step {step}"
+        with pytest.raises(ImpossibleEvidenceError, match=f"^{message}$"):
+            harness.run_oracle_validation(tiny_cfg(seeds=2), out_dir=str(tmp_path))
+        assert next(n_filter_steps) == scans_per_seed
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["oracle_failures.txt"]
+        assert (tmp_path / "oracle_failures.txt").read_text() == f"seed {seed}: {message}\n"
 
     def test_compare_t_past_horizon_rejected(self):
         with pytest.raises(harness.ConfigError, match="oracle.compare_t"):
@@ -613,3 +709,46 @@ class TestOracleValidation:
             r"exceeds the enumerable limit of 10000$"
         )):
             harness.run_oracle_validation(tiny_cfg(cell=0.05))
+
+    def test_lattice_over_the_kernel_budget_rejected(self):
+        # 9,216 states, under the state cap, whose one dense kernel is over the budget
+        with pytest.raises(harness.ConfigError, match=(
+            r"^oracle.cell and oracle.heading_bins: 96 x 12 cells x 8 heading bins = 9216 states "
+            r"need 1 distinct actions x 648.0 MiB of dense kernels, over the 256 MiB budget$"
+        )):
+            harness.run_oracle_validation(tiny_cfg(cell=0.25, heading_bins=8))
+
+
+def tiny_lattice_emissions(n_seeds):
+    """tiny.cfg's lattice, its plan's actions for steps 2..T and, per seed, the
+    emission weights of scans 2..T, as `run_oracle_validation` builds them."""
+    cfg = tiny_cfg()
+    grid, plan = harness._world(cfg)
+    actions = list(plan.actions[1:])
+    hmm = discretize(grid, cfg.filter_base, list(dict.fromkeys(actions)), cfg.oracle_params.cell,
+                     cfg.oracle_params.heading_bins)
+    hmm.initial = uniform_box_initial(hmm, cfg.init.box)
+    return hmm, actions, [weights(hmm, harness.trial_truth(cfg, s, grid, plan)[1][2:]) for s in range(n_seeds)]
+
+
+def assert_windows_bit_identical(window, reference):
+    assert list(window) == list(reference)
+    for k in window:
+        np.testing.assert_array_equal(window[k].view(np.int64), reference[k].view(np.int64))
+
+
+class TestSweepMatchesRestart:
+    @pytest.mark.parametrize("lag", [0, 2, 5, 20])  # none, tiny.cfg's, a middle one, past its 14 steps
+    def test_every_step_is_bit_identical(self, lag):
+        hmm, actions, per_seed = tiny_lattice_emissions(3)
+        for emissions in per_seed:
+            sweep = exact_queue_posterior(hmm, actions, emissions, lag)
+            assert list(sweep) == list(range(1, len(actions) + 2))
+            for t, window in sweep.items():
+                assert_windows_bit_identical(window, restarted_queue_posterior(hmm, actions, emissions[: t - 1], lag))
+
+    def test_no_emission_is_the_first_step_alone(self):
+        hmm, actions, _ = tiny_lattice_emissions(0)
+        sweep = exact_queue_posterior(hmm, actions, [], 2)
+        assert list(sweep) == [1] and list(sweep[1]) == [0, 1, 2]
+        assert_windows_bit_identical(sweep[1], restarted_queue_posterior(hmm, actions, [], 2))
