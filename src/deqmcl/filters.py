@@ -9,13 +9,17 @@ sample count), keeps up to ``lag`` past poses, and weights by the scan
 likelihood at the new current pose.  The likelihood raycasts every pose, one
 inside an obstacle too, and then gives each such pose -inf.
 
-* ``deq_init``/``deq_step`` -- the queue filter: ``lag`` past poses and up to
-                             ``lag`` planned future poses, so infeasible
-                             futures feed back into the present and past
-                             belief,
-* ``mcl_smoother_step``   -- the queue filter with beta 0 and no future side:
-                             the marginal at offset -lag is the fixed-lag
-                             smoothed belief,
+Every filter starts from `init_belief` and has one step signature,
+``(state, action, scan, cfg, grid, rng, future=())``: ``future`` holds the
+planned actions of the steps after the new one, and its length is the
+future side the step rolls, whatever ``cfg.lag`` is.
+
+* ``deq_step``            -- the queue filter: ``lag`` past poses and the
+                             planned future poses, so infeasible futures feed
+                             back into the present and past belief,
+* ``mcl_smoother_step``   -- the queue filter with beta 0: with no future
+                             side, the marginal at offset -lag is the
+                             fixed-lag smoothed belief,
 * ``mcl_map_motion_step`` -- the queue filter with lag 0: MCL whose motion
                              update is multiplied by the prior,
 * ``mcl_step``            -- the queue filter with lag 0 and beta 0: plain
@@ -36,12 +40,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .gridmap import OccupancyGrid
-from .worldsim import Action, ActionPlan, DepthScan, NoiseParams, normalize_angles
+from .worldsim import Action, DepthScan, NoiseParams, normalize_angles
 
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -305,9 +309,20 @@ def _finish_step(
 
 
 def init_belief(
-    cfg: FilterConfig, init_sampler: InitSampler, grid: OccupancyGrid, rng: np.random.Generator
+    cfg: FilterConfig,
+    init_sampler: InitSampler,
+    grid: OccupancyGrid,
+    rng: np.random.Generator,
+    future: Sequence[Action] = (),
 ) -> QueueState:
-    """Uniform-weight belief at time 1, drawn as ``(3, n)`` coordinate rows by the initial-belief sampler."""
+    """Belief at time 1: the sampler's ``(3, n)`` coordinate rows, rolled ahead along ``future``.
+
+    ``future`` holds the planned actions of steps 2, 3, ...; the future side
+    is sampled from the motion kernel under them, and each rolled transition
+    multiplies the weight by the traversability prior, which the state keeps
+    per transition.  With no future action nothing is drawn and the uniform
+    weights keep their bits.
+    """
     poses = np.array(init_sampler(rng, cfg.n_particles), dtype=float)
     if poses.shape != (3, cfg.n_particles):
         raise InitializationError(f"init sampler returned {poses.shape}, not coordinate rows (3, {cfg.n_particles})")
@@ -315,7 +330,11 @@ def init_belief(
     if grid.occupied_xy(poses[0], poses[1]).all():
         raise InitializationError("every initial particle lies in occupied space")
     logw = np.full(cfg.n_particles, -math.log(cfg.n_particles))
-    return QueueState(t=1, poses=poses[:, None], log_weights=logw, future_log_priors=np.empty((0, cfg.n_particles)))
+    rolled, future_log_priors, logw = _roll_out(poses, future, logw, cfg, grid, rng)
+    return QueueState(
+        t=1, poses=np.concatenate([poses[:, None], rolled], axis=1), log_weights=_normalize_log_weights(logw),
+        future_log_priors=future_log_priors,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +343,7 @@ def init_belief(
 
 def _roll_out(
     start: np.ndarray,
-    actions: list[Action],
+    actions: Sequence[Action],
     log_weights: np.ndarray,
     cfg: FilterConfig,
     grid: OccupancyGrid,
@@ -407,9 +426,10 @@ def mcl_step(
     cfg: FilterConfig,
     grid: OccupancyGrid,
     rng: np.random.Generator,
+    future: Sequence[Action] = (),
 ) -> QueueState:
     """Plain MCL: propagate, weight by the scan likelihood, resample on low ESS."""
-    return _window_step(state, [action], scan, replace(cfg, lag=0, beta=0.0), grid, rng)
+    return _window_step(state, [action, *future], scan, replace(cfg, lag=0, beta=0.0), grid, rng)
 
 
 def mcl_map_motion_step(
@@ -419,9 +439,10 @@ def mcl_map_motion_step(
     cfg: FilterConfig,
     grid: OccupancyGrid,
     rng: np.random.Generator,
+    future: Sequence[Action] = (),
 ) -> QueueState:
     """MCL with the motion kernel multiplied by the traversability prior."""
-    return _window_step(state, [action], scan, replace(cfg, lag=0), grid, rng)
+    return _window_step(state, [action, *future], scan, replace(cfg, lag=0), grid, rng)
 
 
 def mcl_smoother_step(
@@ -431,56 +452,25 @@ def mcl_smoother_step(
     cfg: FilterConfig,
     grid: OccupancyGrid,
     rng: np.random.Generator,
+    future: Sequence[Action] = (),
 ) -> QueueState:
     """MCL whose particles carry their last ``lag`` poses.
 
     Resampling copies histories atomically, so the marginal at offset -lag is
     the fixed-lag smoothed distribution of time t - lag.
     """
-    return _window_step(state, [action], scan, replace(cfg, beta=0.0), grid, rng)
-
-
-def deq_init(
-    cfg: FilterConfig,
-    init_sampler: InitSampler,
-    plan: ActionPlan,
-    grid: OccupancyGrid,
-    rng: np.random.Generator,
-) -> QueueState:
-    """Queue belief at time 1: initial poses rolled ``min(lag, T-1)`` steps ahead.
-
-    The future side is sampled from the motion kernel under the planned
-    actions (plan steps 2 .. 1+F) and each rolled transition multiplies the
-    weight by the traversability prior, which the state keeps per transition.
-    """
-    base = init_belief(cfg, init_sampler, grid, rng)
-    f_target = min(cfg.lag, plan.horizon - 1)
-    actions = [plan.action(k) for k in range(2, f_target + 2)]
-    future, future_log_priors, logw = _roll_out(
-        base.slot(0), actions, base.log_weights, cfg, grid, rng
-    )
-    return QueueState(
-        t=1, poses=np.concatenate([base.poses, future], axis=1), log_weights=_normalize_log_weights(logw),
-        future_log_priors=future_log_priors,
-    )
+    return _window_step(state, [action, *future], scan, replace(cfg, beta=0.0), grid, rng)
 
 
 def deq_step(
     state: QueueState,
-    t: int,
     action: Action,
     scan: DepthScan,
-    plan: ActionPlan,
     cfg: FilterConfig,
     grid: OccupancyGrid,
     rng: np.random.Generator,
+    future: Sequence[Action] = (),
 ) -> QueueState:
-    """Advance the queue filter from time t-1 to t.
-
-    The future side is re-proposed along the plan, ``min(lag, T-t)`` steps.
-    """
-    if t != state.t + 1:
-        raise ValueError(f"deq_step expects t == {state.t + 1}, got {t}")
-    f_target = min(cfg.lag, plan.horizon - t)
-    actions = [action] + [plan.action(t + k) for k in range(1, f_target + 1)]
-    return _window_step(state, actions, scan, cfg, grid, rng)
+    """Advance the queue filter by one step: ``lag`` past poses, and the
+    future side re-proposed along the planned actions ``future``."""
+    return _window_step(state, [action, *future], scan, cfg, grid, rng)

@@ -45,25 +45,15 @@ from .worldsim import (
 )
 
 
-def _baseline(step: str, lagged: bool):
-    return (
-        lambda fcfg, sampler, plan, grid, rng: filters.init_belief(fcfg, sampler, grid, rng),
-        lambda st, t, action, scan, plan, fcfg, grid, rng: getattr(filters, step)(
-            st, action, scan, fcfg, grid, rng
-        ),
-        lagged,
-    )
-
-
-# method -> (initial belief, step from t-1 to t, reports the marginal at -lag).
-# Every init takes deq_init's arguments and every step deq_step's.  Each
-# looks its filter up in `filters` when called, so that a wrapper installed
-# on the module after import is the one that runs.
+# method -> (its step in `filters`, rolls the plan ``lag`` steps ahead, reports
+# the marginal at -lag).  Every method starts from `filters.init_belief`; the
+# step is looked up once per trial, so that a wrapper installed on the module
+# after import is the one that runs.
 METHOD_TABLE = {
-    "deq_mcl": (lambda *a: filters.deq_init(*a), lambda *a: filters.deq_step(*a), True),
-    "mcl_smoother": _baseline("mcl_smoother_step", True),
-    "mcl_map_motion": _baseline("mcl_map_motion_step", False),
-    "mcl": _baseline("mcl_step", False),
+    "deq_mcl": ("deq_step", True, True),
+    "mcl_smoother": ("mcl_smoother_step", False, True),
+    "mcl_map_motion": ("mcl_map_motion_step", False, False),
+    "mcl": ("mcl_step", False, False),
 }
 METHODS = tuple(METHOD_TABLE)
 OUTPUT_DIR_ENV = "DEQMCL_OUT"
@@ -532,13 +522,15 @@ def _filter_states(cfg: ExperimentConfig, method: str, trial: int, grid: Occupan
                    plan: ActionPlan, scans: list[DepthScan | None]):
     """Yield (t, state) for t = 1..T of ``method`` on ``trial``, as `run_trial` and `run_oracle_validation`
     run it: the initial belief, then one filter step per scan, on the (method, trial) filter stream."""
-    init, step, _ = METHOD_TABLE[method]
+    name, rolls_plan, _ = METHOD_TABLE[method]
+    step = getattr(filters, name)
     fcfg = cfg.filter_base
+    horizon = fcfg.lag if rolls_plan else 0  # the planned actions of steps t+1 .. t+horizon, clipped at T
     rng = derive_rng(cfg.master_seed, trial, _STREAM_FILTER, method)
-    state = init(fcfg, make_init_sampler(cfg), plan, grid, rng)
+    state = filters.init_belief(fcfg, make_init_sampler(cfg), grid, rng, plan.actions[1 : 1 + horizon])
     yield 1, state
     for t in range(2, plan.horizon + 1):
-        state = step(state, t, plan.action(t), scans[t], plan, fcfg, grid, rng)
+        state = step(state, plan.action(t), scans[t], fcfg, grid, rng, plan.actions[t : t + horizon])
         yield t, state
 
 

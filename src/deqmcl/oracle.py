@@ -17,12 +17,11 @@ from .filters import FilterConfig, observation_log_likelihood_batch
 from .gridmap import OccupancyGrid
 from .worldsim import TWO_PI, Action, DepthScan, Pose, normalize_angles
 
-MAX_LATTICE_STATES = 10_000  # largest lattice `discretize` builds
-# Largest total of the dense (S, S) float64 kernels, one per distinct action,
-# that `discretize` holds at once; they are its peak memory.  tiny.cfg's one
-# kernel takes 0.66 MB and a 1,680-state room's 22.6 MB, so such a room fits
-# with paper.cfg's 6 distinct actions (135 MB), while the state cap alone lets
-# 800 MB per action through to an out-of-memory kill.
+# Largest total of the dense (S, S) float64 kernels, one per distinct action
+# and at least one, that `discretize` holds at once; they are its peak memory,
+# and the budget is its one size limit: one kernel bounds S at 5,792 states.
+# tiny.cfg's one kernel takes 0.66 MB and a 1,680-state room's 22.6 MB, so
+# such a room fits with paper.cfg's 6 distinct actions (135 MB).
 MAX_KERNEL_BYTES = 256 * 2**20
 QUAD_POINTS = 61  # midpoint nodes of the forward-noise quadrature
 
@@ -107,12 +106,7 @@ def discretize(
     nx = math.ceil(grid.world_width / cell - 1e-9)
     ny = math.ceil(grid.world_height / cell - 1e-9)
     n_states = nx * ny * n_heading_bins
-    if n_states > MAX_LATTICE_STATES:
-        raise LatticeSizeError(
-            f"{nx} x {ny} cells x {n_heading_bins} heading bins = {n_states} states "
-            f"exceeds the enumerable limit of {MAX_LATTICE_STATES}"
-        )
-    n_kernels = len(set(actions))
+    n_kernels = max(1, len(set(actions)))
     if n_states * n_states * 8 * n_kernels > MAX_KERNEL_BYTES:
         raise LatticeSizeError(
             f"{nx} x {ny} cells x {n_heading_bins} heading bins = {n_states} states need "

@@ -16,7 +16,6 @@ from scipy import stats
 from deqmcl import cli, harness
 from deqmcl.filters import (
     FilterConfig,
-    deq_init,
     deq_step,
     init_belief,
     mcl_map_motion_step,
@@ -112,8 +111,8 @@ class TestCriterion2ReductionIdentities:
 
         self._assert_identical_runs(
             room, plan_circle, scans, cfg, start,
-            lambda t, st, rng: deq_init(cfg, sampler, plan_circle, room, rng) if t == "init"
-            else deq_step(st, t, plan_circle.action(t), scans[t], plan_circle, cfg, room, rng),
+            lambda t, st, rng: init_belief(cfg, sampler, room, rng, plan_circle.actions[1 : 1 + cfg.lag]) if t == "init"
+            else deq_step(st, plan_circle.action(t), scans[t], cfg, room, rng, plan_circle.actions[t : t + cfg.lag]),
             lambda t, st, rng: init_belief(cfg, sampler, room, rng) if t == "init"
             else mcl_step(st, plan_circle.action(t), scans[t], cfg, room, rng),
             seed=11,

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from deqmcl.filters import (
     FilterConfig,
     FilterDegeneracyError,
-    deq_init,
     deq_step,
     init_belief,
     mcl_map_motion_step,
@@ -87,11 +86,11 @@ class TestQueueFilterProperties:
         grid, start, plan, scans = world
         horizon, lag = plan.horizon, cfg.lag
         rng = np.random.default_rng(seed)
-        state = deq_init(cfg, near(start), plan, grid, rng)
+        state = init_belief(cfg, near(start), grid, rng, plan.actions[1 : 1 + cfg.lag])
         for t in range(1, horizon + 1):
             if t >= 2:
                 try:
-                    state = deq_step(state, t, plan.action(t), scans[t], plan, cfg, grid, rng)
+                    state = deq_step(state, plan.action(t), scans[t], cfg, grid, rng, plan.actions[t : t + cfg.lag])
                 except FilterDegeneracyError:
                     return  # every particle left the free space; nothing more to check
             assert state.t == t
@@ -109,11 +108,11 @@ class TestQueueFilterProperties:
     def test_lag0_equals_map_motion(self, world, cfg, seed):
         grid, start, plan, scans = world
         rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-        a = deq_init(cfg, near(start), plan, grid, rng_a)
+        a = init_belief(cfg, near(start), grid, rng_a, plan.actions[1 : 1 + cfg.lag])
         b = init_belief(cfg, near(start), grid, rng_b)
         for t in range(2, plan.horizon + 1):
             try:
-                a = deq_step(a, t, plan.action(t), scans[t], plan, cfg, grid, rng_a)
+                a = deq_step(a, plan.action(t), scans[t], cfg, grid, rng_a, plan.actions[t : t + cfg.lag])
             except FilterDegeneracyError:
                 a = None
             try:

@@ -10,7 +10,6 @@ from deqmcl.filters import (
     FilterDegeneracyError,
     InitializationError,
     QueueState,
-    deq_init,
     deq_step,
     effective_sample_size,
     init_belief,
@@ -405,11 +404,11 @@ class TestReductions:
                            motion_noise=NoiseParams(0.3, 0.02, 0), sensor_sigma=2.0)
         sampler = gaussian_sampler(Pose(20, 40, 0), 3.0, 0.1)
         rng_a, rng_b = np.random.default_rng(77), np.random.default_rng(77)
-        deq = deq_init(cfg, sampler, plan, grid, rng_a)
+        deq = init_belief(cfg, sampler, grid, rng_a, plan.actions[1 : 1 + cfg.lag])
         mcl = init_belief(cfg, sampler, grid, rng_b)
         assert self._states_equal(deq, mcl)
         for t in range(2, plan.horizon + 1):
-            deq = deq_step(deq, t, plan.action(t), scans[t], plan, cfg, grid, rng_a)
+            deq = deq_step(deq, plan.action(t), scans[t], cfg, grid, rng_a, plan.actions[t : t + cfg.lag])
             mcl = mcl_step(mcl, plan.action(t), scans[t], cfg, grid, rng_b)
             assert self._states_equal(deq, mcl)
 
@@ -459,20 +458,26 @@ class TestReductions:
             b = mcl_step(b, plan.action(t), scans[t], cfg, grid, rng_b)
             assert self._states_equal(a, b)
 
-    def test_deq_lag0_equals_map_motion_on_any_map(self):
-        # with lag 0 the queue filter is exactly MCL with the map-based motion model
+    @pytest.mark.parametrize("n_future", [0, 2])
+    def test_deq_lag0_equals_map_motion_on_any_map(self, n_future):
+        # with lag 0 the queue filter is exactly MCL with the map-based motion
+        # model, given the same planned future (none, or the caller's own)
         grid = make_corridor(60, 12)
         plan, scans = self._setup(grid, 30, 10)
         cfg = FilterConfig(n_particles=200, lag=0, beta=7.0,
                            motion_noise=NoiseParams(0.4, 0.05, 0), sensor_sigma=2.0)
         sampler = gaussian_sampler(Pose(6, 6, 0), 3.0, 0.1)
         rng_a, rng_b = np.random.default_rng(13), np.random.default_rng(13)
-        a = deq_init(cfg, sampler, plan, grid, rng_a)
-        b = init_belief(cfg, sampler, grid, rng_b)
+        a = init_belief(cfg, sampler, grid, rng_a, plan.actions[1 : 1 + n_future])
+        b = init_belief(cfg, sampler, grid, rng_b, plan.actions[1 : 1 + n_future])
         for t in range(2, plan.horizon + 1):
-            a = deq_step(a, t, plan.action(t), scans[t], plan, cfg, grid, rng_a)
-            b = mcl_map_motion_step(b, plan.action(t), scans[t], cfg, grid, rng_b)
+            future = plan.actions[t : t + n_future]
+            a = deq_step(a, plan.action(t), scans[t], cfg, grid, rng_a, future)
+            b = mcl_map_motion_step(b, plan.action(t), scans[t], cfg, grid, rng_b, future)
             assert self._states_equal(a, b)
+            assert a.n_future == len(future)
+            assert a.poses.tobytes() == b.poses.tobytes()
+            assert a.future_log_priors.tobytes() == b.future_log_priors.tobytes()
 
 
 class TestSmoother:
@@ -540,29 +545,43 @@ class TestDeqQueue:
         grid, plan, scans, cfg = self._mini(lag=2, steps=8)
         horizon = plan.horizon
         rng = np.random.default_rng(0)
-        state = deq_init(cfg, gaussian_sampler(Pose(5, 4, 0), 2.0, 0.05), plan, grid, rng)
+        state = init_belief(cfg, gaussian_sampler(Pose(5, 4, 0), 2.0, 0.05), grid, rng, plan.actions[1 : 1 + cfg.lag])
         assert (state.n_past, state.n_future) == (0, min(2, horizon - 1))
         for t in range(2, horizon + 1):
-            state = deq_step(state, t, plan.action(t), scans[t], plan, cfg, grid, rng)
+            state = deq_step(state, plan.action(t), scans[t], cfg, grid, rng, plan.actions[t : t + cfg.lag])
             assert state.n_past == min(t - 1, 2)
             assert state.n_future == min(2, horizon - t)
         assert state.n_future == 0  # future side empty at the end of the plan
+
+    @pytest.mark.parametrize("n_future", [0, 1, 3, 5])
+    def test_future_horizon_is_the_callers(self, n_future):
+        # cfg.lag bounds the past side only; the future side is as long as
+        # the planned actions given, shorter or longer than the lag
+        grid, plan, scans, cfg = self._mini(lag=2, steps=8)
+        rng = np.random.default_rng(0)
+        future = [Action(1.0, 0.0)] * n_future
+        state = init_belief(cfg, gaussian_sampler(Pose(5, 4, 0), 2.0, 0.05), grid, rng, future)
+        assert (state.n_past, state.n_future) == (0, n_future)
+        for t in range(2, 6):
+            state = deq_step(state, plan.action(t), scans[t], cfg, grid, rng, future)
+            assert (state.n_past, state.n_future) == (min(t - 1, cfg.lag), n_future)
+            assert state.future_log_priors.shape == (n_future, cfg.n_particles)
 
     def test_init_lag0_uniform_single_pose(self):
         grid, plan, scans, cfg = self._mini(lag=0)
         import dataclasses
 
         cfg = dataclasses.replace(cfg, lag=0)
-        state = deq_init(cfg, gaussian_sampler(Pose(5, 4, 0), 2.0, 0.05), plan, grid,
-                         np.random.default_rng(0))
+        state = init_belief(cfg, gaussian_sampler(Pose(5, 4, 0), 2.0, 0.05), grid,
+                            np.random.default_rng(0), plan.actions[1 : 1 + cfg.lag])
         assert (state.n_past, state.n_future) == (0, 0)
         assert np.allclose(state.log_weights, -math.log(cfg.n_particles))
 
     def test_init_future_clamped_by_horizon(self):
         grid, _, _, cfg = self._mini(lag=2)
         short_plan = constant_plan(1.0, 0.0, 1)  # horizon T = 2
-        state = deq_init(cfg, gaussian_sampler(Pose(5, 4, 0), 2.0, 0.05), short_plan, grid,
-                         np.random.default_rng(0))
+        state = init_belief(cfg, gaussian_sampler(Pose(5, 4, 0), 2.0, 0.05), grid,
+                            np.random.default_rng(0), short_plan.actions[1 : 1 + cfg.lag])
         assert state.n_future == 1
 
     def test_init_zero_noise_future_is_plan_rollout(self):
@@ -571,7 +590,7 @@ class TestDeqQueue:
 
         cfg = dataclasses.replace(cfg, motion_noise=NoiseParams(0, 0, 0))
         start = Pose(5.0, 4.0, 0.0)
-        state = deq_init(cfg, point_sampler(start), plan, grid, np.random.default_rng(0))
+        state = init_belief(cfg, point_sampler(start), grid, np.random.default_rng(0), plan.actions[1 : 1 + cfg.lag])
         expected = start
         for k in range(1, 3):
             expected = apply_action(expected, plan.action(1 + k))
@@ -580,9 +599,9 @@ class TestDeqQueue:
     def test_marginal_offsets_and_errors(self):
         grid, plan, scans, cfg = self._mini(lag=2)
         rng = np.random.default_rng(0)
-        state = deq_init(cfg, gaussian_sampler(Pose(5, 4, 0), 2.0, 0.05), plan, grid, rng)
+        state = init_belief(cfg, gaussian_sampler(Pose(5, 4, 0), 2.0, 0.05), grid, rng, plan.actions[1 : 1 + cfg.lag])
         for t in range(2, 5):
-            state = deq_step(state, t, plan.action(t), scans[t], plan, cfg, grid, rng)
+            state = deq_step(state, plan.action(t), scans[t], cfg, grid, rng, plan.actions[t : t + cfg.lag])
         for off in range(-state.n_past, state.n_future + 1):
             snap = state.marginal(off)
             assert np.array_equal(snap.poses, state.poses[:, state.n_past + off]) and snap.poses.shape == (3, 50)
@@ -600,8 +619,8 @@ class TestDeqQueue:
         grid, plan, scans, cfg = self._mini(lag=2)
         cfg = dataclasses.replace(cfg, resample_threshold=1.0)  # resample every step
         rng = np.random.default_rng(0)
-        state = deq_init(cfg, gaussian_sampler(Pose(5, 4, 0), 2.0, 0.05), plan, grid, rng)
-        state = deq_step(state, 2, plan.action(2), scans[2], plan, cfg, grid, rng)
+        state = init_belief(cfg, gaussian_sampler(Pose(5, 4, 0), 2.0, 0.05), grid, rng, plan.actions[1 : 1 + cfg.lag])
+        state = deq_step(state, plan.action(2), scans[2], cfg, grid, rng, plan.actions[2 : 2 + cfg.lag])
         assert np.allclose(state.marginal(0).weights, 1.0 / cfg.n_particles)
 
     def test_resampling_copies_trajectories_atomically(self):
@@ -614,9 +633,9 @@ class TestDeqQueue:
         grid, plan, scans, cfg = self._mini(lag=2)
         cfg = dataclasses.replace(cfg, resample_threshold=1.0)
         rng = np.random.default_rng(1)
-        state = deq_init(cfg, gaussian_sampler(Pose(5, 4, 0), 2.0, 0.05), plan, grid, rng)
+        state = init_belief(cfg, gaussian_sampler(Pose(5, 4, 0), 2.0, 0.05), grid, rng, plan.actions[1 : 1 + cfg.lag])
         for t in range(2, 6):
-            new_state = deq_step(state, t, plan.action(t), scans[t], plan, cfg, grid, rng)
+            new_state = deq_step(state, plan.action(t), scans[t], cfg, grid, rng, plan.actions[t : t + cfg.lag])
             n = new_state.n_past
             # (n_particles, n, 3): one trajectory of past slots per particle
             old = state.poses[:, state.n_past + 1 - n : state.n_past + 1].transpose(2, 1, 0)
@@ -666,7 +685,8 @@ class TestDeqQueue:
     def test_all_occupied_init_rejected(self):
         grid, plan, scans, cfg = self._mini()
         with pytest.raises(InitializationError):
-            deq_init(cfg, point_sampler(Pose(0.5, 0.5, 0)), plan, grid, np.random.default_rng(0))
+            init_belief(cfg, point_sampler(Pose(0.5, 0.5, 0)), grid, np.random.default_rng(0),
+                        plan.actions[1 : 1 + cfg.lag])
 
     def test_degenerate_weights_raise(self):
         grid, plan, scans, cfg = self._mini(lag=0)
@@ -676,15 +696,7 @@ class TestDeqQueue:
         # every particle steps into the far wall, so all weights vanish
         state = init_belief(cfg, point_sampler(Pose(38.5, 4.0, 0.0)), grid, np.random.default_rng(0))
         with pytest.raises(FilterDegeneracyError):
-            deq_step(state, 2, Action(1.0, 0.0), scans[2], constant_plan(1.0, 0.0, 8), cfg, grid,
-                     np.random.default_rng(0))
-
-    def test_step_requires_consecutive_time(self):
-        grid, plan, scans, cfg = self._mini()
-        rng = np.random.default_rng(0)
-        state = deq_init(cfg, gaussian_sampler(Pose(5, 4, 0), 2.0, 0.05), plan, grid, rng)
-        with pytest.raises(ValueError):
-            deq_step(state, 3, plan.action(3), scans[3], plan, cfg, grid, rng)
+            deq_step(state, Action(1.0, 0.0), scans[2], cfg, grid, np.random.default_rng(0))
 
 
 def reference_roll_out(start, actions, log_weights, cfg, grid, rng):
@@ -716,7 +728,7 @@ class TestRollOut:
 
     @pytest.mark.parametrize("beta", [0.0, 2.5])
     @pytest.mark.parametrize("k, n", [
-        (0, 7), (0, 8193),  # deq_init at lag 0 or at horizon 1
+        (0, 7), (0, 8193),  # init_belief with no planned action
         (1, 8191), (1, 8192), (1, 8193),
         (2, S // 2 - 1), (2, S // 2), (2, S // 2 + 1),
         (21, S // 21 - 1), (21, S // 21), (21, S // 21 + 1), (21, S + 1),
@@ -768,14 +780,14 @@ class TestStepInvariantsAllFilters:
         rng = np.random.default_rng(21)
         sampler = gaussian_sampler(Pose(6, 6, 0), 3.0, 0.1)
         if method == "deq_mcl":
-            state = deq_init(cfg, sampler, plan, grid, rng)
+            state = init_belief(cfg, sampler, grid, rng, plan.actions[1 : 1 + cfg.lag])
         else:
             state = init_belief(cfg, sampler, grid, rng)
         steppers = {
             "mcl": lambda st, t: mcl_step(st, plan.action(t), scans[t], cfg, grid, rng),
             "mcl_map_motion": lambda st, t: mcl_map_motion_step(st, plan.action(t), scans[t], cfg, grid, rng),
             "mcl_smoother": lambda st, t: mcl_smoother_step(st, plan.action(t), scans[t], cfg, grid, rng),
-            "deq_mcl": lambda st, t: deq_step(st, t, plan.action(t), scans[t], plan, cfg, grid, rng),
+            "deq_mcl": lambda st, t: deq_step(st, plan.action(t), scans[t], cfg, grid, rng, plan.actions[t : t + cfg.lag]),
         }
         for t in range(2, plan.horizon + 1):
             state = steppers[method](state, t)

@@ -386,7 +386,7 @@ class TestMethodTable:
         # wrappers installed on `filters` after import (as a profiler's spans
         # are) must see every step, and the prior only where beta applies:
         # at 80 particles each roll-out is one grouped prior call, so deq_mcl
-        # makes one in deq_init and one per step
+        # makes one in init_belief and one per step
         cfg = load_config(write_mini_config(tmp_path, methods=method, count=6, lag=2))
         calls = collections.Counter()
         for name in (*self.STEPS.values(), "traversability_log_prior_batch"):
@@ -403,6 +403,29 @@ class TestMethodTable:
         prior_calls = {"mcl": 0, "mcl_smoother": 0, "mcl_map_motion": horizon - 1, "deq_mcl": horizon}
         assert calls["traversability_log_prior_batch"] == prior_calls[method]
 
+
+    @pytest.mark.parametrize("method", harness.METHODS)
+    def test_window_span_of_each_row(self, tmp_path, monkeypatch, method):
+        # the table's columns through run_trial: only deq_mcl rolls the plan
+        # ahead, clipped at T, and the lag-reporting methods keep lag past poses
+        cfg = load_config(write_mini_config(tmp_path, methods=method, count=6, lag=2))
+        lag, horizon = cfg.filter_base.lag, 7  # count + 1
+        name = self.STEPS[method]
+        spans = {}
+
+        def recorded(*args, _original=getattr(filters, name), **kwargs):
+            state = _original(*args, **kwargs)
+            spans[state.t] = (state.n_past, state.n_future)
+            return state
+
+        monkeypatch.setattr(filters, name, recorded)
+        run_trial(cfg, method, 0)
+        for t in (2, horizon):
+            want = {
+                "deq_mcl": (min(t - 1, lag), min(lag, horizon - t)),
+                "mcl_smoother": (min(t - 1, lag), 0),
+            }.get(method, (0, 0))
+            assert spans[t] == want
 
 class TestRunExperiment:
     def test_single_method_single_trial_outputs(self, tmp_path):
@@ -919,8 +942,8 @@ class TestCli:
         (("count: 13", "count: 30"), 1, ("run", "oracle")),  # the plan runs into the right end wall
         (("box: [2.0, 6.0, 1.0, 2.0, 0.0, 0.0]", "box: [0.1, 0.9, 0.1, 0.9, 0.0, 0.0]"), 2, ("run", "oracle")),
         (("compare_t: 9", "compare_t: 50"), 2, ("oracle",)),  # past the plan horizon
-        (("cell: 0.5", "cell: 0.05"), 2, ("oracle",)),  # 480 x 60 cells, past the enumerable limit
-        # 9,216 states, under the state cap, whose 648 MiB kernel is past the budget
+        (("cell: 0.5", "cell: 0.05"), 2, ("oracle",)),  # 480 x 60 cells, a 6,328 MiB kernel
+        # 9,216 states, whose 648 MiB kernel is past the budget
         (("cell: 0.5\n  heading_bins: 1", "cell: 0.25\n  heading_bins: 8"), 2, ("oracle",)),
     ], ids=["colliding_plan", "box_in_a_wall", "compare_t_past_horizon", "lattice_too_large", "kernels_too_large"])
     def test_config_that_fails_its_checks_leaves_no_directory(

@@ -254,11 +254,11 @@ class TestDiscretize:
             discretize(grid, cfg, [Action(1, 0)], cell=1.0, n_heading_bins=1)
 
     def test_kernel_budget_refused_before_any_allocation(self):
-        # 100 x 60 cells = 6,000 states, under the state cap; one dense
-        # 6000 x 6000 float64 kernel would take 275 MiB
+        # 100 x 60 cells = 6,000 states; one dense 6000 x 6000 float64
+        # kernel would take 275 MiB
         grid = make_room(100, 60)
         cfg = FilterConfig(n_particles=10)
-        assert 6000 <= oracle.MAX_LATTICE_STATES and 6000**2 * 8 > oracle.MAX_KERNEL_BYTES
+        assert 6000**2 * 8 > oracle.MAX_KERNEL_BYTES
         tracemalloc.start()
         try:
             with pytest.raises(LatticeSizeError, match=(
@@ -270,6 +270,9 @@ class TestDiscretize:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+        # a lattice with no action is bounded as one with one action
+        with pytest.raises(LatticeSizeError, match=r"6000 states need .* 274.7 MiB of dense kernels"):
+            discretize(grid, cfg, [], cell=1.0, n_heading_bins=1)
         # the budget counts each distinct action: 3,000 states take 68.7 MiB per kernel
         with pytest.raises(LatticeSizeError, match=r"3000 states need 4 distinct actions x 68.7 MiB"):
             discretize(make_room(50, 60), cfg, [Action(1, 0), Action(1, 0.1), Action(1, 0.2), Action(1, 0.3)],
@@ -706,12 +709,12 @@ class TestOracleValidation:
     def test_lattice_too_large_rejected(self):
         with pytest.raises(harness.ConfigError, match=(
             r"^oracle.cell and oracle.heading_bins: 480 x 60 cells x 1 heading bins = 28800 states "
-            r"exceeds the enumerable limit of 10000$"
+            r"need 1 distinct actions x 6328.1 MiB of dense kernels, over the 256 MiB budget$"
         )):
             harness.run_oracle_validation(tiny_cfg(cell=0.05))
 
     def test_lattice_over_the_kernel_budget_rejected(self):
-        # 9,216 states, under the state cap, whose one dense kernel is over the budget
+        # 9,216 states, whose one dense kernel is over the budget
         with pytest.raises(harness.ConfigError, match=(
             r"^oracle.cell and oracle.heading_bins: 96 x 12 cells x 8 heading bins = 9216 states "
             r"need 1 distinct actions x 648.0 MiB of dense kernels, over the 256 MiB budget$"
