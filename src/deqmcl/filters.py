@@ -9,6 +9,9 @@ sample count), keeps up to ``lag`` past poses, and weights by the scan
 likelihood at the new current pose.  The likelihood raycasts every pose, one
 inside an obstacle too, and then gives each such pose -inf.
 
+The module holds the model and the window, `QueueState`; `metrics` scores a
+slot in place, and a belief with no usable particle is a `FilterDegeneracyError`.
+
 Every filter starts from `init_belief` and has one step signature,
 ``(state, action, scan, cfg, grid, rng, future=())``: ``future`` holds the
 planned actions of the steps after the new one, and its length is the
@@ -39,7 +42,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -69,12 +71,8 @@ def _check_rows(name: str, a: np.ndarray) -> None:
 
 
 class FilterDegeneracyError(RuntimeError):
-    """The filter has no usable particle: all weights vanished or, as an
-    `InitializationError`, no initial particle is free; the caller decides how to recover."""
-
-
-class InitializationError(FilterDegeneracyError):
-    """The initial belief sampler produced no usable particles."""
+    """The filter has no usable particle: all weights vanished, or the initial
+    sampler returned none or none that is free; the caller decides how to recover."""
 
 
 @dataclass(frozen=True)
@@ -107,31 +105,6 @@ class FilterConfig:
             raise ValueError(f"collision_step must be > 0 and finite, got {self.collision_step}")
 
 
-@dataclass(frozen=True)
-class BeliefSnapshot:
-    """Weighted particle cloud of one pose of the window, in coordinate rows as a slot."""
-
-    poses: np.ndarray    # (3, n)
-    weights: np.ndarray  # (n,), sums to 1
-
-    def __post_init__(self):
-        _check_rows("poses", self.poses)
-        if self.weights.shape != (self.poses.shape[1],):
-            raise ValueError("weights must match the particle count")
-
-    @cached_property
-    def features(self) -> np.ndarray:
-        """The (n, 4) matrix of (x, y, cos theta, sin theta), one row per
-        particle, built once per snapshot: `metrics.mean_state` and
-        `metrics.belief_variance` read it through BLAS, whose bits depend on
-        this layout.  `cached_property` stores it in the instance ``__dict__``
-        directly, which a frozen dataclass without ``__slots__`` allows."""
-        if self.poses.shape[1] == 0:
-            raise ValueError("belief holds no particles")
-        x, y, theta = self.poses
-        return np.column_stack([x, y, np.cos(theta), np.sin(theta)])
-
-
 @dataclass
 class QueueState:
     """Particle approximation of the joint belief over a sliding time window.
@@ -142,11 +115,10 @@ class QueueState:
     slots before it hold past states (oldest first) and those after it
     predicted future states.  Plain MCL is the degenerate case n_past ==
     n_future == 0.  ``future_log_priors[k - 1]`` is the log traversability
-    prior of the predicted transition into slot ``n_past + k``.  `slot` and
-    `marginal` take an offset from now in ``[-n_past, +n_future]``, else raise `ValueError`.
+    prior of the predicted transition into slot ``n_past + k``.  `slot` takes
+    an offset from now in ``[-n_past, +n_future]``, else raises `ValueError`.
     """
 
-    t: int
     poses: np.ndarray              # (3, n_past + 1 + n_future, n)
     log_weights: np.ndarray        # (n,)
     future_log_priors: np.ndarray  # (n_future, n)
@@ -181,10 +153,6 @@ class QueueState:
     def weights(self) -> np.ndarray:
         w = np.exp(self.log_weights)
         return w / w.sum()
-
-    def marginal(self, offset: int) -> BeliefSnapshot:
-        """Weighted particle cloud of the pose at ``offset`` steps from now, its slot copied."""
-        return BeliefSnapshot(self.slot(offset).copy(), self.weights())
 
 
 # ---------------------------------------------------------------------------
@@ -325,14 +293,14 @@ def init_belief(
     """
     poses = np.array(init_sampler(rng, cfg.n_particles), dtype=float)
     if poses.shape != (3, cfg.n_particles):
-        raise InitializationError(f"init sampler returned {poses.shape}, not coordinate rows (3, {cfg.n_particles})")
+        raise FilterDegeneracyError(f"init sampler returned {poses.shape}, not coordinate rows (3, {cfg.n_particles})")
     poses[2] = normalize_angles(poses[2])
     if grid.occupied_xy(poses[0], poses[1]).all():
-        raise InitializationError("every initial particle lies in occupied space")
+        raise FilterDegeneracyError("every initial particle lies in occupied space")
     logw = np.full(cfg.n_particles, -math.log(cfg.n_particles))
     rolled, future_log_priors, logw = _roll_out(poses, future, logw, cfg, grid, rng)
     return QueueState(
-        t=1, poses=np.concatenate([poses[:, None], rolled], axis=1), log_weights=_normalize_log_weights(logw),
+        poses=np.concatenate([poses[:, None], rolled], axis=1), log_weights=_normalize_log_weights(logw),
         future_log_priors=future_log_priors,
     )
 
@@ -412,7 +380,7 @@ def _window_step(
     logw, poses, future_log_priors = _finish_step(
         logw + obs, cfg, rng, np.concatenate([past, rolled], axis=1), log_priors[1:]
     )
-    return QueueState(t=state.t + 1, poses=poses, log_weights=logw, future_log_priors=future_log_priors)
+    return QueueState(poses=poses, log_weights=logw, future_log_priors=future_log_priors)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ import numpy as np
 import yaml
 
 from . import filters, metrics, oracle
-from .filters import BeliefSnapshot, FilterConfig, FilterDegeneracyError, QueueState
+from .filters import FilterConfig, FilterDegeneracyError, QueueState
 from .gridmap import OccupancyGrid, Point2, load_grid
 from .worldsim import (
     MAX_PLAN_ACTIONS,
@@ -569,7 +569,7 @@ def run_trial(
     def emit(j: int, state: QueueState, tau: int) -> None:
         # the window's slots are read in place; every offset shares one weight vector
         weights = state.weights()
-        snap = BeliefSnapshot(state.slot(j - tau), weights)
+        snap = metrics.BeliefSnapshot(state.slot(j - tau), weights)
         mean = metrics.mean_state(snap)
         rec = {
             "method": method,

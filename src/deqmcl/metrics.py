@@ -1,6 +1,8 @@
 """Evaluation metrics: per-step estimation error, its trial mean, and the
 entropy and per-dimension variance of a particle belief.
 
+A belief is scored as a `BeliefSnapshot`, such as a window slot of
+`filters.QueueState`: ``BeliefSnapshot(state.slot(k), state.weights())``.
 The state for error purposes is the 4-vector (x, y, cos theta, sin theta);
 angle averages use the weighted mean of cos and sin directly, matching the
 per-dimension variance reporting.
@@ -10,10 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .filters import BeliefSnapshot
 from .worldsim import TWO_PI, Pose
 
 # `belief_entropy` sums each bin's weight with one `bincount` over the raveled
@@ -26,6 +28,32 @@ from .worldsim import TWO_PI, Pose
 # trials at seed 1) the key space has median 4,579 bins and p99 39,989, so
 # 2.3% of its records take the `np.unique` path.
 _ENTROPY_BINS = 1 << 15
+
+
+@dataclass(frozen=True)
+class BeliefSnapshot:
+    """Weighted particle cloud of one pose of the window, in coordinate rows as a slot."""
+
+    poses: np.ndarray    # (3, n)
+    weights: np.ndarray  # (n,), sums to 1
+
+    def __post_init__(self):
+        if self.poses.ndim != 2 or self.poses.shape[0] != 3:
+            raise ValueError(f"poses must be coordinate rows, shape (3, n), got {self.poses.shape}")
+        if self.weights.shape != (self.poses.shape[1],):
+            raise ValueError("weights must match the particle count")
+
+    @cached_property
+    def features(self) -> np.ndarray:
+        """The (n, 4) matrix of (x, y, cos theta, sin theta), one row per
+        particle, built once per snapshot: `mean_state` and `belief_variance`
+        read it through BLAS, whose bits depend on this layout.
+        `cached_property` stores it in the instance ``__dict__`` directly,
+        which a frozen dataclass without ``__slots__`` allows."""
+        if self.poses.shape[1] == 0:
+            raise ValueError("belief holds no particles")
+        x, y, theta = self.poses
+        return np.column_stack([x, y, np.cos(theta), np.sin(theta)])
 
 
 @dataclass(frozen=True)

@@ -103,6 +103,9 @@ def discretize(
     """
     if not (cell > 0 and math.isfinite(cell)):  # written so that NaN fails
         raise ValueError(f"cell must be positive and finite, got {cell}")
+    if (isinstance(n_heading_bins, bool) or not isinstance(n_heading_bins, (int, np.integer))
+            or not n_heading_bins >= 1):
+        raise ValueError(f"n_heading_bins must be an integer >= 1, got {n_heading_bins!r}")
     nx = math.ceil(grid.world_width / cell - 1e-9)
     ny = math.ceil(grid.world_height / cell - 1e-9)
     n_states = nx * ny * n_heading_bins

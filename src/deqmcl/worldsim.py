@@ -228,8 +228,8 @@ def build_loop_plan(
     noise-free rollout passes `check_rollout`.  Waypoints that leave it no
     executed step, all within v_step of the start, are a `PlanError`.
     """
-    if v_step <= 0 or omega_step <= 0:
-        raise PlanError(f"v_step and omega_step must be positive, got {v_step}, {omega_step}")
+    if not all(step > 0 and math.isfinite(step) for step in (v_step, omega_step)):  # written so that NaN fails
+        raise PlanError(f"v_step and omega_step must be positive and finite, got {v_step}, {omega_step}")
     for i, wp in enumerate(waypoints):
         if grid.occupied_xy(wp.x, wp.y):
             raise PlanError(f"waypoint {i} at ({wp.x}, {wp.y}) is in occupied space")

@@ -24,7 +24,7 @@ from deqmcl.filters import (
     systematic_resample,
 )
 from deqmcl.harness import load_config, run_experiment, run_oracle_validation
-from deqmcl.metrics import belief_variance, error_from_mean, mean_state
+from deqmcl.metrics import BeliefSnapshot, belief_variance, error_from_mean, mean_state
 from deqmcl.worldsim import BeamConfig, NoiseParams, Pose
 
 from conftest import make_corridor, make_room
@@ -201,12 +201,12 @@ class TestCriterion5SmoothingVarianceReduction:
             )
             rng = np.random.default_rng(9000 + seed)
             state = init_belief(cfg, gaussian_sampler(Pose(6, 6, 0), 3.0, 0.05), grid, rng)
-            filtered = {1: belief_variance(state.marginal(0))[:2].sum()}
+            filtered = {1: belief_variance(BeliefSnapshot(state.slot(0), state.weights()))[:2].sum()}
             for t in range(2, plan.horizon + 1):
                 state = mcl_smoother_step(state, plan.action(t), scans[t], cfg, grid, rng)
-                filtered[t] = belief_variance(state.marginal(0))[:2].sum()
+                filtered[t] = belief_variance(BeliefSnapshot(state.slot(0), state.weights()))[:2].sum()
                 if state.n_past == lag:
-                    smoothed = belief_variance(state.marginal(-lag))[:2].sum()
+                    smoothed = belief_variance(BeliefSnapshot(state.slot(-lag), state.weights()))[:2].sum()
                     total += 1
                     if smoothed <= filtered[t - lag]:
                         wins += 1

@@ -93,7 +93,6 @@ class TestQueueFilterProperties:
                     state = deq_step(state, plan.action(t), scans[t], cfg, grid, rng, plan.actions[t : t + cfg.lag])
                 except FilterDegeneracyError:
                     return  # every particle left the free space; nothing more to check
-            assert state.t == t
             assert (state.n_past, state.n_future) == (min(t - 1, lag), min(lag, horizon - t))
             assert state.poses.shape == (3, min(t - 1, lag) + 1 + min(lag, horizon - t), cfg.n_particles)
             # a particle in an obstacle keeps log weight -inf, i.e. weight 0

@@ -6,9 +6,7 @@ import pytest
 from deqmcl import filters
 from deqmcl.filters import (
     FilterConfig,
-    BeliefSnapshot,
     FilterDegeneracyError,
-    InitializationError,
     QueueState,
     deq_step,
     effective_sample_size,
@@ -22,7 +20,7 @@ from deqmcl.filters import (
     traversability_log_prior_batch,
 )
 from deqmcl.gridmap import OccupancyGrid
-from deqmcl.metrics import belief_variance, mean_state
+from deqmcl.metrics import BeliefSnapshot, belief_variance, mean_state
 from deqmcl.worldsim import Action, ActionPlan, BeamConfig, NoiseParams, Pose, apply_action, sense
 
 from conftest import make_corridor, make_room, pose_array
@@ -328,7 +326,7 @@ class TestMclStep:
             errs = []
             for t in range(2, plan.horizon + 1):
                 state = mcl_step(state, plan.action(t), scans[t], cfg, grid, rng)
-                m = mean_state(state.marginal(0))
+                m = mean_state(BeliefSnapshot(state.slot(0), state.weights()))
                 errs.append(math.hypot(m[0] - truth[t].x, m[1] - truth[t].y))
             first.append(np.mean(errs[:5]))
             last.append(np.mean(errs[-5:]))
@@ -346,10 +344,10 @@ class TestMclStep:
         for seed in range(20):
             rng = np.random.default_rng(seed)
             state = init_belief(cfg, gaussian_sampler(pose, 3.0, 0.1), grid, rng)
-            start_var.append(belief_variance(state.marginal(0))[:2].sum())
+            start_var.append(belief_variance(BeliefSnapshot(state.slot(0), state.weights()))[:2].sum())
             for _ in range(50):
                 state = mcl_step(state, Action(0, 0), scan, cfg, grid, rng)
-            end_var.append(belief_variance(state.marginal(0))[:2].sum())
+            end_var.append(belief_variance(BeliefSnapshot(state.slot(0), state.weights()))[:2].sum())
         assert np.mean(end_var) <= np.mean(start_var)
 
     def test_single_particle_at_truth_stays(self):
@@ -374,7 +372,7 @@ class TestMclStep:
         state = init_belief(cfg, gaussian_sampler(Pose(6, 6, 0), 3.0, 0.05), grid, rng)
         for t in range(2, plan.horizon + 1):
             state = mcl_step(state, plan.action(t), scans[t], cfg, grid, rng)
-            snap = state.marginal(0)
+            snap = BeliefSnapshot(state.slot(0), state.weights())
             assert snap.weights.shape == (100,)
             assert np.all(snap.weights >= 0)
             assert abs(snap.weights.sum() - 1.0) < 1e-9
@@ -493,12 +491,12 @@ class TestSmoother:
             truth, scans = _world(grid, plan, Pose(6, 6, 0), NoiseParams(0.1, 0.0, 0.5), beams, seed)
             rng = np.random.default_rng(300 + seed)
             state = init_belief(cfg, gaussian_sampler(Pose(6, 6, 0), 3.0, 0.05), grid, rng)
-            filtered_var = {1: belief_variance(state.marginal(0))[:2].sum()}
+            filtered_var = {1: belief_variance(BeliefSnapshot(state.slot(0), state.weights()))[:2].sum()}
             for t in range(2, plan.horizon + 1):
                 state = mcl_smoother_step(state, plan.action(t), scans[t], cfg, grid, rng)
-                filtered_var[t] = belief_variance(state.marginal(0))[:2].sum()
+                filtered_var[t] = belief_variance(BeliefSnapshot(state.slot(0), state.weights()))[:2].sum()
                 if state.n_past == lag:
-                    sm = belief_variance(state.marginal(-lag))[:2].sum()
+                    sm = belief_variance(BeliefSnapshot(state.slot(-lag), state.weights()))[:2].sum()
                     fl = filtered_var[t - lag]
                     total += 1
                     if sm < fl:
@@ -521,12 +519,12 @@ class TestSmoother:
             truth, scans = _world(grid, plan, Pose(6, 6, 0), NoiseParams(0.1, 0.0, 0.5), beams, seed)
             rng = np.random.default_rng(400 + seed)
             state = init_belief(cfg, gaussian_sampler(Pose(6, 6, 0), 4.0, 0.05), grid, rng)
-            filtered_mean = {1: mean_state(state.marginal(0))}
+            filtered_mean = {1: mean_state(BeliefSnapshot(state.slot(0), state.weights()))}
             for t in range(2, plan.horizon + 1):
                 state = mcl_smoother_step(state, plan.action(t), scans[t], cfg, grid, rng)
-                filtered_mean[t] = mean_state(state.marginal(0))
+                filtered_mean[t] = mean_state(BeliefSnapshot(state.slot(0), state.weights()))
                 if state.n_past == lag:
-                    sm = mean_state(state.marginal(-lag))
+                    sm = mean_state(BeliefSnapshot(state.slot(-lag), state.weights()))
                     shifts.append(abs(sm[0] - filtered_mean[t - lag][0]))
         assert max(shifts) > 0.5  # the past estimate genuinely moves
 
@@ -603,15 +601,14 @@ class TestDeqQueue:
         for t in range(2, 5):
             state = deq_step(state, plan.action(t), scans[t], cfg, grid, rng, plan.actions[t : t + cfg.lag])
         for off in range(-state.n_past, state.n_future + 1):
-            snap = state.marginal(off)
+            snap = BeliefSnapshot(state.slot(off), state.weights())
             assert np.array_equal(snap.poses, state.poses[:, state.n_past + off]) and snap.poses.shape == (3, 50)
             assert np.shares_memory(state.slot(off), state.poses) and np.array_equal(state.slot(off), snap.poses)
         # one offset past either end: before the window, not its last future slot
         span = rf"outside queue span \[-{state.n_past}, \+{state.n_future}\]"
-        for read in (state.slot, state.marginal):
-            for off in (-(state.n_past + 1), state.n_future + 1):
-                with pytest.raises(ValueError, match=span):
-                    read(off)
+        for off in (-(state.n_past + 1), state.n_future + 1):
+            with pytest.raises(ValueError, match=span):
+                state.slot(off)
 
     def test_marginal_weights_uniform_after_resample(self):
         import dataclasses
@@ -621,7 +618,7 @@ class TestDeqQueue:
         rng = np.random.default_rng(0)
         state = init_belief(cfg, gaussian_sampler(Pose(5, 4, 0), 2.0, 0.05), grid, rng, plan.actions[1 : 1 + cfg.lag])
         state = deq_step(state, plan.action(2), scans[2], cfg, grid, rng, plan.actions[2 : 2 + cfg.lag])
-        assert np.allclose(state.marginal(0).weights, 1.0 / cfg.n_particles)
+        assert np.allclose(BeliefSnapshot(state.slot(0), state.weights()).weights, 1.0 / cfg.n_particles)
 
     def test_resampling_copies_trajectories_atomically(self):
         # the future side is re-proposed every step, so what survives of an
@@ -648,30 +645,23 @@ class TestDeqQueue:
     def test_state_rejects_a_particle_major_window(self):
         # (slots, n, 3): 2 slots of 4 particles, stored the other way round
         with pytest.raises(ValueError, match=r"coordinate-major, shape \(3, slots, n\), got \(2, 4, 3\)"):
-            QueueState(t=1, poses=np.zeros((2, 4, 3)), log_weights=np.zeros(4), future_log_priors=np.zeros((0, 4)))
+            QueueState(poses=np.zeros((2, 4, 3)), log_weights=np.zeros(4), future_log_priors=np.zeros((0, 4)))
         with pytest.raises(ValueError, match="coordinate-major"):
-            QueueState(t=1, poses=np.zeros((3, 4)), log_weights=np.zeros(4), future_log_priors=np.zeros((0, 4)))
+            QueueState(poses=np.zeros((3, 4)), log_weights=np.zeros(4), future_log_priors=np.zeros((0, 4)))
 
     def test_state_requires_one_factor_per_future_transition(self):
         poses, logw = np.zeros((3, 3, 4)), np.zeros(4)  # 3 slots of 4 particles
         with pytest.raises(TypeError, match="future_log_priors"):
-            QueueState(t=1, poses=poses, log_weights=logw)
+            QueueState(poses=poses, log_weights=logw)
         # as many factors as the window has slots, a wrong particle count, no particle axis
         for priors in (np.zeros((3, 4)), np.zeros((2, 3)), np.zeros(2)):
             with pytest.raises(ValueError, match="future_log_priors"):
-                QueueState(t=1, poses=poses, log_weights=logw, future_log_priors=priors)
+                QueueState(poses=poses, log_weights=logw, future_log_priors=priors)
         for n_future in (0, 1, 2):
-            state = QueueState(t=1, poses=poses, log_weights=logw, future_log_priors=np.zeros((n_future, 4)))
+            state = QueueState(poses=poses, log_weights=logw, future_log_priors=np.zeros((n_future, 4)))
             assert (state.n_past, state.n_future, state.n_particles) == (2 - n_future, n_future, 4)
         with pytest.raises(AttributeError):
             state.n_past = 0
-
-    def test_snapshot_rejects_particle_major_poses(self):
-        # (n, 3): 4 particles, one row each
-        with pytest.raises(ValueError, match=r"coordinate rows, shape \(3, n\), got \(4, 3\)"):
-            BeliefSnapshot(np.zeros((4, 3)), np.full(4, 0.25))
-        with pytest.raises(ValueError, match="weights must match"):
-            BeliefSnapshot(np.zeros((3, 4)), np.full(3, 1 / 3))
 
     def test_init_belief_rejects_a_particle_major_sampler(self):
         grid, _, _, cfg = self._mini()
@@ -679,12 +669,12 @@ class TestDeqQueue:
         def particle_major(rng, n):  # one (x, y, theta) row per particle
             return gaussian_sampler(Pose(5, 4, 0), 2.0, 0.05)(rng, n).T
 
-        with pytest.raises(InitializationError, match=r"returned \(50, 3\), not coordinate rows \(3, 50\)"):
+        with pytest.raises(FilterDegeneracyError, match=r"returned \(50, 3\), not coordinate rows \(3, 50\)"):
             init_belief(cfg, particle_major, grid, np.random.default_rng(0))
 
     def test_all_occupied_init_rejected(self):
         grid, plan, scans, cfg = self._mini()
-        with pytest.raises(InitializationError):
+        with pytest.raises(FilterDegeneracyError):
             init_belief(cfg, point_sampler(Pose(0.5, 0.5, 0)), grid, np.random.default_rng(0),
                         plan.actions[1 : 1 + cfg.lag])
 
@@ -793,6 +783,6 @@ class TestStepInvariantsAllFilters:
             state = steppers[method](state, t)
             assert state.n_particles == 120
             for off in range(-state.n_past, state.n_future + 1):
-                w = state.marginal(off).weights
+                w = BeliefSnapshot(state.slot(off), state.weights()).weights
                 assert np.all(w >= 0)
                 assert abs(w.sum() - 1.0) < 1e-9

@@ -415,7 +415,7 @@ class TestMethodTable:
 
         def recorded(*args, _original=getattr(filters, name), **kwargs):
             state = _original(*args, **kwargs)
-            spans[state.t] = (state.n_past, state.n_future)
+            spans[len(spans) + 2] = (state.n_past, state.n_future)  # the k-th step reaches t = k + 1
             return state
 
         monkeypatch.setattr(filters, name, recorded)

@@ -1,11 +1,15 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from deqmcl.filters import BeliefSnapshot
+import deqmcl
 from deqmcl.metrics import (
     _ENTROPY_BINS,
+    BeliefSnapshot,
     belief_entropy,
     belief_variance,
     error_from_mean,
@@ -247,6 +251,23 @@ class TestBeliefVariance:
         v = belief_variance(belief)
         assert v[0] == 0.0 and v[2] == 0.0 and v[3] == 0.0
         assert v[1] > 0.0
+
+
+class TestBeliefSnapshot:
+    def test_snapshot_rejects_particle_major_poses(self):
+        # (n, 3): 4 particles, one row each
+        with pytest.raises(ValueError, match=r"coordinate rows, shape \(3, n\), got \(4, 3\)"):
+            BeliefSnapshot(np.zeros((4, 3)), np.full(4, 0.25))
+        with pytest.raises(ValueError, match="weights must match"):
+            BeliefSnapshot(np.zeros((3, 4)), np.full(3, 1 / 3))
+
+    def test_metrics_does_not_load_the_filters(self):
+        # scoring owns its input type, so a fresh interpreter can import it alone
+        code = "import sys, deqmcl.metrics; print('deqmcl.filters' in sys.modules)"
+        src = str(Path(deqmcl.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                              cwd=src)
+        assert done.stdout.strip() == "False"
 
 
 class TestSharedFeatures:

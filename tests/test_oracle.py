@@ -278,6 +278,12 @@ class TestDiscretize:
             discretize(make_room(50, 60), cfg, [Action(1, 0), Action(1, 0.1), Action(1, 0.2), Action(1, 0.3)],
                        cell=1.0, n_heading_bins=1)
 
+    @pytest.mark.parametrize("n_heading_bins", [0, -1, 2.0, True])
+    def test_heading_bins_must_be_a_positive_integer(self, n_heading_bins):
+        grid, cfg, _ = strip_hmm()
+        with pytest.raises(ValueError, match=rf"^n_heading_bins must be an integer >= 1, got {n_heading_bins!r}$"):
+            discretize(grid, cfg, [Action(1.0, 0.0)], cell=1.0, n_heading_bins=n_heading_bins)
+
     def test_map_prior_folds_into_weighted_kernel(self):
         # the strip with its cell 3 occupied: moves across it lose weight
         cells = np.zeros((1, 6), dtype=bool)
@@ -558,7 +564,7 @@ class TestBinBelief:
         # headings at +-pi, one ulp either side of them, at multiples of 2 pi
         # and of pi wrapped from up to 20 turns away, and at bin edges; every
         # slot shuffles them and draws its own positions, some off the lattice
-        from deqmcl.filters import BeliefSnapshot
+        from deqmcl.metrics import BeliefSnapshot
         from deqmcl.oracle import bin_belief
 
         grid = OccupancyGrid(3, 2, 1.0, np.zeros((2, 3), dtype=bool))

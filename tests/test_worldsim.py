@@ -100,6 +100,18 @@ class TestNormalizeAngles:
         with np.errstate(invalid="ignore"):  # +-inf
             assert_same_bits(normalize_angles(theta), reference_normalize_angles(theta))
 
+    def test_scalar_wrap_matches_array_wrap(self):
+        # `normalize_angle` wraps the truth's poses and `normalize_angles` the
+        # filters': on every finite value they give the same bits
+        rng = np.random.default_rng(1)
+        bits = rng.integers(0, 2**64, 150_000, dtype=np.uint64).view(np.float64)
+        theta = np.concatenate([
+            self.SPECIALS, bits, rng.uniform(-4 * math.pi, 4 * math.pi, 150_000),
+        ])
+        theta = theta[np.isfinite(theta)]
+        scalar = np.array([normalize_angle(float(v)) for v in theta])
+        assert_same_bits(scalar, normalize_angles(theta))
+
     @pytest.mark.parametrize("value", [math.inf, -math.inf])
     def test_infinities_warn_as_np_mod_does(self, value):
         theta = np.array([0.5, value])
@@ -321,6 +333,13 @@ class TestBuildLoopPlan:
             build_loop_plan(grid, Pose(50, 50, 0), [Point2(50, 50)], 5.0, math.pi / 8)
         with pytest.raises(PlanError, match="no executed step"):
             build_loop_plan(grid, Pose(50, 50, 0), [Point2(53, 51), Point2(48, 47)], 5.0, math.pi / 8)
+
+    @pytest.mark.parametrize("v_step, omega_step", [(5.0, math.nan), (math.inf, math.pi / 8)])
+    def test_non_finite_steps_rejected(self, v_step, omega_step):
+        # NaN would build actions until the plan cap, inf would take one step past every waypoint
+        grid = make_room(100, 100)
+        with pytest.raises(PlanError, match="v_step and omega_step must be positive and finite"):
+            build_loop_plan(grid, Pose(50, 50, 0), [Point2(70, 50)], v_step, omega_step)
 
     def test_waypoint_in_wall_rejected(self, room):
         with pytest.raises(PlanError, match="waypoint"):
